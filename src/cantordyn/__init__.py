@@ -78,7 +78,6 @@ from .orbits import (
     distance_profile,
     distributional_densities,
     li_yorke_classify,
-    lower_density,
     orbit_distance_to_target,
     orbit_summary,
     upper_density,

@@ -244,18 +244,6 @@ def normalize_cylinder_union(prefixes) -> tuple[str, ...]:
     return tuple(sorted(kept))
 
 
-def union_covers_cylinder(prefixes, cell: str) -> bool:
-    """Whether a union of cylinders covers Cylinder(cell) entirely.
-
-    Only pieces inside the cell matter; the cover is complete iff their
-    relative Kraft sum is 1.
-    """
-    inside = [p for p in normalize_cylinder_union(prefixes) if p.startswith(cell)]
-    if any(cylinder_contains(p, cell) for p in normalize_cylinder_union(prefixes)):
-        return True
-    return _kraft_sum(p[len(cell):] for p in inside) == 1
-
-
 def union_is_proper_subset(prefixes, cell: str) -> bool:
     """Whether the union lies inside Cylinder(cell) without covering it."""
     norm = normalize_cylinder_union(prefixes)

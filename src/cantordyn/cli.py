@@ -11,7 +11,9 @@ prohorov   exact distance between two measure files
 report     print the pass/fail table of an existing report
 
 Exit codes: 0 all certificates pass, 2 some certificate failed,
-3 configuration or usage error.
+3 configuration or usage error.  A suite that exceeds a budget or declines
+its inputs (a ParameterError while it runs) is recorded as a failed
+certificate, so the other suites' certificates are kept.
 
 All rationals cross this boundary as "p/q" strings; reports are
 deterministic given the config and seed (timings live in a separate field).
@@ -29,15 +31,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .certs import Certificate, to_jsonable
+from .certs import Certificate
 from .dynamics import (
     chain_connect_homeo,
     chain_connect_map,
     chain_step_count,
     chain_continuity_test,
     entropy_estimate,
-    equicontinuity_certificate,
-    sample_modulus_pairs,
     transitivity_check,
     weak_shadowing_refutation,
 )
@@ -253,13 +253,15 @@ def run_suite(tower, suite: str, cfg, rng):
         t0 = time.monotonic()
         try:
             certificates.extend(runner(tower, cfg, rng))
-        except ResourceBudgetError as exc:
-            # budgets fail the item, never the whole run
+        except (ResourceBudgetError, ParameterError) as exc:
+            # an exhausted budget or a declined suite fails the item, never the whole run
             certificates.append(
                 Certificate(
                     operation=runner.__name__.lstrip("_"),
                     passed=False,
-                    verdict="resource_budget_exceeded",
+                    verdict="resource_budget_exceeded"
+                    if isinstance(exc, ResourceBudgetError)
+                    else "declined",
                     witnesses={"error": str(exc)},
                 )
             )

@@ -24,7 +24,12 @@ from .measures import (
     pushforward,
     pushforward_iter,
 )
-from .orbits import DistanceProfile, distance_profile, orbit_distance_to_target
+from .orbits import (
+    DEFAULT_BUDGET,
+    DistanceProfile,
+    distance_profile,
+    orbit_distance_to_target,
+)
 from .towers import MapTower
 
 
@@ -180,7 +185,7 @@ def equicontinuity_certificate(
     tower: MapTower,
     eps: Fraction,
     pairs: list[tuple[AtomicMeasure, AtomicMeasure]],
-    budget: int = 400,
+    budget: int = DEFAULT_BUDGET,
 ) -> Certificate:
     """Verify sup_n d(f~^n mu, f~^n nu) < eps for pairs within the modulus.
 
@@ -283,7 +288,7 @@ def entropy_estimate(
     grid: list[AtomicMeasure],
     eps_list,
     n_max: int,
-    budget: int = 400,
+    budget: int = DEFAULT_BUDGET,
     exact_limit: int = 25,
 ) -> EntropyTable:
     """Maximum sizes of (n, eps)-separated subsets of the grid, for n up to
@@ -430,27 +435,12 @@ def transitivity_check(f: PrefixTableMap, partition_or_depth) -> Certificate:
 # weak-shadowing refutation for dumbbell homeomorphisms
 
 
-@dataclass(frozen=True)
-class Pseudotrajectory:
-    """A bi-infinite delta-pseudotrajectory through two designated measures.
-
-    The finite core is a verified chain from ``first_anchor`` to
-    ``second_anchor``; both tails follow exact orbits (step error zero), so
-    only the core steps carry positive error.
-    """
-
-    core: Chain
-    first_anchor: AtomicMeasure
-    second_anchor: AtomicMeasure
-    delta: Fraction
-
-
 def weak_shadowing_refutation(
     tower: MapTower,
     eps: Fraction,
     delta: Fraction,
     grid: list[AtomicMeasure],
-    budget: int = 400,
+    budget: int = DEFAULT_BUDGET,
     backend: str = "auto",
 ) -> Certificate:
     """Refute weak eps-shadowing of a cross-component pseudotrajectory.
@@ -477,7 +467,6 @@ def weak_shadowing_refutation(
     nu_star = dirac(representative(comps[1].left[0]))
     k0 = chain_step_count(delta)
     core = chain_connect_homeo(h, mu_star, nu_star, delta, k0, backend=backend)
-    pseudo = Pseudotrajectory(core, mu_star, nu_star, delta)
     anchor_gap = prohorov_distance(mu_star, nu_star, backend)
     rows = []
     refuted_all = True
@@ -500,11 +489,11 @@ def weak_shadowing_refutation(
             "eps": eps,
             "delta": delta,
             "grid_size": len(grid),
-            "core_length": pseudo.core.length,
+            "core_length": core.length,
         },
         witnesses={
             "anchor_gap": anchor_gap,
-            "core_steps": pseudo.core.step_distances,
+            "core_steps": core.step_distances,
         },
         details={"grid_minima": rows},
     )

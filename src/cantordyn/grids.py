@@ -4,10 +4,12 @@ vectorized all-pairs scan of exact distance profiles.
 Grid measures place their mass on cell representatives (prefix plus zero
 tail).  For an all-pairs scan the atoms of every grid measure ride on the
 same tracked point family -- the orbits of the cell representatives -- so a
-single certified trajectory matrix serves every pair.  Each pairwise
-Prohorov value then reduces to integer subset maximization over the common
-support; masses are small integers over one denominator, so the whole scan
-runs in numpy int arithmetic and ranks into a short list of exact rationals.
+single certified trajectory matrix serves every pair.  That family is
+certified by the one eventual-periodicity engine of ``orbits``, run on the
+unit masses of the representatives.  Each pairwise Prohorov value then
+reduces to integer subset maximization over the common support; masses are
+small integers over one denominator, so the whole scan runs in numpy int
+arithmetic and ranks into a short list of exact rationals.
 No floats are involved anywhere.
 """
 
@@ -15,17 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
-from .cantor import CylinderPartition, first_difference, representative
-from .errors import ParameterError, ResourceBudgetError
+from .cantor import CylinderPartition, representative
+from .errors import ParameterError
 from .maps import PrefixTableMap
-from .measures import AtomicMeasure, atomic_measure
-from .orbits import DistanceProfile, PairClass
+from .measures import AtomicMeasure, _clamped_min, atomic_measure, dirac
+from .orbits import (
+    DEFAULT_BUDGET,
+    DistanceProfile,
+    PairClass,
+    _distance_matrix_of,
+    _evolve_distance_sequence,
+)
 
-DEFAULT_BUDGET = 400
 MAX_TRACKED_POINTS = 12
 
 
@@ -99,95 +105,25 @@ class TrajectoryFamily:
         return self.matrices[self.preperiod + (n - self.preperiod) % self.period]
 
 
-def _matrix_of(words) -> tuple:
-    n = len(words)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            fd = first_difference(words[i], words[j])
-            d = Fraction(0) if fd is None else Fraction(1, fd + 1)
-            rows[i][j] = rows[j][i] = d
-    return tuple(tuple(r) for r in rows)
-
-
-def _pad_descriptor(f: PrefixTableMap, w_old: str, w_new: str) -> tuple[int, int] | None:
-    if w_new == w_old:
-        return (len(w_old), 0)
-    g = len(w_new) - len(w_old)
-    if g <= 0:
-        return None
-    c = 0
-    while c < len(w_old) and w_old[c] == w_new[c]:
-        c += 1
-    if w_new[c: c + g] != "0" * g or w_new[c + g:] != w_old[c:]:
-        return None
-    dom, _ = f.matching_rule(w_old)
-    if c < len(dom):
-        return None
-    return (c, g)
-
-
 def track_representatives(
     f: PrefixTableMap, partition: CylinderPartition, budget: int = DEFAULT_BUDGET
 ) -> TrajectoryFamily:
     """Evolve all cell representatives jointly and certify the eventual
     periodicity of their pairwise distance matrix.
 
-    Uses the same two mechanisms as the measure-orbit engine: literal
-    repetition of the word tuple, or the zero-run padding certificate
-    verified across a full period window.
+    Runs the measure-orbit engine on the Dirac masses of the representatives:
+    their masses never change, so the engine's state-cycle and padded-cycle
+    certificates apply to the distance matrix of the words themselves.
     """
     start = tuple(representative(c) for c in partition.cells)
-    trajs: list[tuple[str, ...]] = [start]
-    matrices = [_matrix_of(start)]
-    exact_seen = {start: 0}
-    sig_seen: dict = {matrices[0]: [0]}
-    failed: set = set()
-
-    def ensure(k):
-        while len(trajs) <= k:
-            nxt = tuple(f.apply(w) for w in trajs[-1])
-            trajs.append(nxt)
-            matrices.append(_matrix_of(nxt))
-
-    def verify(rho, tau) -> bool:
-        ensure(rho + 2 * tau)
-        for j in range(rho, rho + tau + 1):
-            ws_a, ws_b = trajs[j], trajs[j + tau]
-            inserts = []
-            for wa, wb in zip(ws_a, ws_b):
-                desc = _pad_descriptor(f, wa, wb)
-                if desc is None:
-                    return False
-                if desc[1] > 0:
-                    inserts.append(desc[0])
-            if matrices[j] != matrices[j + tau]:
-                return False
-            if inserts:
-                min_insert = min(inserts)
-                for i, k in combinations(range(len(ws_a)), 2):
-                    d = matrices[j][i][k]
-                    if d > 0 and d.denominator - 1 >= min_insert:
-                        return False
-        return True
-
-    for n in range(1, budget + 1):
-        ensure(n)
-        st = trajs[n]
-        rho = exact_seen.get(st)
-        if rho is not None:
-            return TrajectoryFamily(start, rho, n - rho, tuple(matrices[:n]))
-        exact_seen[st] = n
-        sig = matrices[n]
-        for rho in reversed(sig_seen.get(sig, ())):
-            tau = n - rho
-            if (rho, tau) in failed or rho + 2 * tau > budget:
-                continue
-            if verify(rho, tau):
-                return TrajectoryFamily(start, rho, tau, tuple(matrices[: rho + tau]))
-            failed.add((rho, tau))
-        sig_seen.setdefault(sig, []).append(n)
-    raise ResourceBudgetError(f"representative family not certified within {budget} steps")
+    matrices, rho, tau, _ = _evolve_distance_sequence(
+        f,
+        tuple(dirac(w) for w in start),
+        (),
+        lambda st: _distance_matrix_of([mu.support[0] for mu in st]),
+        budget,
+    )
+    return TrajectoryFamily(start, rho, tau, tuple(matrices))
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +212,14 @@ class CommonSupportScanner:
 
     def distance(self, i: int, j: int, n: int) -> Fraction:
         """Exact d(mu_i(n), mu_j(n)) for one pair, without the batch tables."""
-        thresholds = self.thresholds_at(n)
-        res = self.resolution
-        best: Fraction | None = None
-        for t, c_t in enumerate(thresholds):
+
+        def g_at(c_t):
             nbr = (self.subsets @ self._adjacency(n, c_t)) > 0
             nbr_mass = nbr.astype(np.int64) @ self.mass[j]
-            g = Fraction(int((self.subset_mass[:, i] - nbr_mass).max()), res)
-            if t + 1 < len(thresholds) and g > thresholds[t + 1]:
-                continue
-            cand = max(g, c_t)
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
-        return best
+            g = int((self.subset_mass[:, i] - nbr_mass).max())
+            return Fraction(g, self.resolution), None
+
+        return _clamped_min(self.thresholds_at(n), g_at)[0]
 
     def pair_profile(self, i: int, j: int) -> DistanceProfile:
         rho, tau = self.family.preperiod, self.family.period

@@ -14,14 +14,12 @@ partitions exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cantor import (
     CylinderPartition,
     canonical_point,
     cells_meeting,
     check_word,
-    cylinder_contains,
     is_complete_prefix_code,
     normalize_cylinder_union,
     standard_partition,
@@ -148,9 +146,6 @@ class PartitionDigraph:
 
     def successors(self, cell: str) -> set[str]:
         return {b for a, b in self.edges if a == cell}
-
-    def predecessors(self, cell: str) -> set[str]:
-        return {a for a, b in self.edges if b == cell}
 
     def out_map(self) -> dict[str, set[str]]:
         out = {c: set() for c in self.partition.cells}

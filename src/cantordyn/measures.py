@@ -44,6 +44,8 @@ class AtomicMeasure:
     def __post_init__(self):
         merged: dict[str, Fraction] = {}
         for point, mass in self.atoms:
+            if isinstance(mass, float):
+                raise ParameterError(f"atom mass {mass!r} is a float, not an exact rational")
             mass = Fraction(mass)
             if mass < 0:
                 raise ParameterError("negative atom mass")
@@ -88,7 +90,7 @@ def atomic_measure(pairs) -> AtomicMeasure:
     """Build a measure from an iterable or dict of (point, mass) pairs."""
     if isinstance(pairs, dict):
         pairs = pairs.items()
-    return AtomicMeasure(tuple((p, Fraction(m)) for p, m in pairs))
+    return AtomicMeasure(tuple(pairs))
 
 
 def dirac(point: str) -> AtomicMeasure:
@@ -113,6 +115,8 @@ def pushforward_iter(f, mu: AtomicMeasure, n: int) -> AtomicMeasure:
 
 def convex_combine(weighted: list[tuple[Fraction, AtomicMeasure]]) -> AtomicMeasure:
     """Convex combination of measures; weights must be >= 0 and sum to 1."""
+    if any(isinstance(w, float) for w, _ in weighted):
+        raise ParameterError("weights must be exact rationals, not floats")
     weights = [Fraction(w) for w, _ in weighted]
     if any(w < 0 for w in weights):
         raise ParameterError("weights must be nonnegative")
@@ -278,29 +282,42 @@ def _g_flow(mu_int, nu_int, adj_masks, denom) -> tuple[Fraction, tuple[int, ...]
     return Fraction(denom - flow, denom), witness
 
 
+def _clamped_min(thresholds: list[Fraction], g_at) -> tuple[Fraction, object]:
+    """Least clamped value over the threshold intervals.
+
+    ``thresholds`` are the sorted distinct pair distances, 0 included; on the
+    interval (c_t, c_{t+1}] the neighborhood is the one at c_t, and
+    ``g_at(c_t)`` returns (g, payload) for it.  An interval whose g exceeds
+    c_{t+1} holds no feasible delta; otherwise it contributes max(g, c_t).
+    Returns the least such value with the payload of the first interval
+    attaining it.
+    """
+    best: tuple[Fraction, object] | None = None
+    for t, c_t in enumerate(thresholds):
+        g, payload = g_at(c_t)
+        if t + 1 < len(thresholds) and g > thresholds[t + 1]:
+            continue
+        value = max(g, c_t)
+        if best is None or value < best[0]:
+            best = (value, payload)
+    assert best is not None
+    return best
+
+
 def _one_sided_value(
     mu: AtomicMeasure, nu: AtomicMeasure, backend: str
 ) -> tuple[Fraction, tuple[str, ...]]:
     mu_int, nu_int, denom = _scaled_masses(mu, nu)
     dist = _distance_matrix(mu, nu)
     thresholds = sorted({Fraction(0)} | {d for row in dist for d in row})
-    best: tuple[Fraction, tuple[str, ...]] | None = None
-    for t, c_t in enumerate(thresholds):
-        adj_masks = [
-            sum(1 << j for j, d in enumerate(row) if d <= c_t) for row in dist
-        ]
-        if backend == "enumeration":
-            g, wit = _g_enumeration(mu_int, nu_int, adj_masks, denom)
-        else:
-            g, wit = _g_flow(mu_int, nu_int, adj_masks, denom)
-        upper = thresholds[t + 1] if t + 1 < len(thresholds) else None
-        if upper is not None and g > upper:
-            continue
-        value = max(g, c_t)
-        if best is None or value < best[0]:
-            best = (value, tuple(mu.support[i] for i in wit))
-    assert best is not None
-    return best
+    g_of = _g_enumeration if backend == "enumeration" else _g_flow
+
+    def g_at(c_t):
+        adj_masks = [sum(1 << j for j, d in enumerate(row) if d <= c_t) for row in dist]
+        return g_of(mu_int, nu_int, adj_masks, denom)
+
+    value, wit = _clamped_min(thresholds, g_at)
+    return value, tuple(mu.support[i] for i in wit)
 
 
 def _auto_backend(mu: AtomicMeasure, nu: AtomicMeasure) -> str:
@@ -352,8 +369,8 @@ def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "aut
     dist = _distance_matrix(mu, nu)
     thresholds = sorted({Fraction(0)} | {d for row in dist for d in row})
     g_of = _g_enumeration if backend == "enumeration" else _g_flow
-    best: Fraction | None = None
-    for t, c_t in enumerate(thresholds):
+
+    def g_at(c_t):
         adj = [sum(1 << j for j, d in enumerate(row) if d <= c_t) for row in dist]
         adj_T = [
             sum(1 << i for i in range(len(mu_int)) if dist[i][j] <= c_t)
@@ -361,15 +378,9 @@ def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "aut
         ]
         g1, _ = g_of(mu_int, nu_int, adj, denom)
         g2, _ = g_of(nu_int, mu_int, adj_T, denom)
-        g = max(g1, g2)
-        upper = thresholds[t + 1] if t + 1 < len(thresholds) else None
-        if upper is not None and g > upper:
-            continue
-        value = max(g, c_t)
-        if best is None or value < best:
-            best = value
-    assert best is not None
-    return best
+        return max(g1, g2), None
+
+    return _clamped_min(thresholds, g_at)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ mechanisms certify eventual periodicity of a distance sequence:
 
 Anything that fits neither mechanism within its budget raises
 ResourceBudgetError rather than returning an unproven answer.
+
+One engine, ``_evolve_distance_sequence``, implements both mechanisms.  It
+certifies the measure orbits behind distance profiles and target distances,
+and also the jointly tracked cell representatives of
+``grids.track_representatives``, whose unit masses make its signature the
+bare distance matrix of the words.
 """
 
 from __future__ import annotations
@@ -118,23 +124,17 @@ def li_yorke_classify(profile: DistanceProfile) -> PairClass:
     return PairClass.LI_YORKE_PAIR
 
 
-def upper_density(preperiod_pattern, cycle_pattern) -> Fraction:
+def upper_density(cycle_pattern) -> Fraction:
     """Exact upper density of an eventually periodic subset of N.
 
     The running averages of an eventually periodic indicator converge, so
-    the upper density equals the fraction of hits in the cycle; the
-    preperiod pattern never matters.
+    the upper density (which is also the lower density) equals the fraction
+    of hits in the cycle; the preperiod never matters.
     """
     cycle = [bool(b) for b in cycle_pattern]
     if not cycle:
         raise ParameterError("cycle pattern must be nonempty")
-    list(preperiod_pattern)
     return Fraction(sum(cycle), len(cycle))
-
-
-def lower_density(preperiod_pattern, cycle_pattern) -> Fraction:
-    """Exact lower density; equals the upper density for periodic tails."""
-    return upper_density(preperiod_pattern, cycle_pattern)
 
 
 def distributional_densities(
@@ -146,10 +146,9 @@ def distributional_densities(
     the second is 1 for every positive delta.
     """
     cycle = profile.values[profile.preperiod:]
-    pre = profile.values[: profile.preperiod]
     return (
-        upper_density([v >= eps for v in pre], [v >= eps for v in cycle]),
-        upper_density([v < delta for v in pre], [v < delta for v in cycle]),
+        upper_density([v >= eps for v in cycle]),
+        upper_density([v < delta for v in cycle]),
     )
 
 

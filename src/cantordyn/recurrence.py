@@ -27,10 +27,9 @@ from .measures import (
     convex_combine,
     dirac,
     prohorov_distance,
-    pushforward,
     pushforward_iter,
 )
-from .orbits import orbit_summary
+from .orbits import DEFAULT_BUDGET, orbit_summary
 from .towers import BalloonComponent, DumbbellComponent, MapTower
 
 
@@ -311,7 +310,7 @@ def approx_by_periodic(
     mu: AtomicMeasure,
     eps: Fraction,
     return_time: int | None = None,
-    budget: int = 400,
+    budget: int = DEFAULT_BUDGET,
     backend: str = "auto",
 ) -> tuple[AtomicMeasure, Certificate]:
     """Build an exactly invariant measure within eps of a recurrent one.

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: generation, suites, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -103,6 +104,50 @@ def test_full_suite_dumbbell(tmp_path):
             for v in obj:
                 assert_no_floats(v)
     assert_no_floats(report["certificates"])
+
+
+# sha256 of the full-suite report minus "timings", compact JSON with sorted keys
+REPORT_DIGESTS = {
+    "balloon": (BALLOON_CONFIG,
+                "5de314684a83128cbf1b4940e54463dd8eb1bbea936623969061a768a88c0e03"),
+    "dumbbell": (DUMBBELL_CONFIG,
+                 "a02d2fea2d4a84335978b4daff89b9a4fe266e8962c4558071ac43880b0cab11"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_payloads_are_pinned(tmp_path, name):
+    config, expected = REPORT_DIGESTS[name]
+    cfg = _write_config(tmp_path, config)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", "all",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_all.json").read_text())
+    report.pop("timings")
+    payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == expected
+
+
+def test_declined_suite_keeps_the_others(tmp_path):
+    # no certified level of this tower has mesh below 1/4, so recurrence declines
+    cfg = _write_config(tmp_path, DUMBBELL_CONFIG.replace("eps = 1/3", "eps = 1/4"))
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", "all",
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report_all.json").read_text())
+    failed = [c for c in report["certificates"] if not c["passed"]]
+    assert failed == [{
+        "operation": "suite_recurrence",
+        "passed": False,
+        "verdict": "declined",
+        "parameters": {},
+        "witnesses": {"error": "no certified level has mesh below 1/4"},
+        "details": {},
+    }]
+    operations = {c["operation"] for c in report["certificates"]}
+    assert {"li_yorke_scan", "entropy_growth", "chain_connection",
+            "transitivity_check", "weak_shadowing_refutation",
+            "loop_support_check"} <= operations
 
 
 def test_reports_are_deterministic(tmp_path):

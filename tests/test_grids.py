@@ -39,13 +39,18 @@ def test_random_cell_measure_lives_on_representatives():
 
 
 def test_track_representatives_balloon_exact_cycle():
-    tower = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
-    family = track_representatives(tower.table, tower.levels[0].partition())
-    assert family.period >= 1
-    # matrices repeat exactly with the declared period
-    assert family.matrix_at(family.preperiod) == family.matrix_at(
-        family.preperiod + family.period
-    )
+    # the balloon certifies by state cycle, the dumbbell by padded cycle
+    cases = [
+        (make_balloon_tower([(3, 2), (5, 2)], [1, 2]), (2, 2)),
+        (make_dumbbell_tower((4, 2), 2, bar_length=1), (1, 2)),
+    ]
+    for tower, expected in cases:
+        family = track_representatives(tower.table, tower.levels[0].partition())
+        assert (family.preperiod, family.period) == expected
+        # matrices repeat exactly with the declared period
+        assert family.matrix_at(family.preperiod) == family.matrix_at(
+            family.preperiod + family.period
+        )
 
 
 def test_scanner_matches_reference_engine():

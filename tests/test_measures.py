@@ -78,6 +78,9 @@ def test_measure_canonicalization():
         atomic_measure([("0", Fraction(1, 2))])
     with pytest.raises(ParameterError):
         atomic_measure([("0", Fraction(3, 2)), ("1", Fraction(-1, 2))])
+    # floats never enter, even when they are exact binary fractions
+    with pytest.raises(ParameterError):
+        atomic_measure([("", 0.5), ("1", 0.5)])
 
 
 def test_pushforward_examples():
@@ -109,6 +112,8 @@ def test_convex_combine_examples():
     assert half.atoms == (("", Fraction(1, 2)), ("1", Fraction(1, 2)))
     with pytest.raises(ParameterError):
         convex_combine([(Fraction(1, 2), mu), (Fraction(1, 3), nu)])
+    with pytest.raises(ParameterError):
+        convex_combine([(0.25, mu), (0.75, nu)])
 
 
 def test_cell_masses_examples():

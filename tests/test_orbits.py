@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cantordyn.cantor import representative
-from cantordyn.errors import ResourceBudgetError
+from cantordyn.errors import ParameterError, ResourceBudgetError
 from cantordyn.maps import PrefixTableMap
 from cantordyn.measures import (
     atomic_measure,
@@ -20,7 +20,6 @@ from cantordyn.orbits import (
     distance_profile,
     distributional_densities,
     li_yorke_classify,
-    lower_density,
     orbit_distance_to_target,
     orbit_summary,
     upper_density,
@@ -101,17 +100,18 @@ def test_classify_thresholds():
 
 
 def test_upper_density_examples():
-    assert upper_density([], [1, 1, 1]) == 1
-    assert upper_density([], [0]) == 0
-    assert upper_density([1, 1], [1, 0]) == Fraction(1, 2)
-    assert lower_density([], [1, 0]) == Fraction(1, 2)
+    assert upper_density([1, 1, 1]) == 1
+    assert upper_density([0]) == 0
+    assert upper_density([1, 0]) == Fraction(1, 2)
+    with pytest.raises(ParameterError):
+        upper_density([])
 
 
 def test_density_complement():
     cycle = [1, 0, 0, 1, 0]
     complement = [1 - b for b in cycle]
-    assert upper_density([], cycle) + upper_density([], complement) == 1
-    assert upper_density([], complement) == 1 - lower_density([], cycle)
+    assert upper_density(cycle) + upper_density(complement) == 1
+    assert upper_density(complement) == 1 - upper_density(cycle)
 
 
 def test_distributional_densities():
