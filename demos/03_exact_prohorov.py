@@ -2,10 +2,12 @@
 
 The distance inf{delta : mu(X) <= nu(X^delta) + delta for all X} is solved
 exactly by scanning the finitely many intervals where the strict
-delta-neighborhood operator is constant.  Two independent backends compute
-the interval maxima: brute subset enumeration, and max-flow over the
-bipartite closeness graph.  They must always agree, and the one-sided value
-always equals the symmetric two-sided one.
+delta-neighborhood operator is constant.  The Cantor metric is an
+ultrametric, so each interval maximum has a closed form, the sum over
+cylinder classes B of (mu(B) - nu(B))^+; that is the production solver.
+Brute subset enumeration, max-flow over the bipartite closeness graph and
+the symmetric two-sided formulation are kept as oracles: backend "both"
+checks the closed form against max-flow, and every formulation must agree.
 """
 
 import random

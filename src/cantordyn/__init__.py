@@ -3,7 +3,8 @@
 Everything is computed in exact rational arithmetic: points are finite
 binary words with implicit zero tails, maps are prefix-rewrite tables,
 measures are finite rational atom lists, and the Prohorov metric is solved
-exactly by two independent backends.
+exactly by one ultrametric closed form, cross-checked against subset
+enumeration, max-flow and the two-sided formulation as oracles.
 """
 
 from .cantor import (

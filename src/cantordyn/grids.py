@@ -7,10 +7,11 @@ same tracked point family -- the orbits of the cell representatives -- so a
 single certified trajectory matrix serves every pair.  That family is
 certified by the one eventual-periodicity engine of ``orbits``, run on the
 unit masses of the representatives.  Each pairwise Prohorov value then
-reduces to integer subset maximization over the common support; masses are
-small integers over one denominator, so the whole scan runs in numpy int
-arithmetic and ranks into a short list of exact rationals.
-No floats are involved anywhere.
+reduces, by the ultrametric closed form of ``measures``, to sums of
+positive class-mass differences over the common support; masses are small
+integers over one denominator, so the whole scan runs in numpy int
+arithmetic, at any number of tracked points, and ranks into a short list
+of exact rationals.  No floats are involved anywhere.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .orbits import (
     _distance_matrix_of,
     _evolve_distance_sequence,
 )
-
-MAX_TRACKED_POINTS = 12
 
 
 def simplex_grid(partition: CylinderPartition, resolution: int) -> list[AtomicMeasure]:
@@ -133,18 +132,18 @@ def track_representatives(
 class CommonSupportScanner:
     """Exact pairwise Prohorov values for measures on a tracked point family.
 
-    For each time step and each inter-threshold interval the one-sided
-    maximum max_X [mu(X) - nu(X^delta)] is evaluated over all subsets of the
-    family at once in integer arithmetic, then clamped per interval exactly
-    as the scalar solver does.  Distances are ranked into a short sorted
-    list of exact rationals so that whole-grid minima and maxima stay in
-    small integers.
+    At each time step and threshold c the tracked points split into the
+    classes of the ultrametric relation "d <= c", so the one-sided maximum
+    max_X [mu(X) - nu(X^delta)] is the sum over classes B of
+    (mu(B) - nu(B))^+, evaluated for all pairs at once from one class-mass
+    matrix in integer arithmetic, then clamped per interval exactly as the
+    scalar solver does.  Distances are ranked into a short sorted list of
+    exact rationals so that whole-grid minima and maxima stay in small
+    integers.
     """
 
     def __init__(self, family: TrajectoryFamily, measures: list[AtomicMeasure], resolution: int):
         k = len(family.points)
-        if k > MAX_TRACKED_POINTS:
-            raise ParameterError(f"scanner limited to {MAX_TRACKED_POINTS} tracked points")
         self.family = family
         self.resolution = resolution
         index = {p: i for i, p in enumerate(family.points)}
@@ -155,13 +154,6 @@ class CommonSupportScanner:
                 if p not in index or scaled.denominator != 1:
                     raise ParameterError("measure does not live on the tracked grid")
                 self.mass[r, index[p]] = int(scaled)
-        subsets = np.zeros((1 << k, k), dtype=bool)
-        for s in range(1 << k):
-            for i in range(k):
-                if s >> i & 1:
-                    subsets[s, i] = True
-        self.subsets = subsets
-        self.subset_mass = subsets.astype(np.int64) @ self.mass.T  # (S, R)
         # global value list: every distance a scan can output
         vals = {Fraction(0)} | {Fraction(g, resolution) for g in range(1, resolution + 1)}
         for mat in family.matrices:
@@ -175,15 +167,12 @@ class CommonSupportScanner:
         k = len(self.family.points)
         return sorted({mat[i][j] for i in range(k) for j in range(k)} | {Fraction(0)})
 
-    def _adjacency(self, n: int, c: Fraction) -> np.ndarray:
-        mat = self.family.matrix_at(n)
-        k = len(self.family.points)
-        adj = np.zeros((k, k), dtype=bool)
-        for i in range(k):
-            for j in range(k):
-                if mat[i][j] <= c:
-                    adj[i, j] = True
-        return adj
+    def _classes(self, n: int, c: Fraction) -> np.ndarray:
+        """(k, classes) 0/1 membership of the classes of "d <= c" among the
+        tracked points at time n; in an ultrametric each class is one
+        distinct row of the closeness matrix."""
+        close = [tuple(d <= c for d in row) for row in self.family.matrix_at(n)]
+        return np.array(list(dict.fromkeys(close)), dtype=np.int64).T
 
     def rank_matrix_at(self, n: int) -> np.ndarray:
         """(R, R) uint16 matrix of ranked d(mu_i(n), mu_j(n)) for all pairs."""
@@ -191,22 +180,24 @@ class CommonSupportScanner:
         res = self.resolution
         nmeas = self.mass.shape[0]
         best = np.full((nmeas, nmeas), self.invalid_rank, dtype=np.uint16)
+        g_nums = np.empty((nmeas, nmeas), dtype=np.int64)
+        excess = np.empty_like(g_nums)
         for t, c_t in enumerate(thresholds):
             upper = thresholds[t + 1] if t + 1 < len(thresholds) else None
-            # rank lookup per possible integer g in [-res, res]
-            lut = np.empty(2 * res + 1, dtype=np.uint16)
-            for g_num in range(-res, res + 1):
+            # rank lookup per possible integer g in [0, res]
+            lut = np.empty(res + 1, dtype=np.uint16)
+            for g_num in range(res + 1):
                 g = Fraction(g_num, res)
                 if upper is not None and g > upper:
-                    lut[g_num + res] = self.invalid_rank
+                    lut[g_num] = self.invalid_rank
                 else:
-                    lut[g_num + res] = self.rank[max(g, c_t)]
-            nbr = (self.subsets @ self._adjacency(n, c_t)) > 0
-            nbr_mass = nbr.astype(np.int64) @ self.mass.T  # (S, R)
-            g_cols = np.empty((nmeas, nmeas), dtype=np.int64)
-            for j in range(nmeas):
-                g_cols[:, j] = (self.subset_mass - nbr_mass[:, j][:, None]).max(axis=0)
-            best = np.minimum(best, lut[g_cols + res])
+                    lut[g_num] = self.rank[max(g, c_t)]
+            g_nums.fill(0)
+            for col in (self.mass @ self._classes(n, c_t)).T:
+                np.subtract.outer(col, col, out=excess)
+                np.maximum(excess, 0, out=excess)
+                g_nums += excess
+            np.minimum(best, lut[g_nums], out=best)
         assert int(best.max()) < self.invalid_rank
         return best
 
@@ -214,9 +205,8 @@ class CommonSupportScanner:
         """Exact d(mu_i(n), mu_j(n)) for one pair, without the batch tables."""
 
         def g_at(c_t):
-            nbr = (self.subsets @ self._adjacency(n, c_t)) > 0
-            nbr_mass = nbr.astype(np.int64) @ self.mass[j]
-            g = int((self.subset_mass[:, i] - nbr_mass).max())
+            mu_b, nu_b = self.mass[[i, j]] @ self._classes(n, c_t)
+            g = int(np.maximum(mu_b - nu_b, 0).sum())
             return Fraction(g, self.resolution), None
 
         return _clamped_min(self.thresholds_at(n), g_at)[0]

@@ -47,10 +47,6 @@ class PrefixTableMap:
         object.__setattr__(self, "_by_len", by_len)
         object.__setattr__(self, "_lens", sorted(by_len))
 
-    @property
-    def max_rule_len(self) -> int:
-        return max(max(len(d), len(i)) for d, i in self.rules)
-
     def matching_rule(self, point: str) -> tuple[str, str]:
         """The unique rule whose domain prefixes the zero-extended point."""
         point = check_word(point)

@@ -12,11 +12,13 @@ to one such interval equals the clamped value of
 
     g(delta) = max over X subset supp(mu) of  mu(X) - nu(X^delta),
 
-and the answer is the least clamped value over intervals.  g is evaluated by
-two independent backends: brute subset enumeration, and a min-cut / max-flow
-computation expressing the feasibility of a partial coupling supported on
-pairs closer than delta.  Both are exact over the integers after clearing
-denominators, and they must always agree.
+and the answer is the least clamped value over intervals.  The Cantor metric
+is an ultrametric, so at every threshold "closer than delta" splits the atoms
+into cylinder classes and g is the closed form sum over classes B of
+(mu(B) - nu(B))^+; that closed form is the one production solver.  Brute
+subset enumeration and a min-cut / max-flow computation of a partial
+coupling are kept as independent oracles.  All three are exact over the
+integers after clearing denominators, and they must always agree.
 """
 
 from __future__ import annotations
@@ -66,13 +68,6 @@ class AtomicMeasure:
     @property
     def masses(self) -> tuple[Fraction, ...]:
         return tuple(m for _, m in self.atoms)
-
-    def mass_at(self, point: str) -> Fraction:
-        key = canonical_point(point)
-        for p, m in self.atoms:
-            if p == key:
-                return m
-        return Fraction(0)
 
     def mass_of_cylinders(self, prefixes) -> Fraction:
         """Mass of a union of cylinders."""
@@ -165,8 +160,27 @@ def _distance_matrix(mu: AtomicMeasure, nu: AtomicMeasure) -> list[list[Fraction
     return [[point_distance(p, q) for q, _ in nu.atoms] for p, _ in mu.atoms]
 
 
+def _g_closed_form(mu_int, nu_int, adj_masks, denom) -> tuple[Fraction, tuple[int, ...]]:
+    """max over subsets X of mu's support of mu(X) - nu(neighborhood(X)),
+    in closed form for an ultrametric.
+
+    "d <= c" is an equivalence relation, so mu-atoms with one neighbour mask
+    share a class B whose neighbourhood is the nu-atoms of B.  The maximum is
+    the sum of the positive class excesses mu(B) - nu(B), attained by the
+    mu-atoms of the positive classes (the least maximizing subset).
+    """
+    excess = dict.fromkeys(adj_masks, 0)
+    for m, mask in zip(mu_int, adj_masks):
+        excess[mask] += m
+    for mask in excess:
+        excess[mask] -= sum(m for j, m in enumerate(nu_int) if mask >> j & 1)
+    witness = tuple(i for i, mask in enumerate(adj_masks) if excess[mask] > 0)
+    return Fraction(sum(e for e in excess.values() if e > 0), denom), witness
+
+
 def _g_enumeration(mu_int, nu_int, adj_masks, denom) -> tuple[Fraction, tuple[int, ...]]:
-    """max over subsets X of mu's support of mu(X) - nu(neighborhood(X))."""
+    """max over subsets X of mu's support of mu(X) - nu(neighborhood(X)),
+    by brute force over all subsets (an oracle for the closed form)."""
     k = len(mu_int)
     if k > ENUMERATION_LIMIT:
         raise BackendSelectionError(
@@ -289,19 +303,24 @@ def _clamped_min(thresholds: list[Fraction], g_at) -> tuple[Fraction, object]:
     interval (c_t, c_{t+1}] the neighborhood is the one at c_t, and
     ``g_at(c_t)`` returns (g, payload) for it.  An interval whose g exceeds
     c_{t+1} holds no feasible delta; otherwise it contributes max(g, c_t).
-    Returns the least such value with the payload of the first interval
-    attaining it.
+    The first interval that holds one attains the least value, because its
+    value is at most c_{t+1} and every later one is at least that, so it is
+    returned with its payload and g is not evaluated beyond it.
+
+    Counting the infeasible intervals as candidates too would not change
+    the value: g only falls as the threshold grows, so such a candidate
+    max(g, c_t) = g is never below the next interval's.  Skipping them only
+    picks which of several tied intervals reports its payload (the witness
+    set of ``prohorov``).
     """
-    best: tuple[Fraction, object] | None = None
     for t, c_t in enumerate(thresholds):
         g, payload = g_at(c_t)
-        if t + 1 < len(thresholds) and g > thresholds[t + 1]:
-            continue
-        value = max(g, c_t)
-        if best is None or value < best[0]:
-            best = (value, payload)
-    assert best is not None
-    return best
+        if t + 1 == len(thresholds) or g <= thresholds[t + 1]:
+            return max(g, c_t), payload
+    raise AssertionError("unreachable: the last interval is always feasible")
+
+
+_G_OF = {"auto": _g_closed_form, "enumeration": _g_enumeration, "flow": _g_flow}
 
 
 def _one_sided_value(
@@ -310,7 +329,7 @@ def _one_sided_value(
     mu_int, nu_int, denom = _scaled_masses(mu, nu)
     dist = _distance_matrix(mu, nu)
     thresholds = sorted({Fraction(0)} | {d for row in dist for d in row})
-    g_of = _g_enumeration if backend == "enumeration" else _g_flow
+    g_of = _G_OF[backend]
 
     def g_at(c_t):
         adj_masks = [sum(1 << j for j, d in enumerate(row) if d <= c_t) for row in dist]
@@ -320,30 +339,25 @@ def _one_sided_value(
     return value, tuple(mu.support[i] for i in wit)
 
 
-def _auto_backend(mu: AtomicMeasure, nu: AtomicMeasure) -> str:
-    if max(len(mu), len(nu)) <= 10:
-        return "enumeration"
-    return "flow"
-
-
 def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> ProhorovResult:
     """Exact Prohorov distance via the one-sided condition.
 
-    ``backend`` is "enumeration", "flow", "auto" (pick by support size), or
-    "both" (run both and insist on exact agreement).
+    ``backend`` is "auto" (the ultrametric closed form, at every support
+    size), one of the oracles "enumeration" (at most ``ENUMERATION_LIMIT``
+    atoms) and "flow", or "both" (closed form and flow, insisting on exact
+    agreement).  The result names the solver that ran: "closed_form" for
+    "auto".
     """
-    if backend == "auto":
-        backend = _auto_backend(mu, nu)
     if backend == "both":
-        v1, w1 = _one_sided_value(mu, nu, "enumeration")
+        v1, w1 = _one_sided_value(mu, nu, "auto")
         v2, _ = _one_sided_value(mu, nu, "flow")
         if v1 != v2:
             raise CertificationError(f"backends disagree: {v1} vs {v2}")
         return ProhorovResult(v1, w1, "both")
-    if backend not in ("enumeration", "flow"):
+    if backend not in _G_OF:
         raise BackendSelectionError(f"unknown backend {backend!r}")
     value, witness = _one_sided_value(mu, nu, backend)
-    return ProhorovResult(value, witness, backend)
+    return ProhorovResult(value, witness, "closed_form" if backend == "auto" else backend)
 
 
 def prohorov_distance(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Fraction:
@@ -354,11 +368,10 @@ def prohorov_distance(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto
 def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Fraction:
     """Infimum of the symmetric condition; equals the one-sided value.
 
-    Kept as an independent computation so the equality of the two
-    formulations can be cross-checked on every input.
+    Kept as an independent oracle so the equality of the two formulations
+    can be cross-checked on every input; it runs on the enumeration or flow
+    backend, and "auto" means flow.
     """
-    if backend == "auto":
-        backend = _auto_backend(mu, nu)
     if backend == "both":
         a = prohorov_two_sided(mu, nu, "enumeration")
         b = prohorov_two_sided(mu, nu, "flow")

@@ -54,11 +54,6 @@ class OrbitSummary:
     period: int
     states: tuple[AtomicMeasure, ...]
 
-    def state_at(self, n: int) -> AtomicMeasure:
-        if n < len(self.states):
-            return self.states[n]
-        return self.states[self.preperiod + (n - self.preperiod) % self.period]
-
 
 def orbit_summary(f: PrefixTableMap, mu: AtomicMeasure, budget: int = DEFAULT_BUDGET) -> OrbitSummary:
     """Iterate the induced map until the exact state repeats."""

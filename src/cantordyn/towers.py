@@ -103,11 +103,6 @@ class MapTower:
         raise ParameterError(f"no certified level has mesh below {eps}")
 
 
-def _wrap(i: int, m: int) -> int:
-    """1-based index wrapped into 1..m."""
-    return (i - 1) % m + 1
-
-
 def make_balloon_tower(levels: list[tuple[int, int]], counts: list[int]) -> MapTower:
     """Build a balloon tower.
 

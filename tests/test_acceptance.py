@@ -84,7 +84,10 @@ def test_criterion_1_prohorov_solver_exactness():
     for _ in range(pairs):
         mu = random_atomic_measure(rng, max_atoms=8, max_depth=4)
         nu = random_atomic_measure(rng, max_atoms=8, max_depth=4)
-        value = prohorov(mu, nu, backend="enumeration").value
+        enumerated = prohorov(mu, nu, backend="enumeration")
+        value = enumerated.value
+        closed = prohorov(mu, nu)
+        assert (closed.value, closed.witness_set) == (value, enumerated.witness_set)
         assert prohorov(mu, nu, backend="flow").value == value
         assert prohorov_two_sided(mu, nu) == value
         bracket = grid_oracle_bracket(mu, nu)
@@ -93,8 +96,8 @@ def test_criterion_1_prohorov_solver_exactness():
     report(
         1,
         elapsed < 120,
-        f"{pairs} random pairs: enumeration = flow = two-sided, grid oracle "
-        f"brackets every value ({elapsed:.1f}s < 120s)",
+        f"{pairs} random pairs: closed form = enumeration = flow = two-sided, "
+        f"grid oracle brackets every value ({elapsed:.1f}s < 120s)",
     )
 
 

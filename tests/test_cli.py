@@ -150,6 +150,24 @@ def test_declined_suite_keeps_the_others(tmp_path):
             "loop_support_check"} <= operations
 
 
+def test_readme_example_config_liyorke(tmp_path):
+    # the example config of README.md: 24 cells at level 0, 300 grid measures
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = readme.split("Example config:\n\n```ini\n")[1].split("```")[0]
+    cfg = _write_config(tmp_path, config)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    # only this suite: the config's entropy suite takes minutes
+    assert main(["analyze", "--config", cfg, "--suite", "liyorke",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_liyorke.json").read_text())
+    [cert] = report["certificates"]
+    assert cert["verdict"] == "no_li_yorke_pairs"
+    assert cert["witnesses"]["counts"] == {
+        "asymptotic": 432, "separated_below": 44418, "li_yorke_pair": 0,
+    }
+    assert cert["details"] == {"preperiod": 6, "period": 6}
+
+
 def test_reports_are_deterministic(tmp_path):
     cfg = _write_config(tmp_path, BALLOON_CONFIG)
     main(["generate", "--config", cfg, "--out", str(tmp_path)])

@@ -15,6 +15,7 @@ from cantordyn.grids import (
     simplex_grid,
     track_representatives,
 )
+from cantordyn.measures import prohorov, pushforward_iter
 from cantordyn.orbits import distance_profile
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
@@ -83,6 +84,21 @@ def test_rank_matrix_agrees_with_scalar_distance():
         for _ in range(12):
             i, j = rng.randrange(len(grid)), rng.randrange(len(grid))
             assert scanner.values[int(ranks[i, j])] == scanner.distance(i, j, n)
+    # 24 tracked points: sampled entries of every step against the flow oracle
+    tower = make_balloon_tower([(5, 3), (7, 3)], [2, 4])
+    partition = tower.levels[0].partition()
+    family = track_representatives(tower.table, partition)
+    assert len(family.points) == 24
+    grid = simplex_grid(partition, 2)
+    scanner = CommonSupportScanner(family, grid, 2)
+    for n in range(family.preperiod + family.period):
+        ranks = scanner.rank_matrix_at(n)
+        for _ in range(25):
+            i, j = rng.randrange(len(grid)), rng.randrange(len(grid))
+            mu_n = pushforward_iter(tower.table, grid[i], n)
+            nu_n = pushforward_iter(tower.table, grid[j], n)
+            expected = prohorov(mu_n, nu_n, backend="flow").value
+            assert scanner.values[int(ranks[i, j])] == expected, (i, j, n)
 
 
 def test_li_yorke_scan_no_pairs_on_dumbbell():

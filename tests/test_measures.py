@@ -35,18 +35,24 @@ def grid_oracle_bracket(mu, nu, step=Fraction(1, 1000)):
     condition, checked directly from the definition.
 
     The exact distance lies in [k*step - step, k*step]: feasibility is
-    monotone, so binary search is sound.
+    monotone, so binary search is sound.  Each subset's mu mass and each nu
+    atom's distance to the nearest point of the subset are computed once;
+    a nu atom lies in the strict delta-neighborhood of the subset exactly
+    when that nearest distance is below delta.
     """
+    dist = [[point_distance(q, p) for p, _ in mu.atoms] for q, _ in nu.atoms]
+    subsets = []
+    for r in range(1, 1 << len(mu.atoms)):
+        members = [i for i in range(len(mu.atoms)) if r >> i & 1]
+        mass_mu = sum(mu.atoms[i][1] for i in members)
+        nearest = [
+            (min(row[i] for i in members), m) for row, (_, m) in zip(dist, nu.atoms)
+        ]
+        subsets.append((mass_mu, nearest))
 
     def feasible(delta):
-        for r in range(1, 1 << len(mu.atoms)):
-            subset = [p for i, (p, _) in enumerate(mu.atoms) if r >> i & 1]
-            mass_mu = sum(m for p, m in mu.atoms if p in subset)
-            mass_nu = sum(
-                m
-                for q, m in nu.atoms
-                if any(point_distance(q, p) < delta for p in subset)
-            )
+        for mass_mu, nearest in subsets:
+            mass_nu = sum(m for d, m in nearest if d < delta)
             if mass_mu > mass_nu + delta:
                 return False
         return True
@@ -136,6 +142,8 @@ def test_prohorov_basic_examples():
     assert result.value == Fraction(1, 2)
     assert result.witness_set == ("1",)
     assert prohorov_distance(mu, mu) == 0
+    # on a tie the first interval attaining the value reports its binding set
+    assert prohorov(dirac(""), dirac("1"), backend="both").witness_set == ("",)
 
 
 def test_prohorov_dirac_formula_exhaustive_depth_5():
@@ -155,7 +163,10 @@ def test_backends_and_formulations_agree_on_random_pairs():
     for _ in range(60):
         mu = random_atomic_measure(rng, max_atoms=6)
         nu = random_atomic_measure(rng, max_atoms=6)
-        value = prohorov(mu, nu, backend="enumeration").value
+        enumerated = prohorov(mu, nu, backend="enumeration")
+        value = enumerated.value
+        closed = prohorov(mu, nu)
+        assert (closed.value, closed.witness_set) == (value, enumerated.witness_set)
         assert prohorov(mu, nu, backend="flow").value == value
         assert prohorov_two_sided(mu, nu, backend="enumeration") == value
         assert prohorov_two_sided(mu, nu, backend="flow") == value
@@ -168,7 +179,8 @@ def test_enumeration_backend_size_guard():
     with pytest.raises(BackendSelectionError):
         prohorov(big, big, backend="enumeration")
     assert prohorov(big, big, backend="flow").value == 0
-    assert prohorov(big, big).value == 0  # auto falls back to flow
+    assert prohorov(big, big, backend="both").value == 0  # closed form against flow
+    assert prohorov(big, big).value == 0  # auto runs the closed form at every size
 
 
 def test_metric_axioms_on_random_triples():
