@@ -326,7 +326,10 @@ def cmd_prohorov(args) -> int:
     print(result.value)
     print(f"witness set: {list(result.witness_set)}")
     if args.two_sided:
-        symmetric = prohorov_two_sided(mu, nu, backend="auto")
+        # the two-sided oracle has no closed form: every choice but
+        # enumeration runs flow, so the default never meets enumeration's limit
+        two_sided_backend = "enumeration" if args.backend == "enumeration" else "auto"
+        symmetric = prohorov_two_sided(mu, nu, backend=two_sided_backend)
         print(f"two-sided: {symmetric}")
         if symmetric != result.value:
             print("MISMATCH between one-sided and two-sided values", file=sys.stderr)

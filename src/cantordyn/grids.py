@@ -29,7 +29,6 @@ from .orbits import (
     DEFAULT_BUDGET,
     DistanceProfile,
     PairClass,
-    _distance_matrix_of,
     _evolve_distance_sequence,
 )
 
@@ -112,17 +111,14 @@ def track_representatives(
 
     Runs the measure-orbit engine on the Dirac masses of the representatives:
     their masses never change, so the engine's state-cycle and padded-cycle
-    certificates apply to the distance matrix of the words themselves.
+    certificates apply to the distance matrix of the words themselves, and
+    the family keeps the matrices of the engine's certified window.
     """
     start = tuple(representative(c) for c in partition.cells)
-    matrices, rho, tau, _ = _evolve_distance_sequence(
-        f,
-        tuple(dirac(w) for w in start),
-        (),
-        lambda st: _distance_matrix_of([mu.support[0] for mu in st]),
-        budget,
+    _, matrices, rho, tau, _ = _evolve_distance_sequence(
+        f, tuple(dirac(w) for w in start), (), budget
     )
-    return TrajectoryFamily(start, rho, tau, tuple(matrices))
+    return TrajectoryFamily(start, rho, tau, matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,6 @@ class PartitionDigraph:
     partition: CylinderPartition
     edges: frozenset[tuple[str, str]]
 
-    def successors(self, cell: str) -> set[str]:
-        return {b for a, b in self.edges if a == cell}
-
     def out_map(self) -> dict[str, set[str]]:
         out = {c: set() for c in self.partition.cells}
         for a, b in self.edges:

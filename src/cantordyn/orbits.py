@@ -21,10 +21,12 @@ Anything that fits neither mechanism within its budget raises
 ResourceBudgetError rather than returning an unproven answer.
 
 One engine, ``_evolve_distance_sequence``, implements both mechanisms.  It
-certifies the measure orbits behind distance profiles and target distances,
-and also the jointly tracked cell representatives of
-``grids.track_representatives``, whose unit masses make its signature the
-bare distance matrix of the words.
+only certifies: it returns the certified window -- the states up to
+preperiod + period and their joint distance matrices -- and its callers
+evaluate that window.  Distance profiles and target distances solve the
+Prohorov distance of each window state; ``grids.track_representatives``
+takes the matrices of the jointly tracked cell representatives, whose unit
+masses make the joint matrix the bare distance matrix of the words.
 """
 
 from __future__ import annotations
@@ -151,14 +153,15 @@ def distributional_densities(
 # the padded-cycle engine
 
 
-def _joint_atoms(state: tuple[AtomicMeasure, ...], frozen: tuple[str, ...]):
+def _joint_record(state: tuple[AtomicMeasure, ...], frozen: tuple[str, ...]):
+    """(per-measure split, masses, words, joint distance matrix) of a state."""
     words, masses = [], []
     for mu in state:
         for p, m in mu.atoms:
             words.append(p)
             masses.append(m)
     words.extend(frozen)
-    return words, tuple(masses)
+    return tuple(len(mu) for mu in state), tuple(masses), words, _distance_matrix_of(words)
 
 
 def _distance_matrix_of(words: list[str]) -> tuple:
@@ -193,27 +196,21 @@ def _pad_descriptor(w_old: str, w_new: str) -> tuple[int, int] | None:
     return None
 
 
-def _verify_padded_window(
-    f: PrefixTableMap,
-    states: list[tuple[AtomicMeasure, ...]],
-    frozen: tuple[str, ...],
-    start: int,
-    tau: int,
-) -> bool:
+def _verify_padded_window(f: PrefixTableMap, record, n_frozen: int, start: int, tau: int) -> bool:
     """Check the padding certificate on the window [start, start+tau].
 
-    Needs states up to index start + 2*tau.  On success the joint distance
-    data is periodic with period tau from index start on.
+    ``record(k)`` is the joint record of state k, needed up to index
+    start + 2*tau.  On success the joint distance data is periodic with
+    period tau from index start on.
     """
     for j in range(start, start + tau + 1):
-        if tuple(len(mu) for mu in states[j]) != tuple(len(mu) for mu in states[j + tau]):
-            return False  # atom pairing by index needs matching per-measure splits
-        words_a, masses_a = _joint_atoms(states[j], frozen)
-        words_b, masses_b = _joint_atoms(states[j + tau], frozen)
-        if masses_a != masses_b or len(words_a) != len(words_b):
+        split_a, masses_a, words_a, matrix_a = record(j)
+        split_b, masses_b, words_b, matrix_b = record(j + tau)
+        # atom pairing by index needs matching per-measure splits
+        if split_a != split_b or masses_a != masses_b:
             return False
         inserts = []
-        n_moving = len(words_a) - len(frozen)
+        n_moving = len(words_a) - n_frozen
         for i, (wa, wb) in enumerate(zip(words_a, words_b)):
             if i >= n_moving:
                 if wa != wb:
@@ -229,8 +226,7 @@ def _verify_padded_window(
                     return False
                 inserts.append(c)
         min_insert = min(inserts, default=None)
-        matrix_a = _distance_matrix_of(words_a)
-        if matrix_a != _distance_matrix_of(words_b):
+        if matrix_a != matrix_b:
             return False
         if min_insert is not None:
             for i in range(len(words_a)):
@@ -246,46 +242,56 @@ def _evolve_distance_sequence(
     f: PrefixTableMap,
     initial: tuple[AtomicMeasure, ...],
     frozen: tuple[str, ...],
-    value_fn,
     budget: int,
-) -> tuple[list[Fraction], int, int, str]:
-    """Shared engine: evolve measures, certify an eventual period of the
-    value sequence, return (values up to preperiod+period, preperiod,
-    period, certificate kind)."""
+) -> tuple[tuple[tuple[AtomicMeasure, ...], ...], tuple, int, int, str]:
+    """Shared engine: evolve the measures and certify that their joint
+    distance data is eventually periodic.
+
+    Returns the certified window -- the states 0 .. preperiod+period-1 and
+    their joint distance matrices -- with the preperiod, the period and the
+    certificate kind.  Nothing is evaluated on the states: callers map
+    their own value over the window.
+    """
     states: list[tuple[AtomicMeasure, ...]] = [initial]
-    values: list[Fraction] = [value_fn(initial)]
+    records: list = []  # records[k] is the joint record of states[k], built once
     exact_seen: dict = {initial: 0}
     sig_seen: dict = {}
     failed: set = set()
 
-    def signature(state):
-        words, masses = _joint_atoms(state, frozen)
-        split = tuple(len(mu) for mu in state)
-        return (split, masses, _distance_matrix_of(words))
-
     def ensure(k: int) -> None:
         while len(states) <= k:
-            nxt = tuple(pushforward(f, mu) for mu in states[-1])
-            states.append(nxt)
-            values.append(value_fn(nxt))
+            states.append(tuple(pushforward(f, mu) for mu in states[-1]))
 
-    sig_seen[signature(initial)] = [0]
+    def record(k: int):
+        while len(records) <= k:
+            records.append(_joint_record(states[len(records)], frozen))
+        return records[k]
+
+    def signature(k: int):
+        split, masses, _, matrix = record(k)
+        return split, masses, matrix
+
+    def window(rho: int, tau: int, kind: str):
+        n = rho + tau
+        return tuple(states[:n]), tuple(r[3] for r in records[:n]), rho, tau, kind
+
+    sig_seen[signature(0)] = [0]
 
     for n in range(1, budget + 1):
         ensure(n)
         st = states[n]
         rho = exact_seen.get(st)
         if rho is not None:
-            return values[: n], rho, n - rho, "state-cycle"
+            return window(rho, n - rho, "state-cycle")
         exact_seen[st] = n
-        sig = signature(st)
+        sig = signature(n)
         for rho in reversed(sig_seen.get(sig, ())):
             tau = n - rho
             if (rho, tau) in failed or rho + 2 * tau > budget:
                 continue
             ensure(rho + 2 * tau)
-            if _verify_padded_window(f, states, frozen, rho, tau):
-                return values[: rho + tau], rho, tau, "padded-cycle"
+            if _verify_padded_window(f, record, len(frozen), rho, tau):
+                return window(rho, tau, "padded-cycle")
             failed.add((rho, tau))
         sig_seen.setdefault(sig, []).append(n)
     raise ResourceBudgetError(
@@ -301,14 +307,9 @@ def distance_profile(
     backend: str = "auto",
 ) -> DistanceProfile:
     """Exact profile of d(f~^n mu, f~^n nu) with certified liminf/limsup."""
-    values, rho, tau, kind = _evolve_distance_sequence(
-        f,
-        (mu, nu),
-        (),
-        lambda st: prohorov_distance(st[0], st[1], backend),
-        budget,
-    )
-    return DistanceProfile(tuple(values), rho, tau, kind)
+    states, _, rho, tau, kind = _evolve_distance_sequence(f, (mu, nu), (), budget)
+    values = tuple(prohorov_distance(a, b, backend) for a, b in states)
+    return DistanceProfile(values, rho, tau, kind)
 
 
 def orbit_distance_to_target(
@@ -320,11 +321,6 @@ def orbit_distance_to_target(
 ) -> DistanceProfile:
     """Exact profile of d(f~^n mu, target) against a fixed target measure."""
     frozen = tuple(p for p, _ in target.atoms)
-    values, rho, tau, kind = _evolve_distance_sequence(
-        f,
-        (mu,),
-        frozen,
-        lambda st: prohorov_distance(st[0], target, backend),
-        budget,
-    )
-    return DistanceProfile(tuple(values), rho, tau, kind)
+    states, _, rho, tau, kind = _evolve_distance_sequence(f, (mu,), frozen, budget)
+    values = tuple(prohorov_distance(a, target, backend) for (a,) in states)
+    return DistanceProfile(values, rho, tau, kind)

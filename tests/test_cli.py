@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cantordyn import cli
 from cantordyn.cli import main, write_measure
 from cantordyn.measures import atomic_measure, dirac
 from fractions import Fraction
@@ -211,6 +212,30 @@ def test_prohorov_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "1/2"
     assert "two-sided: 1/2" in out
+
+
+@pytest.mark.parametrize(
+    "choice, expected",
+    [("enumeration", "enumeration"), ("flow", "auto"), ("auto", "auto"), ("both", "auto")],
+)
+def test_prohorov_two_sided_backend(tmp_path, capsys, monkeypatch, choice, expected):
+    # enumeration asks for the enumeration oracle; every other choice runs
+    # flow, so the default "both" never meets enumeration's atom limit
+    seen = []
+
+    def fake_two_sided(mu, nu, backend):
+        seen.append(backend)
+        return Fraction(1, 2)
+
+    monkeypatch.setattr(cli, "prohorov_two_sided", fake_two_sided)
+    mu = atomic_measure({"": Fraction(1, 2), "1": Fraction(1, 2)})
+    write_measure(tmp_path / "mu.measure", mu)
+    write_measure(tmp_path / "nu.measure", dirac(""))
+    code = main(["prohorov", str(tmp_path / "mu.measure"),
+                 str(tmp_path / "nu.measure"), "--backend", choice, "--two-sided"])
+    assert code == 0
+    assert seen == [expected]
+    assert "two-sided: 1/2" in capsys.readouterr().out
 
 
 def test_prohorov_identical_files(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from cantordyn.cantor import representative
 from cantordyn.errors import ParameterError, ResourceBudgetError
+from cantordyn import orbits
 from cantordyn.maps import PrefixTableMap
 from cantordyn.measures import (
     atomic_measure,
@@ -131,6 +132,37 @@ def test_padded_cycle_profile_on_absorbing_orbit():
     prof = distance_profile(tower.table, mu, nu)
     assert prof.certificate == "padded-cycle"
     assert li_yorke_classify(prof) is not PairClass.LI_YORKE_PAIR
+
+
+def test_profiles_solve_only_the_certified_window(monkeypatch):
+    calls = []
+    solve = orbits.prohorov_distance
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(orbits, "prohorov_distance", counting)
+    dumbbell = make_dumbbell_tower((4, 2), 2, bar_length=1)
+    c0 = dumbbell.levels[0].components[0]
+    prof = orbit_distance_to_target(
+        dumbbell.table,
+        dirac(representative(c0.bar[0])),
+        dirac(representative(c0.left[0])),
+    )
+    assert (prof.certificate, prof.preperiod, prof.period) == ("padded-cycle", 1, 2)
+    assert len(prof.values) == prof.preperiod + prof.period
+    assert len(calls) == 3  # not the states pushed only to check the window
+
+    calls.clear()
+    balloon = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
+    cells = balloon.levels[0].partition().cells
+    prof = distance_profile(
+        balloon.table, dirac(representative(cells[0])), dirac(representative(cells[2]))
+    )
+    assert (prof.certificate, prof.preperiod, prof.period) == ("state-cycle", 2, 2)
+    assert len(prof.values) == prof.preperiod + prof.period
+    assert len(calls) == 4  # not the state that closes the cycle
 
 
 def test_orbit_distance_to_target_infimum():
