@@ -3,8 +3,9 @@
 Points of the space {0,1}^N are represented by finite binary words with an
 implicit all-zero tail, so the word "01" stands for the sequence 0,1,0,0,...
 The metric is d(x, y) = 1/n where n is the first (1-based) coordinate at
-which the sequences differ, and 0 for equal points.  Every distance is a
-:class:`fractions.Fraction`; nothing in this module touches floats.
+which the sequences differ, and 0 for equal points.  The integer n (0 for
+equal points) is their separation, the form every solver works in; a
+reported distance is a :class:`fractions.Fraction`.  Nothing touches floats.
 
 A cylinder is the clopen set of all sequences extending a fixed finite word
 (its prefix).  A finite family of pairwise disjoint cylinders covering the
@@ -39,20 +40,25 @@ def canonical_point(w: str) -> str:
     return check_word(w).rstrip("0")
 
 
-def bit_at(w: str, i: int) -> str:
-    """The i-th (0-based) symbol of the zero-extended sequence for ``w``."""
-    return w[i] if i < len(w) else "0"
-
-
 def first_difference(u: str, v: str) -> int | None:
     """0-based index of the first coordinate where the points differ.
 
-    Returns None when ``u`` and ``v`` denote the same point.
+    Returns None when ``u`` and ``v`` denote the same point.  Past the
+    shorter word the other one differs at its first "1".
     """
-    for i in range(max(len(u), len(v))):
-        if bit_at(u, i) != bit_at(v, i):
+    if len(u) > len(v):
+        u, v = v, u
+    for i, a in enumerate(u):
+        if a != v[i]:
             return i
-    return None
+    i = v.find("1", len(u))
+    return None if i < 0 else i
+
+
+def separation(u: str, v: str) -> int:
+    """The integer form n of the distance d = 1/n, and 0 for the same point."""
+    i = first_difference(u, v)
+    return 0 if i is None else i + 1
 
 
 def point_distance(u: str, v: str) -> Fraction:
@@ -65,13 +71,13 @@ def point_distance(u: str, v: str) -> Fraction:
     >>> point_distance("000", "010")
     Fraction(1, 2)
     """
-    i = first_difference(check_word(u), check_word(v))
-    return Fraction(0) if i is None else Fraction(1, i + 1)
+    n = separation(check_word(u), check_word(v))
+    return Fraction(1, n) if n else Fraction(0)
 
 
 def point_in_cylinder(point: str, prefix: str) -> bool:
     """Whether the (zero-extended) point lies in the cylinder of ``prefix``."""
-    return all(bit_at(point, i) == b for i, b in enumerate(prefix))
+    return point.ljust(len(prefix), "0").startswith(prefix)
 
 
 def cylinder_contains(outer: str, inner: str) -> bool:
@@ -101,10 +107,7 @@ def cell_distance(a: str, b: str) -> Fraction:
         raise ParameterError(
             f"cylinders {a!r} and {b!r} intersect; inter-point distance is not constant"
         )
-    for i in range(min(len(a), len(b))):
-        if a[i] != b[i]:
-            return Fraction(1, i + 1)
-    raise AssertionError("unreachable: disjoint prefixes must differ")
+    return Fraction(1, separation(a, b))
 
 
 def representative(prefix: str) -> str:

@@ -6,12 +6,13 @@ tail).  For an all-pairs scan the atoms of every grid measure ride on the
 same tracked point family -- the orbits of the cell representatives -- so a
 single certified trajectory matrix serves every pair.  That family is
 certified by the one eventual-periodicity engine of ``orbits``, run on the
-unit masses of the representatives.  Each pairwise Prohorov value then
-reduces, by the ultrametric closed form of ``measures``, to sums of
-positive class-mass differences over the common support; masses are small
-integers over one denominator, so the whole scan runs in numpy int
-arithmetic, at any number of tracked points, and ranks into a short list
-of exact rationals.  No floats are involved anywhere.
+unit masses of the representatives, and keeps its integer separation
+matrices.  Each pairwise Prohorov value then reduces, by the ultrametric
+closed form of ``measures``, to sums of positive class-mass differences over
+the common support, with the solver's thresholds and closeness masks; masses
+are small integers over one denominator, so the whole scan runs in numpy int
+arithmetic, at any number of tracked points, and ranks into a short list of
+exact rationals.  No floats are involved anywhere.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .cantor import CylinderPartition, representative
 from .errors import ParameterError
 from .maps import PrefixTableMap
-from .measures import AtomicMeasure, _clamped_min, atomic_measure, dirac
+from .measures import AtomicMeasure, _clamped_min, _masks, _thresholds, atomic_measure, dirac
 from .orbits import (
     DEFAULT_BUDGET,
     DistanceProfile,
@@ -72,6 +73,8 @@ def random_cell_measure(
 
 def random_atomic_measure(rng, max_atoms: int = 8, max_depth: int = 4) -> AtomicMeasure:
     """A random measure on random points, masses with denominator 64."""
+    if not 1 <= max_atoms <= min(64, 2**max_depth):  # distinct points, 1/64 each
+        raise ParameterError(f"max_atoms must lie in [1, min(64, 2**max_depth)], got {max_atoms}")
     k = rng.randint(1, max_atoms)
     points = set()
     while len(points) < k:
@@ -90,7 +93,8 @@ def random_atomic_measure(rng, max_atoms: int = 8, max_depth: int = 4) -> Atomic
 @dataclass(frozen=True)
 class TrajectoryFamily:
     """Orbits of a point family with a certified eventually periodic
-    distance matrix: matrix(n + period) == matrix(n) for n >= preperiod."""
+    separation matrix (d = 1/n, 0 for the same point):
+    matrix(n + period) == matrix(n) for n >= preperiod."""
 
     points: tuple[str, ...]
     preperiod: int
@@ -107,11 +111,11 @@ def track_representatives(
     f: PrefixTableMap, partition: CylinderPartition, budget: int = DEFAULT_BUDGET
 ) -> TrajectoryFamily:
     """Evolve all cell representatives jointly and certify the eventual
-    periodicity of their pairwise distance matrix.
+    periodicity of their pairwise separation matrix.
 
     Runs the measure-orbit engine on the Dirac masses of the representatives:
     their masses never change, so the engine's state-cycle and padded-cycle
-    certificates apply to the distance matrix of the words themselves, and
+    certificates apply to the separation matrix of the words themselves, and
     the family keeps the matrices of the engine's certified window.
     """
     start = tuple(representative(c) for c in partition.cells)
@@ -151,24 +155,23 @@ class CommonSupportScanner:
                     raise ParameterError("measure does not live on the tracked grid")
                 self.mass[r, index[p]] = int(scaled)
         # global value list: every distance a scan can output
-        vals = {Fraction(0)} | {Fraction(g, resolution) for g in range(1, resolution + 1)}
+        vals = {Fraction(g, resolution) for g in range(resolution + 1)}
         for mat in family.matrices:
-            vals |= {d for row in mat for d in row}
+            vals.update(_thresholds(mat))
         self.values: list[Fraction] = sorted(vals)
         self.rank = {v: r for r, v in enumerate(self.values)}
         self.invalid_rank = len(self.values)
 
     def thresholds_at(self, n: int) -> list[Fraction]:
-        mat = self.family.matrix_at(n)
-        k = len(self.family.points)
-        return sorted({mat[i][j] for i in range(k) for j in range(k)} | {Fraction(0)})
+        return _thresholds(self.family.matrix_at(n))
 
     def _classes(self, n: int, c: Fraction) -> np.ndarray:
         """(k, classes) 0/1 membership of the classes of "d <= c" among the
         tracked points at time n; in an ultrametric each class is one
-        distinct row of the closeness matrix."""
-        close = [tuple(d <= c for d in row) for row in self.family.matrix_at(n)]
-        return np.array(list(dict.fromkeys(close)), dtype=np.int64).T
+        distinct row mask of the closeness relation."""
+        classes = dict.fromkeys(_masks(self.family.matrix_at(n), c))
+        return np.array([[m >> j & 1 for m in classes] for j in range(len(self.family.points))],
+                        dtype=np.int64)
 
     def rank_matrix_at(self, n: int) -> np.ndarray:
         """(R, R) uint16 matrix of ranked d(mu_i(n), mu_j(n)) for all pairs."""

@@ -19,15 +19,19 @@ into cylinder classes and g is the closed form sum over classes B of
 subset enumeration and a min-cut / max-flow computation of a partial
 coupling are kept as independent oracles.  All three are exact over the
 integers after clearing denominators, and they must always agree.
+
+Distances are exact integers until reported: the solvers, the orbit engine
+and the grid scanner share ``_separation_matrix`` (d = 1/n), ``_thresholds``
+and ``_masks``, and make a Fraction per distinct distance, not per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
-from .cantor import CylinderPartition, canonical_point, point_distance, point_in_cylinder
+from .cantor import CylinderPartition, canonical_point, point_in_cylinder, separation
 from .errors import BackendSelectionError, CertificationError, ParameterError
 
 ENUMERATION_LIMIT = 16
@@ -156,8 +160,22 @@ def _scaled_masses(mu: AtomicMeasure, nu: AtomicMeasure) -> tuple[list[int], lis
     )
 
 
-def _distance_matrix(mu: AtomicMeasure, nu: AtomicMeasure) -> list[list[Fraction]]:
-    return [[point_distance(p, q) for q, _ in nu.atoms] for p, _ in mu.atoms]
+def _separation_matrix(rows, cols) -> tuple[tuple[int, ...], ...]:
+    """Separations n (d = 1/n, 0 for the same point) of every word pair."""
+    return tuple(tuple(separation(u, v) for v in cols) for u in rows)
+
+
+def _thresholds(matrix) -> list[Fraction]:
+    """The sorted distinct distances of a separation matrix, 0 included."""
+    seps = {n for row in matrix for n in row if n}
+    return [Fraction(0)] + [Fraction(1, n) for n in sorted(seps, reverse=True)]
+
+
+def _masks(matrix, c: Fraction) -> list[int]:
+    """Per row, the bitmask of the columns within distance c; on separations
+    "d <= c" reads n == 0 or n >= 1/c (no n > 0 passes at c = 0)."""
+    bound = ceil(1 / c) if c else 0
+    return [sum(1 << j for j, n in enumerate(row) if n == 0 or 0 < bound <= n) for row in matrix]
 
 
 def _g_closed_form(mu_int, nu_int, adj_masks, denom) -> tuple[Fraction, tuple[int, ...]]:
@@ -327,15 +345,11 @@ def _one_sided_value(
     mu: AtomicMeasure, nu: AtomicMeasure, backend: str
 ) -> tuple[Fraction, tuple[str, ...]]:
     mu_int, nu_int, denom = _scaled_masses(mu, nu)
-    dist = _distance_matrix(mu, nu)
-    thresholds = sorted({Fraction(0)} | {d for row in dist for d in row})
+    seps = _separation_matrix(mu.support, nu.support)
     g_of = _G_OF[backend]
-
-    def g_at(c_t):
-        adj_masks = [sum(1 << j for j, d in enumerate(row) if d <= c_t) for row in dist]
-        return g_of(mu_int, nu_int, adj_masks, denom)
-
-    value, wit = _clamped_min(thresholds, g_at)
+    value, wit = _clamped_min(
+        _thresholds(seps), lambda c_t: g_of(mu_int, nu_int, _masks(seps, c_t), denom)
+    )
     return value, tuple(mu.support[i] for i in wit)
 
 
@@ -379,21 +393,16 @@ def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "aut
             raise CertificationError(f"backends disagree: {a} vs {b}")
         return a
     mu_int, nu_int, denom = _scaled_masses(mu, nu)
-    dist = _distance_matrix(mu, nu)
-    thresholds = sorted({Fraction(0)} | {d for row in dist for d in row})
+    seps = _separation_matrix(mu.support, nu.support)
+    seps_T = tuple(zip(*seps))
     g_of = _g_enumeration if backend == "enumeration" else _g_flow
 
     def g_at(c_t):
-        adj = [sum(1 << j for j, d in enumerate(row) if d <= c_t) for row in dist]
-        adj_T = [
-            sum(1 << i for i in range(len(mu_int)) if dist[i][j] <= c_t)
-            for j in range(len(nu_int))
-        ]
-        g1, _ = g_of(mu_int, nu_int, adj, denom)
-        g2, _ = g_of(nu_int, mu_int, adj_T, denom)
+        g1, _ = g_of(mu_int, nu_int, _masks(seps, c_t), denom)
+        g2, _ = g_of(nu_int, mu_int, _masks(seps_T, c_t), denom)
         return max(g1, g2), None
 
-    return _clamped_min(thresholds, g_at)[0]
+    return _clamped_min(_thresholds(seps), g_at)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ mechanisms certify eventual periodicity of a distance sequence:
   states never repeat literally.  If every atom of the later state equals
   the corresponding atom of the earlier state with a single zero-run
   extended, the insertion points lie beyond every fired rule domain and
-  beyond every pairwise first-difference position, and the full joint
-  distance matrix repeats across one whole period window, then the rule
+  beyond every pairwise first difference, and the masses and the full joint
+  separation matrix repeat across one whole period window, then the rule
   firing pattern and hence the distance data repeat forever.  Distances of
-  measures depend only on masses and the pairwise distance matrix, so the
+  measures depend only on masses and the pairwise separations, so the
   distance sequence is eventually periodic even though the states are not.
 
 Anything that fits neither mechanism within its budget raises
@@ -22,11 +22,12 @@ ResourceBudgetError rather than returning an unproven answer.
 
 One engine, ``_evolve_distance_sequence``, implements both mechanisms.  It
 only certifies: it returns the certified window -- the states up to
-preperiod + period and their joint distance matrices -- and its callers
-evaluate that window.  Distance profiles and target distances solve the
-Prohorov distance of each window state; ``grids.track_representatives``
-takes the matrices of the jointly tracked cell representatives, whose unit
-masses make the joint matrix the bare distance matrix of the words.
+preperiod + period and their joint separation matrices (integers n with
+d = 1/n, built by ``measures._separation_matrix``; the padded check reads
+first differences off them directly) -- and its callers evaluate that
+window.  Distance profiles and target distances solve the Prohorov distance
+of each window state; ``grids.track_representatives`` keeps the matrices of
+the jointly tracked cell representatives.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import first_difference
 from .errors import ParameterError, ResourceBudgetError
 from .maps import PrefixTableMap
-from .measures import AtomicMeasure, prohorov_distance, pushforward
+from .measures import AtomicMeasure, _separation_matrix, prohorov_distance, pushforward
 
 DEFAULT_BUDGET = 400
 
@@ -154,31 +154,14 @@ def distributional_densities(
 
 
 def _joint_record(state: tuple[AtomicMeasure, ...], frozen: tuple[str, ...]):
-    """(per-measure split, masses, words, joint distance matrix) of a state."""
+    """(per-measure split, masses, words, joint separation matrix) of a state."""
     words, masses = [], []
     for mu in state:
         for p, m in mu.atoms:
             words.append(p)
             masses.append(m)
     words.extend(frozen)
-    return tuple(len(mu) for mu in state), tuple(masses), words, _distance_matrix_of(words)
-
-
-def _distance_matrix_of(words: list[str]) -> tuple:
-    n = len(words)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j < i:
-                row.append(rows[j][i])
-            elif j == i:
-                row.append(Fraction(0))
-            else:
-                fd = first_difference(words[i], words[j])
-                row.append(Fraction(0) if fd is None else Fraction(1, fd + 1))
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+    return tuple(len(mu) for mu in state), tuple(masses), words, _separation_matrix(words, words)
 
 
 def _pad_descriptor(w_old: str, w_new: str) -> tuple[int, int] | None:
@@ -201,7 +184,9 @@ def _verify_padded_window(f: PrefixTableMap, record, n_frozen: int, start: int, 
 
     ``record(k)`` is the joint record of state k, needed up to index
     start + 2*tau.  On success the joint distance data is periodic with
-    period tau from index start on.
+    period tau from index start on.  Neither the masses nor the matrix
+    follow from the word pairing: atoms may trade masses while keeping their
+    words, and a moving atom may sit on a frozen word and then pad away.
     """
     for j in range(start, start + tau + 1):
         split_a, masses_a, words_a, matrix_a = record(j)
@@ -225,16 +210,11 @@ def _verify_padded_window(f: PrefixTableMap, record, n_frozen: int, start: int, 
                 if c < len(dom):
                     return False
                 inserts.append(c)
-        min_insert = min(inserts, default=None)
         if matrix_a != matrix_b:
             return False
-        if min_insert is not None:
-            for i in range(len(words_a)):
-                for k in range(i + 1, len(words_a)):
-                    d = matrix_a[i][k]
-                    # point distances are 1/(first difference + 1)
-                    if d > 0 and d.denominator - 1 >= min_insert:
-                        return False
+        # a separation n is a first difference at index n - 1
+        if inserts and max(map(max, matrix_a)) > min(inserts):
+            return False
     return True
 
 
@@ -248,7 +228,7 @@ def _evolve_distance_sequence(
     distance data is eventually periodic.
 
     Returns the certified window -- the states 0 .. preperiod+period-1 and
-    their joint distance matrices -- with the preperiod, the period and the
+    their joint separation matrices -- with the preperiod, the period and the
     certificate kind.  Nothing is evaluated on the states: callers map
     their own value over the window.
     """

@@ -13,11 +13,13 @@ from cantordyn.cantor import (
     cell_distance,
     cells_meeting,
     cylinder_diameter,
+    first_difference,
     is_complete_prefix_code,
     normalize_cylinder_union,
     partition_stats,
     point_distance,
     representative,
+    separation,
     standard_partition,
     union_is_proper_subset,
 )
@@ -54,10 +56,14 @@ def test_point_distance_zero_iff_same_point():
 
 
 def test_point_distance_matches_oracle_exhaustively():
-    ws = words_up_to(4)
+    # every word up to length 5, trailing zeros included, in both orders
+    ws = words_up_to(5)
     for u in ws:
         for v in ws:
-            assert point_distance(u, v) == oracle_point_distance(u, v)
+            d = oracle_point_distance(u, v)
+            assert point_distance(u, v) == d
+            assert separation(u, v) == (d.denominator if d else 0)
+            assert first_difference(u, v) == (d.denominator - 1 if d else None)
 
 
 def test_ultrametric_inequality_exhaustive_depth_6():

@@ -11,6 +11,7 @@ from cantordyn.errors import ParameterError
 from cantordyn.grids import (
     CommonSupportScanner,
     li_yorke_scan,
+    random_atomic_measure,
     random_cell_measure,
     simplex_grid,
     track_representatives,
@@ -37,6 +38,16 @@ def test_random_cell_measure_lives_on_representatives():
     for _ in range(10):
         mu = random_cell_measure(partition, rng, 8)
         assert {p for p, _ in mu.atoms} <= reps
+
+
+def test_random_atomic_measure_rejects_impossible_sizes():
+    # no atom; more atoms than sixty-fourths; more atoms than points of depth <= 0 and <= 2
+    rng = random.Random(0)
+    for max_atoms, max_depth in ((0, 4), (65, 8), (3, 0), (5, 2)):
+        with pytest.raises(ParameterError):
+            random_atomic_measure(rng, max_atoms=max_atoms, max_depth=max_depth)
+    assert len(random_atomic_measure(rng, max_atoms=4, max_depth=2)) <= 4
+    assert len(random_atomic_measure(rng, max_atoms=64, max_depth=6)) <= 64
 
 
 def test_track_representatives_balloon_exact_cycle():

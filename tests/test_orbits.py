@@ -134,6 +134,32 @@ def test_padded_cycle_profile_on_absorbing_orbit():
     assert li_yorke_classify(prof) is not PairClass.LI_YORKE_PAIR
 
 
+def test_padded_cycle_rejects_a_target_the_orbit_passes_through():
+    # the orbit meets the frozen target at n = 2 and then pads away from it;
+    # only the joint-matrix comparison keeps that window from closing at (1, 2)
+    tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
+    x = representative(tower.levels[0].components[0].bar[0])
+    mu, target = dirac(x), dirac(tower.table.apply_iter(x, 2))
+    prof = orbit_distance_to_target(tower.table, mu, target)
+    assert (prof.certificate, prof.preperiod, prof.period) == ("padded-cycle", 3, 2)
+    for n in range(12):
+        assert prof.value_at(n) == prohorov_distance(mu, target), n
+        mu = pushforward(tower.table, mu)
+    assert prof.value_at(2) == 0 < prof.value_at(4)
+
+
+def test_padded_cycle_rejects_atoms_that_trade_masses():
+    # words and separations repeat after one step, the masses do not
+    mu = atomic_measure({"": Fraction(1, 3), "1": Fraction(2, 3)})
+    states = [(mu,), (pushforward(SWAP, mu),), (mu,)]
+    records = [orbits._joint_record(state, ()) for state in states]
+    assert records[0][2:] == records[1][2:]
+    assert not orbits._verify_padded_window(SWAP, records.__getitem__, 0, 0, 1)
+    assert prohorov_distance(states[0][0], dirac("")) != prohorov_distance(
+        states[1][0], dirac("")
+    )
+
+
 def test_profiles_solve_only_the_certified_window(monkeypatch):
     calls = []
     solve = orbits.prohorov_distance
