@@ -149,11 +149,11 @@ class CommonSupportScanner:
         index = {p: i for i, p in enumerate(family.points)}
         self.mass = np.zeros((len(measures), k), dtype=np.int64)
         for r, mu in enumerate(measures):
-            for p, m in mu.atoms:
-                scaled = m * resolution
-                if p not in index or scaled.denominator != 1:
+            scale, rem = divmod(resolution, mu.denom)
+            for p, w in zip(mu.support, mu.weights):
+                if p not in index or rem:
                     raise ParameterError("measure does not live on the tracked grid")
-                self.mass[r, index[p]] = int(scaled)
+                self.mass[r, index[p]] = w * scale
         # global value list: every distance a scan can output
         vals = {Fraction(g, resolution) for g in range(resolution + 1)}
         for mat in family.matrices:

@@ -49,7 +49,9 @@ class PrefixTableMap:
 
     def matching_rule(self, point: str) -> tuple[str, str]:
         """The unique rule whose domain prefixes the zero-extended point."""
-        point = check_word(point)
+        return self._match(check_word(point))
+
+    def _match(self, point: str) -> tuple[str, str]:
         for length in self._lens:
             key = point[:length] if len(point) >= length else point.ljust(length, "0")
             img = self._by_len[length].get(key)
@@ -59,9 +61,9 @@ class PrefixTableMap:
 
     def apply(self, point: str) -> str:
         """Image of a point, returned in canonical (zero-tail) form."""
-        dom, img = self.matching_rule(canonical_point(point))
-        suffix = canonical_point(point)[len(dom):]
-        return canonical_point(img + suffix)
+        point = canonical_point(point)
+        dom, img = self._match(point)
+        return (img + point[len(dom):]).rstrip("0")
 
     def apply_iter(self, point: str, n: int) -> str:
         x = canonical_point(point)

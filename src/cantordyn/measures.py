@@ -1,7 +1,11 @@
 """Finitely supported probability measures and the exact Prohorov metric.
 
-Measures are finite lists of (point, mass) atoms with rational masses
-summing to one; points are canonical words (zero tails stripped).  The
+A measure is a finite set of atoms on canonical words (zero tails
+stripped) held in integer form: positive integer weights over one common
+denominator, in lowest terms.  Fractions appear only at the boundary -- the
+constructor converts (point, Fraction) atoms once, and the ``atoms`` and
+``masses`` views, ``cell_masses`` and ``mass_of_cylinders`` report them --
+so pushforwards, convex combinations and solver set-up run on ints.  The
 Prohorov distance
 
     d(mu, nu) = inf{ delta > 0 : mu(X) <= nu(X^delta) + delta for all X }
@@ -20,16 +24,18 @@ subset enumeration and a min-cut / max-flow computation of a partial
 coupling are kept as independent oracles.  All three are exact over the
 integers after clearing denominators, and they must always agree.
 
-Distances are exact integers until reported: the solvers, the orbit engine
-and the grid scanner share ``_separation_matrix`` (d = 1/n), ``_thresholds``
-and ``_masks``, and make a Fraction per distinct distance, not per pair.
+Distances are exact integers until reported: pairs of words are compared by
+their separation n (d = 1/n; ``_separation_matrix`` here, the symmetric
+joint matrix in the orbit engine), the solvers and the grid scanner share
+``_thresholds`` and ``_masks``, and a Fraction is made per distinct
+distance, not per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 from .cantor import CylinderPartition, canonical_point, point_in_cylinder, separation
 from .errors import BackendSelectionError, CertificationError, ParameterError
@@ -37,19 +43,29 @@ from .errors import BackendSelectionError, CertificationError, ParameterError
 ENUMERATION_LIMIT = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class AtomicMeasure:
     """A probability measure with finitely many rational point masses.
 
-    ``atoms`` is the canonical form: points canonicalized, duplicates merged,
-    zero masses dropped, sorted lexicographically, masses summing to one.
+    Stored in integer form: the atom at ``support[i]`` has mass
+    ``weights[i] / denom``.  ``support`` is sorted and holds canonical,
+    distinct points; the weights are positive, sum to ``denom`` and share no
+    common factor, so every measure has exactly one form and equality and
+    hashing compare words and integers.
+
+    ``AtomicMeasure(atoms)`` takes (point, mass) pairs with exact rational
+    masses, canonicalizes the points, merges duplicates, drops zero masses
+    and rejects floats, negative masses and totals other than one.  The
+    ``atoms`` and ``masses`` views give the masses back as Fractions.
     """
 
-    atoms: tuple[tuple[str, Fraction], ...]
+    support: tuple[str, ...]
+    weights: tuple[int, ...]
+    denom: int
 
-    def __post_init__(self):
+    def __init__(self, atoms):
         merged: dict[str, Fraction] = {}
-        for point, mass in self.atoms:
+        for point, mass in atoms:
             if isinstance(mass, float):
                 raise ParameterError(f"atom mass {mass!r} is a float, not an exact rational")
             mass = Fraction(mass)
@@ -59,30 +75,50 @@ class AtomicMeasure:
                 continue
             key = canonical_point(point)
             merged[key] = merged.get(key, Fraction(0)) + mass
-        if sum(merged.values(), Fraction(0)) != 1:
-            raise ParameterError("atom masses must sum to exactly 1")
-        object.__setattr__(
-            self, "atoms", tuple(sorted(merged.items()))
-        )
+        denom = lcm(*[m.denominator for m in merged.values()])
+        weights = {p: m.numerator * (denom // m.denominator) for p, m in merged.items()}
+        _set_form(self, weights, denom)
 
     @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(p for p, _ in self.atoms)
+    def atoms(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((p, Fraction(w, self.denom)) for p, w in zip(self.support, self.weights))
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
-        return tuple(m for _, m in self.atoms)
+        return tuple(Fraction(w, self.denom) for w in self.weights)
 
     def mass_of_cylinders(self, prefixes) -> Fraction:
         """Mass of a union of cylinders."""
-        total = Fraction(0)
-        for p, m in self.atoms:
-            if any(point_in_cylinder(p, c) for c in prefixes):
-                total += m
-        return total
+        total = sum(
+            w for p, w in zip(self.support, self.weights)
+            if any(point_in_cylinder(p, c) for c in prefixes)
+        )
+        return Fraction(total, self.denom)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.support)
+
+    def __repr__(self) -> str:
+        return f"AtomicMeasure(atoms={self.atoms!r})"
+
+
+def _set_form(mu: AtomicMeasure, weights: dict[str, int], denom: int) -> None:
+    """Store positive integer weights over ``denom`` in reduced sorted form."""
+    if sum(weights.values()) != denom:
+        raise ParameterError("atom masses must sum to exactly 1")
+    support = tuple(sorted(weights))
+    g = gcd(*weights.values())
+    object.__setattr__(mu, "support", support)
+    object.__setattr__(mu, "weights", tuple(weights[p] // g for p in support))
+    object.__setattr__(mu, "denom", denom // g)
+
+
+def _from_weights(weights: dict[str, int], denom: int) -> AtomicMeasure:
+    """The measure with canonical points and positive integer weights over
+    ``denom``, built without the rational checks of the constructor."""
+    mu = object.__new__(AtomicMeasure)
+    _set_form(mu, weights, denom)
+    return mu
 
 
 def atomic_measure(pairs) -> AtomicMeasure:
@@ -98,12 +134,15 @@ def dirac(point: str) -> AtomicMeasure:
 
 
 def pushforward(f, mu: AtomicMeasure) -> AtomicMeasure:
-    """Image measure: each atom moves to its image point, collisions merge."""
-    out: dict[str, Fraction] = {}
-    for p, m in mu.atoms:
+    """Image measure: each atom moves to its image point, collisions merge.
+
+    ``f.apply`` must return canonical points, as ``PrefixTableMap.apply`` does.
+    """
+    out: dict[str, int] = {}
+    for p, w in zip(mu.support, mu.weights):
         q = f.apply(p)
-        out[q] = out.get(q, Fraction(0)) + m
-    return atomic_measure(out)
+        out[q] = out.get(q, 0) + w
+    return _from_weights(out, mu.denom)
 
 
 def pushforward_iter(f, mu: AtomicMeasure, n: int) -> AtomicMeasure:
@@ -121,21 +160,22 @@ def convex_combine(weighted: list[tuple[Fraction, AtomicMeasure]]) -> AtomicMeas
         raise ParameterError("weights must be nonnegative")
     if sum(weights, Fraction(0)) != 1:
         raise ParameterError("weights must sum to exactly 1")
-    out: dict[str, Fraction] = {}
-    for (w, mu) in weighted:
-        if w == 0:
-            continue
-        for p, m in mu.atoms:
-            out[p] = out.get(p, Fraction(0)) + Fraction(w) * m
-    return atomic_measure(out)
+    parts = [(w, mu) for w, (_, mu) in zip(weights, weighted) if w]
+    denom = lcm(*[w.denominator * mu.denom for w, mu in parts])
+    out: dict[str, int] = {}
+    for w, mu in parts:
+        scale = w.numerator * (denom // (w.denominator * mu.denom))
+        for p, m in zip(mu.support, mu.weights):
+            out[p] = out.get(p, 0) + m * scale
+    return _from_weights(out, denom)
 
 
 def cell_masses(mu: AtomicMeasure, partition: CylinderPartition) -> dict[str, Fraction]:
     """mu(a) for every cell a of the partition; values sum to 1."""
-    out = {c: Fraction(0) for c in partition.cells}
-    for p, m in mu.atoms:
-        out[partition.cell_of(p)] += m
-    return out
+    out = dict.fromkeys(partition.cells, 0)
+    for p, w in zip(mu.support, mu.weights):
+        out[partition.cell_of(p)] += w
+    return {c: Fraction(w, mu.denom) for c, w in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +192,9 @@ class ProhorovResult:
 
 
 def _scaled_masses(mu: AtomicMeasure, nu: AtomicMeasure) -> tuple[list[int], list[int], int]:
-    denom = lcm(*[m.denominator for m in mu.masses + nu.masses])
-    return (
-        [int(m * denom) for m in mu.masses],
-        [int(m * denom) for m in nu.masses],
-        denom,
-    )
+    denom = lcm(mu.denom, nu.denom)
+    a, b = denom // mu.denom, denom // nu.denom
+    return [w * a for w in mu.weights], [w * b for w in nu.weights], denom
 
 
 def _separation_matrix(rows, cols) -> tuple[tuple[int, ...], ...]:

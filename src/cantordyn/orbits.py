@@ -23,8 +23,8 @@ ResourceBudgetError rather than returning an unproven answer.
 One engine, ``_evolve_distance_sequence``, implements both mechanisms.  It
 only certifies: it returns the certified window -- the states up to
 preperiod + period and their joint separation matrices (integers n with
-d = 1/n, built by ``measures._separation_matrix``; the padded check reads
-first differences off them directly) -- and its callers evaluate that
+d = 1/n, one ``cantor.separation`` per unordered pair; the padded check
+reads first differences off them directly) -- and its callers evaluate that
 window.  Distance profiles and target distances solve the Prohorov distance
 of each window state; ``grids.track_representatives`` keeps the matrices of
 the jointly tracked cell representatives.
@@ -36,9 +36,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cantor import separation
 from .errors import ParameterError, ResourceBudgetError
 from .maps import PrefixTableMap
-from .measures import AtomicMeasure, _separation_matrix, prohorov_distance, pushforward
+from .measures import AtomicMeasure, prohorov_distance, pushforward
 
 DEFAULT_BUDGET = 400
 
@@ -154,14 +155,21 @@ def distributional_densities(
 
 
 def _joint_record(state: tuple[AtomicMeasure, ...], frozen: tuple[str, ...]):
-    """(per-measure split, masses, words, joint separation matrix) of a state."""
-    words, masses = [], []
-    for mu in state:
-        for p, m in mu.atoms:
-            words.append(p)
-            masses.append(m)
+    """(per-measure integer masses, words, joint separation matrix) of a state.
+
+    The matrix is symmetric with a zero diagonal, so each unordered pair of
+    words is separated once.
+    """
+    words = [p for mu in state for p in mu.support]
     words.extend(frozen)
-    return tuple(len(mu) for mu in state), tuple(masses), words, _separation_matrix(words, words)
+    k = len(words)
+    rows = [[0] * k for _ in range(k)]
+    for i, u in enumerate(words):
+        row = rows[i]
+        for j in range(i + 1, k):
+            row[j] = rows[j][i] = separation(u, words[j])
+    masses = tuple((mu.weights, mu.denom) for mu in state)
+    return masses, words, tuple(map(tuple, rows))
 
 
 def _pad_descriptor(w_old: str, w_new: str) -> tuple[int, int] | None:
@@ -189,10 +197,10 @@ def _verify_padded_window(f: PrefixTableMap, record, n_frozen: int, start: int, 
     words, and a moving atom may sit on a frozen word and then pad away.
     """
     for j in range(start, start + tau + 1):
-        split_a, masses_a, words_a, matrix_a = record(j)
-        split_b, masses_b, words_b, matrix_b = record(j + tau)
-        # atom pairing by index needs matching per-measure splits
-        if split_a != split_b or masses_a != masses_b:
+        masses_a, words_a, matrix_a = record(j)
+        masses_b, words_b, matrix_b = record(j + tau)
+        # equal per-measure weights also pair the atoms by index
+        if masses_a != masses_b:
             return False
         inserts = []
         n_moving = len(words_a) - n_frozen
@@ -248,12 +256,12 @@ def _evolve_distance_sequence(
         return records[k]
 
     def signature(k: int):
-        split, masses, _, matrix = record(k)
-        return split, masses, matrix
+        masses, _, matrix = record(k)
+        return masses, matrix
 
     def window(rho: int, tau: int, kind: str):
         n = rho + tau
-        return tuple(states[:n]), tuple(r[3] for r in records[:n]), rho, tau, kind
+        return tuple(states[:n]), tuple(r[2] for r in records[:n]), rho, tau, kind
 
     sig_seen[signature(0)] = [0]
 
@@ -300,7 +308,6 @@ def orbit_distance_to_target(
     backend: str = "auto",
 ) -> DistanceProfile:
     """Exact profile of d(f~^n mu, target) against a fixed target measure."""
-    frozen = tuple(p for p, _ in target.atoms)
-    states, _, rho, tau, kind = _evolve_distance_sequence(f, (mu,), frozen, budget)
+    states, _, rho, tau, kind = _evolve_distance_sequence(f, (mu,), target.support, budget)
     values = tuple(prohorov_distance(a, target, backend) for (a,) in states)
     return DistanceProfile(values, rho, tau, kind)

@@ -39,6 +39,11 @@ def test_apply_examples():
     assert DOUBLE.apply("1") == "01"
     # hand evaluation: 10 = 1.0^inf matches rule 1 -> 01, suffix 0^inf
     assert DOUBLE.apply("10") == canonical_point("010")
+    for bad in ("012", "a", 1):
+        with pytest.raises(ParameterError):
+            DOUBLE.apply(bad)
+        with pytest.raises(ParameterError):
+            DOUBLE.matching_rule(bad)
 
 
 def test_apply_brute_force_against_rule_semantics():

@@ -3,11 +3,17 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantordyn.cantor import canonical_point, point_distance, standard_partition
+from cantordyn.cantor import (
+    canonical_point,
+    point_distance,
+    point_in_cylinder,
+    standard_partition,
+)
 from cantordyn.errors import BackendSelectionError, ParameterError
 from cantordyn.grids import random_atomic_measure
 from cantordyn.maps import PrefixTableMap
@@ -24,6 +30,7 @@ from cantordyn.measures import (
     prohorov_two_sided,
     pushforward,
 )
+from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
 IDENTITY = PrefixTableMap((("", ""),))
 DOUBLE = PrefixTableMap((("0", "00"), ("1", "01")))
@@ -130,6 +137,107 @@ def test_cell_masses_examples():
     assert set(cell_masses(uniform, p2).values()) == {Fraction(1, 4)}
     coarse = cell_masses(uniform, standard_partition(1))
     assert coarse == {"0": Fraction(1, 2), "1": Fraction(1, 2)}
+
+
+# -- the integer form -------------------------------------------------------
+
+
+def test_integer_form_is_one_form():
+    """The same measure built four ways has one integer form, hash and repr."""
+    merge_to_one = PrefixTableMap((("00", "0"), ("01", "1"), ("1", "1")))
+    three = atomic_measure({"": Fraction(1, 3), "01": Fraction(1, 3), "1": Fraction(1, 3)})
+    half = atomic_measure({"": Fraction(1, 2), "1": Fraction(1, 2)})
+    built = [
+        atomic_measure({"100": Fraction(2, 3), "0": Fraction(1, 3)}),
+        pushforward(merge_to_one, three),
+        convex_combine([(Fraction(2, 3), half), (Fraction(1, 3), dirac("1"))]),
+        measure_from_lines(["1 2/3", "e 1/3"]),
+    ]
+    for mu in built:
+        assert (mu.support, mu.weights, mu.denom) == (("", "1"), (1, 2), 3)
+        assert mu == built[0] and hash(mu) == hash(built[0])
+        assert mu.atoms == (("", Fraction(1, 3)), ("1", Fraction(2, 3)))
+        assert mu.masses == (Fraction(1, 3), Fraction(2, 3))
+        assert repr(mu) == "AtomicMeasure(atoms=(('', Fraction(1, 3)), ('1', Fraction(2, 3))))"
+    # two atoms of 1/2 merging onto one point reduce to denominator 1
+    merged = pushforward(MERGE, half)
+    assert (merged.support, merged.weights, merged.denom) == (("",), (1,), 1)
+    assert merged == dirac("") and hash(merged) == hash(dirac(""))
+    assert repr(merged) == repr(dirac("")) == "AtomicMeasure(atoms=(('', Fraction(1, 1)),))"
+
+
+def test_constructor_keeps_the_boundary_checks():
+    for build in (atomic_measure, lambda pairs: AtomicMeasure(tuple(pairs))):
+        with pytest.raises(ParameterError, match="float"):
+            build([("", 0.5), ("1", 0.5)])
+        with pytest.raises(ParameterError, match="negative"):
+            build([("0", Fraction(3, 2)), ("1", Fraction(-1, 2))])
+        with pytest.raises(ParameterError, match="sum"):
+            build([("0", Fraction(1, 2))])
+        with pytest.raises(ParameterError, match="sum"):
+            build([])
+        with pytest.raises(ParameterError):
+            build([("2", Fraction(1))])
+        zero_dropped = build([("", Fraction(0)), ("1", Fraction(1))])
+        assert zero_dropped.atoms == (("1", Fraction(1)),)
+    with pytest.raises(ParameterError):
+        convex_combine([(0.25, dirac("")), (0.75, dirac("1"))])
+
+
+def _reference_pushforward(f, masses: dict) -> dict:
+    out = {}
+    for p, m in masses.items():
+        q = f.apply(p)
+        out[q] = out.get(q, Fraction(0)) + m
+    return out
+
+
+def _assert_reduced_form(mu):
+    assert list(mu.support) == sorted(set(mu.support))
+    assert all(p == canonical_point(p) for p in mu.support)
+    assert all(w > 0 for w in mu.weights) and sum(mu.weights) == mu.denom
+    assert gcd(*mu.weights) == 1
+
+
+def test_integer_builders_match_fraction_definitions():
+    """Differential against from-definition Fraction sums on random measures."""
+    rng = random.Random(43)
+    maps = [
+        make_balloon_tower([(3, 2), (5, 2)], [2, 4]).table,
+        make_dumbbell_tower((4, 2), 2, bar_length=1).table,
+    ]
+    partitions = [standard_partition(d) for d in range(4)]
+    for _ in range(80):
+        f = rng.choice(maps)
+        mu = random_atomic_measure(rng, max_atoms=6)
+        nu = random_atomic_measure(rng, max_atoms=6)
+        image, expected = mu, dict(mu.atoms)
+        for _ in range(rng.randint(1, 4)):
+            image, expected = pushforward(f, image), _reference_pushforward(f, expected)
+            _assert_reduced_form(image)
+            assert image.atoms == tuple(sorted(expected.items()))
+
+        w = Fraction(rng.randint(0, 12), 12)
+        expected = {}
+        for weight, m in ((w, image), (1 - w, nu)):
+            for p, mass in m.atoms:
+                if weight:
+                    expected[p] = expected.get(p, Fraction(0)) + weight * mass
+        mixed = convex_combine([(w, image), (1 - w, nu)])
+        _assert_reduced_form(mixed)
+        assert mixed.atoms == tuple(sorted(expected.items()))
+
+        partition = rng.choice(partitions)
+        cells = cell_masses(mixed, partition)
+        assert cells == {
+            c: sum((m for p, m in mixed.atoms if partition.cell_of(p) == c), Fraction(0))
+            for c in partition.cells
+        }
+        prefixes = rng.sample(partition.cells, rng.randint(0, len(partition.cells)))
+        assert mixed.mass_of_cylinders(prefixes) == sum(
+            (m for p, m in mixed.atoms if any(point_in_cylinder(p, c) for c in prefixes)),
+            Fraction(0),
+        )
 
 
 # -- the exact solver -------------------------------------------------------

@@ -153,11 +153,33 @@ def test_padded_cycle_rejects_atoms_that_trade_masses():
     mu = atomic_measure({"": Fraction(1, 3), "1": Fraction(2, 3)})
     states = [(mu,), (pushforward(SWAP, mu),), (mu,)]
     records = [orbits._joint_record(state, ()) for state in states]
-    assert records[0][2:] == records[1][2:]
+    assert records[0][1:] == records[1][1:]
     assert not orbits._verify_padded_window(SWAP, records.__getitem__, 0, 0, 1)
     assert prohorov_distance(states[0][0], dirac("")) != prohorov_distance(
         states[1][0], dirac("")
     )
+
+
+def test_padded_cycle_insert_bound_at_its_boundary():
+    # "011" pads one zero in at index 2, then at index 3; every separation of
+    # the moving atom is 1, and the only other separation is that of "1" and
+    # the third word.  This pins the current bound; it does not prove it tight.
+    def window(third):
+        words = [("011", "1", third), ("0101", "1", third), ("01001", "1", third)]
+        states = [(atomic_measure({w: Fraction(1, 3) for w in ws}),) for ws in words]
+        records = [orbits._joint_record(state, ()) for state in states]
+        assert records[0][0] == records[1][0] == records[2][0]
+        assert records[0][2] == records[1][2] == records[2][2]
+        return records, max(map(max, records[0][2]))
+
+    # largest separation == first insert index: accepted
+    records, largest = window("11")
+    assert largest == 2
+    assert orbits._verify_padded_window(SWAP, records.__getitem__, 0, 0, 1)
+    # largest separation == first insert index + 1: rejected
+    records, largest = window("101")
+    assert largest == 3
+    assert not orbits._verify_padded_window(SWAP, records.__getitem__, 0, 0, 1)
 
 
 def test_profiles_solve_only_the_certified_window(monkeypatch):
