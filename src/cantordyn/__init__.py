@@ -74,13 +74,11 @@ from .grids import (
 )
 from .orbits import (
     DistanceProfile,
-    OrbitSummary,
     PairClass,
     distance_profile,
     distributional_densities,
     li_yorke_classify,
     orbit_distance_to_target,
-    orbit_summary,
     upper_density,
 )
 from .recurrence import (

@@ -450,7 +450,8 @@ def weak_shadowing_refutation(
     anchors are unit masses on loop representatives in two different
     dumbbells, then shows that no grid measure's full orbit (both time
     directions, exact eventual periodicity) comes within eps of both
-    anchors.
+    anchors.  ``backend`` solves the core chain and the anchor gap; the
+    orbit minima come from the profiles, which run the closed form.
     """
     eps, delta = Fraction(eps), Fraction(delta)
     if tower.kind != "dumbbell":
@@ -473,8 +474,8 @@ def weak_shadowing_refutation(
     for idx, eta in enumerate(grid):
         mins = {}
         for name, anchor in (("first", mu_star), ("second", nu_star)):
-            forward = orbit_distance_to_target(h, eta, anchor, budget, backend)
-            backward = orbit_distance_to_target(h_inv, eta, anchor, budget, backend)
+            forward = orbit_distance_to_target(h, eta, anchor, budget)
+            backward = orbit_distance_to_target(h_inv, eta, anchor, budget)
             mins[name] = min(forward.infimum(), backward.infimum())
         shadows_both = mins["first"] < eps and mins["second"] < eps
         refuted_all &= not shadows_both

@@ -9,10 +9,12 @@ certified by the one eventual-periodicity engine of ``orbits``, run on the
 unit masses of the representatives, and keeps its integer separation
 matrices.  Each pairwise Prohorov value then reduces, by the ultrametric
 closed form of ``measures``, to sums of positive class-mass differences over
-the common support, with the solver's thresholds and closeness masks; masses
-are small integers over one denominator, so the whole scan runs in numpy int
-arithmetic, at any number of tracked points, and ranks into a short list of
-exact rationals.  No floats are involved anywhere.
+the common support, with the solver's thresholds (separations) and closeness
+masks; masses are small integers over one denominator, so the whole scan
+runs in numpy int arithmetic, at any number of tracked points.  Each
+interval is clamped by the solver's own rule, ``measures._interval_value``,
+once per possible integer g, and the values rank into a short list of exact
+rationals.  No floats are involved anywhere.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 from .cantor import CylinderPartition, representative
 from .errors import ParameterError
 from .maps import PrefixTableMap
-from .measures import AtomicMeasure, _clamped_min, _masks, _thresholds, atomic_measure, dirac
+from .measures import AtomicMeasure, atomic_measure, dirac
+from .measures import _clamped_min, _interval_value, _masks, _thresholds
 from .orbits import (
     DEFAULT_BUDGET,
     DistanceProfile,
@@ -157,19 +160,19 @@ class CommonSupportScanner:
         # global value list: every distance a scan can output
         vals = {Fraction(g, resolution) for g in range(resolution + 1)}
         for mat in family.matrices:
-            vals.update(_thresholds(mat))
+            vals.update(Fraction(1, s) for s in _thresholds(mat) if s)
         self.values: list[Fraction] = sorted(vals)
         self.rank = {v: r for r, v in enumerate(self.values)}
         self.invalid_rank = len(self.values)
 
-    def thresholds_at(self, n: int) -> list[Fraction]:
+    def thresholds_at(self, n: int) -> list[int]:
         return _thresholds(self.family.matrix_at(n))
 
-    def _classes(self, n: int, c: Fraction) -> np.ndarray:
-        """(k, classes) 0/1 membership of the classes of "d <= c" among the
+    def _classes(self, n: int, s: int) -> np.ndarray:
+        """(k, classes) 0/1 membership of the classes of "d <= 1/s" among the
         tracked points at time n; in an ultrametric each class is one
         distinct row mask of the closeness relation."""
-        classes = dict.fromkeys(_masks(self.family.matrix_at(n), c))
+        classes = dict.fromkeys(_masks(self.family.matrix_at(n), s))
         return np.array([[m >> j & 1 for m in classes] for j in range(len(self.family.points))],
                         dtype=np.int64)
 
@@ -181,18 +184,13 @@ class CommonSupportScanner:
         best = np.full((nmeas, nmeas), self.invalid_rank, dtype=np.uint16)
         g_nums = np.empty((nmeas, nmeas), dtype=np.int64)
         excess = np.empty_like(g_nums)
-        for t, c_t in enumerate(thresholds):
-            upper = thresholds[t + 1] if t + 1 < len(thresholds) else None
-            # rank lookup per possible integer g in [0, res]
-            lut = np.empty(res + 1, dtype=np.uint16)
-            for g_num in range(res + 1):
-                g = Fraction(g_num, res)
-                if upper is not None and g > upper:
-                    lut[g_num] = self.invalid_rank
-                else:
-                    lut[g_num] = self.rank[max(g, c_t)]
+        for s, s_next in zip(thresholds, thresholds[1:] + [None]):
+            # rank of the clamped value per possible integer g in [0, res];
+            # an infeasible interval (value None) gets the invalid rank
+            lut = np.array([self.rank.get(_interval_value(g, res, s, s_next), self.invalid_rank)
+                            for g in range(res + 1)], dtype=np.uint16)
             g_nums.fill(0)
-            for col in (self.mass @ self._classes(n, c_t)).T:
+            for col in (self.mass @ self._classes(n, s)).T:
                 np.subtract.outer(col, col, out=excess)
                 np.maximum(excess, 0, out=excess)
                 g_nums += excess
@@ -203,12 +201,11 @@ class CommonSupportScanner:
     def distance(self, i: int, j: int, n: int) -> Fraction:
         """Exact d(mu_i(n), mu_j(n)) for one pair, without the batch tables."""
 
-        def g_at(c_t):
-            mu_b, nu_b = self.mass[[i, j]] @ self._classes(n, c_t)
-            g = int(np.maximum(mu_b - nu_b, 0).sum())
-            return Fraction(g, self.resolution), None
+        def g_at(s):
+            mu_b, nu_b = self.mass[[i, j]] @ self._classes(n, s)
+            return int(np.maximum(mu_b - nu_b, 0).sum()), None
 
-        return _clamped_min(self.thresholds_at(n), g_at)[0]
+        return _clamped_min(self.thresholds_at(n), self.resolution, g_at)[0]
 
     def pair_profile(self, i: int, j: int) -> DistanceProfile:
         rho, tau = self.family.preperiod, self.family.period

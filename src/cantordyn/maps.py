@@ -61,14 +61,17 @@ class PrefixTableMap:
 
     def apply(self, point: str) -> str:
         """Image of a point, returned in canonical (zero-tail) form."""
-        point = canonical_point(point)
+        return self._image(canonical_point(point))
+
+    def _image(self, point: str) -> str:
+        """``apply`` for a point already in canonical form, unchecked."""
         dom, img = self._match(point)
         return (img + point[len(dom):]).rstrip("0")
 
     def apply_iter(self, point: str, n: int) -> str:
         x = canonical_point(point)
         for _ in range(n):
-            x = self.apply(x)
+            x = self._image(x)
         return x
 
     def is_homeomorphism(self) -> bool:

@@ -25,17 +25,19 @@ coupling are kept as independent oracles.  All three are exact over the
 integers after clearing denominators, and they must always agree.
 
 Distances are exact integers until reported: pairs of words are compared by
-their separation n (d = 1/n; ``_separation_matrix`` here, the symmetric
-joint matrix in the orbit engine), the solvers and the grid scanner share
-``_thresholds`` and ``_masks``, and a Fraction is made per distinct
-distance, not per pair.
+their separation n (d = 1/n; ``_separation_matrix`` here, a block of the
+symmetric joint matrix in the orbit engine), the thresholds are separations,
+g is an integer numerator over the common denominator, and one rule,
+``_interval_value``, decides each interval in integers and builds the one
+Fraction of each returned value.  The solvers and the grid scanner share
+``_thresholds``, ``_masks`` and that rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 
 from .cantor import CylinderPartition, canonical_point, point_in_cylinder, separation
 from .errors import BackendSelectionError, CertificationError, ParameterError
@@ -136,11 +138,12 @@ def dirac(point: str) -> AtomicMeasure:
 def pushforward(f, mu: AtomicMeasure) -> AtomicMeasure:
     """Image measure: each atom moves to its image point, collisions merge.
 
-    ``f.apply`` must return canonical points, as ``PrefixTableMap.apply`` does.
+    The support is canonical already, so each word goes straight to
+    ``PrefixTableMap._image``, which returns canonical points.
     """
     out: dict[str, int] = {}
     for p, w in zip(mu.support, mu.weights):
-        q = f.apply(p)
+        q = f._image(p)
         out[q] = out.get(q, 0) + w
     return _from_weights(out, mu.denom)
 
@@ -202,22 +205,21 @@ def _separation_matrix(rows, cols) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(separation(u, v) for v in cols) for u in rows)
 
 
-def _thresholds(matrix) -> list[Fraction]:
-    """The sorted distinct distances of a separation matrix, 0 included."""
-    seps = {n for row in matrix for n in row if n}
-    return [Fraction(0)] + [Fraction(1, n) for n in sorted(seps, reverse=True)]
+def _thresholds(matrix) -> list[int]:
+    """The interval ends of a separation matrix as separations, ascending in
+    distance: 0 (distance 0) first, then the distinct n in descending order."""
+    return [0] + sorted({n for row in matrix for n in row if n}, reverse=True)
 
 
-def _masks(matrix, c: Fraction) -> list[int]:
-    """Per row, the bitmask of the columns within distance c; on separations
-    "d <= c" reads n == 0 or n >= 1/c (no n > 0 passes at c = 0)."""
-    bound = ceil(1 / c) if c else 0
-    return [sum(1 << j for j, n in enumerate(row) if n == 0 or 0 < bound <= n) for row in matrix]
+def _masks(matrix, s: int) -> list[int]:
+    """Per row, the bitmask of the columns within distance 1/s (distance 0 at
+    s = 0): on separations "d <= 1/s" reads n == 0 or 0 < s <= n."""
+    return [sum(1 << j for j, n in enumerate(row) if n == 0 or 0 < s <= n) for row in matrix]
 
 
-def _g_closed_form(mu_int, nu_int, adj_masks, denom) -> tuple[Fraction, tuple[int, ...]]:
+def _g_closed_form(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ...]]:
     """max over subsets X of mu's support of mu(X) - nu(neighborhood(X)),
-    in closed form for an ultrametric.
+    as a numerator over ``denom``, in closed form for an ultrametric.
 
     "d <= c" is an equivalence relation, so mu-atoms with one neighbour mask
     share a class B whose neighbourhood is the nu-atoms of B.  The maximum is
@@ -230,10 +232,10 @@ def _g_closed_form(mu_int, nu_int, adj_masks, denom) -> tuple[Fraction, tuple[in
     for mask in excess:
         excess[mask] -= sum(m for j, m in enumerate(nu_int) if mask >> j & 1)
     witness = tuple(i for i, mask in enumerate(adj_masks) if excess[mask] > 0)
-    return Fraction(sum(e for e in excess.values() if e > 0), denom), witness
+    return sum(e for e in excess.values() if e > 0), witness
 
 
-def _g_enumeration(mu_int, nu_int, adj_masks, denom) -> tuple[Fraction, tuple[int, ...]]:
+def _g_enumeration(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ...]]:
     """max over subsets X of mu's support of mu(X) - nu(neighborhood(X)),
     by brute force over all subsets (an oracle for the closed form)."""
     k = len(mu_int)
@@ -258,7 +260,7 @@ def _g_enumeration(mu_int, nu_int, adj_masks, denom) -> tuple[Fraction, tuple[in
         if val > best:
             best, best_mask = val, mask
     witness = tuple(i for i in range(k) if best_mask >> i & 1)
-    return Fraction(best, denom), witness
+    return best, witness
 
 
 class _Dinic:
@@ -328,7 +330,7 @@ class _Dinic:
         return seen
 
 
-def _g_flow(mu_int, nu_int, adj_masks, denom) -> tuple[Fraction, tuple[int, ...]]:
+def _g_flow(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ...]]:
     """Same maximum as the enumeration backend, via min-cut duality.
 
     The uncoupled mass of a maximum partial coupling supported on adjacent
@@ -348,30 +350,43 @@ def _g_flow(mu_int, nu_int, adj_masks, denom) -> tuple[Fraction, tuple[int, ...]
     flow = net.max_flow(src, snk)
     cut = net.source_side(src)
     witness = tuple(i for i in range(k) if i in cut)
-    return Fraction(denom - flow, denom), witness
+    return denom - flow, witness
 
 
-def _clamped_min(thresholds: list[Fraction], g_at) -> tuple[Fraction, object]:
+def _interval_value(g: int, denom: int, s: int, s_next: int | None) -> Fraction | None:
+    """The clamp of one threshold interval (1/s, 1/s_next] (from distance 0
+    at s = 0; unbounded at s_next = None), whose neighborhood is the one at
+    1/s and whose g is g/denom: None when the interval holds no feasible
+    delta (g/denom > 1/s_next), else max(g/denom, 1/s).  The only place
+    where a distance becomes a Fraction."""
+    if s_next is not None and g * s_next > denom:
+        return None
+    return Fraction(g, denom) if s == 0 or g * s >= denom else Fraction(1, s)
+
+
+def _clamped_min(thresholds: list[int], denom: int, g_at) -> tuple[Fraction, object]:
     """Least clamped value over the threshold intervals.
 
-    ``thresholds`` are the sorted distinct pair distances, 0 included; on the
-    interval (c_t, c_{t+1}] the neighborhood is the one at c_t, and
-    ``g_at(c_t)`` returns (g, payload) for it.  An interval whose g exceeds
-    c_{t+1} holds no feasible delta; otherwise it contributes max(g, c_t).
-    The first interval that holds one attains the least value, because its
-    value is at most c_{t+1} and every later one is at least that, so it is
-    returned with its payload and g is not evaluated beyond it.
+    ``thresholds`` are separations, as ``_thresholds`` lists them; on the
+    interval from 1/s to the next threshold the neighborhood is the one at
+    1/s, and ``g_at(s)`` returns (g, payload) for it with g a numerator over
+    ``denom``.  ``_interval_value`` decides each interval in integers and
+    makes the one Fraction returned.  The first interval that holds a
+    feasible delta attains the least value, because its value is at most the
+    next threshold and every later one is at least that, so it is returned
+    with its payload and g is not evaluated beyond it.
 
     Counting the infeasible intervals as candidates too would not change
     the value: g only falls as the threshold grows, so such a candidate
-    max(g, c_t) = g is never below the next interval's.  Skipping them only
+    max(g, 1/s) = g is never below the next interval's.  Skipping them only
     picks which of several tied intervals reports its payload (the witness
     set of ``prohorov``).
     """
-    for t, c_t in enumerate(thresholds):
-        g, payload = g_at(c_t)
-        if t + 1 == len(thresholds) or g <= thresholds[t + 1]:
-            return max(g, c_t), payload
+    for s, s_next in zip(thresholds, thresholds[1:] + [None]):
+        g, payload = g_at(s)
+        value = _interval_value(g, denom, s, s_next)
+        if value is not None:
+            return value, payload
     raise AssertionError("unreachable: the last interval is always feasible")
 
 
@@ -379,13 +394,14 @@ _G_OF = {"auto": _g_closed_form, "enumeration": _g_enumeration, "flow": _g_flow}
 
 
 def _one_sided_value(
-    mu: AtomicMeasure, nu: AtomicMeasure, backend: str
+    mu: AtomicMeasure, nu: AtomicMeasure, seps, backend: str = "auto"
 ) -> tuple[Fraction, tuple[str, ...]]:
+    """The distance and witness set from ``seps``, the separations of mu's
+    words (rows) against nu's (columns)."""
     mu_int, nu_int, denom = _scaled_masses(mu, nu)
-    seps = _separation_matrix(mu.support, nu.support)
     g_of = _G_OF[backend]
     value, wit = _clamped_min(
-        _thresholds(seps), lambda c_t: g_of(mu_int, nu_int, _masks(seps, c_t), denom)
+        _thresholds(seps), denom, lambda s: g_of(mu_int, nu_int, _masks(seps, s), denom)
     )
     return value, tuple(mu.support[i] for i in wit)
 
@@ -399,15 +415,16 @@ def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Pro
     agreement).  The result names the solver that ran: "closed_form" for
     "auto".
     """
+    seps = _separation_matrix(mu.support, nu.support)
     if backend == "both":
-        v1, w1 = _one_sided_value(mu, nu, "auto")
-        v2, _ = _one_sided_value(mu, nu, "flow")
+        v1, w1 = _one_sided_value(mu, nu, seps)
+        v2, _ = _one_sided_value(mu, nu, seps, "flow")
         if v1 != v2:
             raise CertificationError(f"backends disagree: {v1} vs {v2}")
         return ProhorovResult(v1, w1, "both")
     if backend not in _G_OF:
         raise BackendSelectionError(f"unknown backend {backend!r}")
-    value, witness = _one_sided_value(mu, nu, backend)
+    value, witness = _one_sided_value(mu, nu, seps, backend)
     return ProhorovResult(value, witness, "closed_form" if backend == "auto" else backend)
 
 
@@ -421,25 +438,26 @@ def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "aut
 
     Kept as an independent oracle so the equality of the two formulations
     can be cross-checked on every input; it runs on the enumeration or flow
-    backend, and "auto" means flow.
+    backend, "auto" means flow, and "both" insists that the two agree.
     """
-    if backend == "both":
-        a = prohorov_two_sided(mu, nu, "enumeration")
-        b = prohorov_two_sided(mu, nu, "flow")
-        if a != b:
-            raise CertificationError(f"backends disagree: {a} vs {b}")
-        return a
     mu_int, nu_int, denom = _scaled_masses(mu, nu)
     seps = _separation_matrix(mu.support, nu.support)
     seps_T = tuple(zip(*seps))
-    g_of = _g_enumeration if backend == "enumeration" else _g_flow
 
-    def g_at(c_t):
-        g1, _ = g_of(mu_int, nu_int, _masks(seps, c_t), denom)
-        g2, _ = g_of(nu_int, mu_int, _masks(seps_T, c_t), denom)
-        return max(g1, g2), None
+    def value(g_of) -> Fraction:
+        def g_at(s):
+            g1, _ = g_of(mu_int, nu_int, _masks(seps, s), denom)
+            g2, _ = g_of(nu_int, mu_int, _masks(seps_T, s), denom)
+            return max(g1, g2), None
 
-    return _clamped_min(_thresholds(seps), g_at)[0]
+        return _clamped_min(_thresholds(seps), denom, g_at)[0]
+
+    if backend == "both":
+        a, b = value(_g_enumeration), value(_g_flow)
+        if a != b:
+            raise CertificationError(f"backends disagree: {a} vs {b}")
+        return a
+    return value(_g_enumeration if backend == "enumeration" else _g_flow)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,11 @@ only certifies: it returns the certified window -- the states up to
 preperiod + period and their joint separation matrices (integers n with
 d = 1/n, one ``cantor.separation`` per unordered pair; the padded check
 reads first differences off them directly) -- and its callers evaluate that
-window.  Distance profiles and target distances solve the Prohorov distance
-of each window state; ``grids.track_representatives`` keeps the matrices of
-the jointly tracked cell representatives.
+window.  Distance profiles and target distances solve each window state
+from a block of its joint matrix, ``recurrence.approx_by_periodic`` reads
+its return time off the profile of an orbit against its start, and
+``grids.track_representatives`` keeps the matrices of the jointly tracked
+cell representatives.
 """
 
 from __future__ import annotations
@@ -39,37 +41,9 @@ from fractions import Fraction
 from .cantor import separation
 from .errors import ParameterError, ResourceBudgetError
 from .maps import PrefixTableMap
-from .measures import AtomicMeasure, prohorov_distance, pushforward
+from .measures import AtomicMeasure, _one_sided_value, pushforward
 
 DEFAULT_BUDGET = 400
-
-
-@dataclass(frozen=True)
-class OrbitSummary:
-    """Exact eventual periodicity of a measure orbit.
-
-    ``states`` holds the first preperiod + period states; the state at index
-    preperiod + period equals the one at index preperiod, and both parts are
-    minimal.
-    """
-
-    preperiod: int
-    period: int
-    states: tuple[AtomicMeasure, ...]
-
-
-def orbit_summary(f: PrefixTableMap, mu: AtomicMeasure, budget: int = DEFAULT_BUDGET) -> OrbitSummary:
-    """Iterate the induced map until the exact state repeats."""
-    seen = {mu: 0}
-    states = [mu]
-    for n in range(1, budget + 1):
-        mu = pushforward(f, mu)
-        if mu in seen:
-            rho = seen[mu]
-            return OrbitSummary(rho, n - rho, tuple(states))
-        seen[mu] = n
-        states.append(mu)
-    raise ResourceBudgetError(f"no exact state cycle within {budget} steps")
 
 
 @dataclass(frozen=True)
@@ -287,27 +261,35 @@ def _evolve_distance_sequence(
     )
 
 
+def _solved_window(
+    f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure, nu_moves: bool, budget: int
+) -> DistanceProfile:
+    """Profile of d(f~^n mu, nu_n), where nu_n is f~^n nu if ``nu_moves`` and
+    nu itself otherwise (nu's words frozen in the engine).
+
+    Each window state is solved from the cross block of its joint matrix:
+    the rows are mu's words, which come first, and the columns are the words
+    after them, nu's.
+    """
+    initial, frozen = ((mu, nu), ()) if nu_moves else ((mu,), nu.support)
+    states, matrices, rho, tau, kind = _evolve_distance_sequence(f, initial, frozen, budget)
+    values = []
+    for state, matrix in zip(states, matrices):
+        k = len(state[0])
+        block = tuple(row[k:] for row in matrix[:k])
+        values.append(_one_sided_value(state[0], state[1] if nu_moves else nu, block)[0])
+    return DistanceProfile(tuple(values), rho, tau, kind)
+
+
 def distance_profile(
-    f: PrefixTableMap,
-    mu: AtomicMeasure,
-    nu: AtomicMeasure,
-    budget: int = DEFAULT_BUDGET,
-    backend: str = "auto",
+    f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure, budget: int = DEFAULT_BUDGET
 ) -> DistanceProfile:
     """Exact profile of d(f~^n mu, f~^n nu) with certified liminf/limsup."""
-    states, _, rho, tau, kind = _evolve_distance_sequence(f, (mu, nu), (), budget)
-    values = tuple(prohorov_distance(a, b, backend) for a, b in states)
-    return DistanceProfile(values, rho, tau, kind)
+    return _solved_window(f, mu, nu, True, budget)
 
 
 def orbit_distance_to_target(
-    f: PrefixTableMap,
-    mu: AtomicMeasure,
-    target: AtomicMeasure,
-    budget: int = DEFAULT_BUDGET,
-    backend: str = "auto",
+    f: PrefixTableMap, mu: AtomicMeasure, target: AtomicMeasure, budget: int = DEFAULT_BUDGET
 ) -> DistanceProfile:
     """Exact profile of d(f~^n mu, target) against a fixed target measure."""
-    states, _, rho, tau, kind = _evolve_distance_sequence(f, (mu,), target.support, budget)
-    values = tuple(prohorov_distance(a, target, backend) for (a,) in states)
-    return DistanceProfile(values, rho, tau, kind)
+    return _solved_window(f, mu, target, False, budget)

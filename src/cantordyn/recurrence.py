@@ -29,7 +29,7 @@ from .measures import (
     prohorov_distance,
     pushforward_iter,
 )
-from .orbits import DEFAULT_BUDGET, orbit_summary
+from .orbits import DEFAULT_BUDGET, orbit_distance_to_target
 from .towers import BalloonComponent, DumbbellComponent, MapTower
 
 
@@ -315,10 +315,12 @@ def approx_by_periodic(
 ) -> tuple[AtomicMeasure, Certificate]:
     """Build an exactly invariant measure within eps of a recurrent one.
 
-    Finds a return time p with d(f~^p(mu), mu) below the level modulus,
-    splits every loop into classes closed under p steps, and replaces mu on
-    each class by its average.  The result is exactly invariant under p
-    steps of the induced map and provably within eps of mu.
+    Finds a return time p with d(f~^p(mu), mu) below the level modulus
+    (the least one, read off the certified profile of mu's orbit against
+    mu; ``backend`` solves the recorded return distance), splits every loop
+    into classes closed under p steps, and replaces mu on each class by its
+    average.  The result is exactly invariant under p steps of the induced
+    map and provably within eps of mu.
     """
     eps = Fraction(eps)
     support = loop_support_check(tower, mu)
@@ -332,14 +334,10 @@ def approx_by_periodic(
     f = tower.table
 
     if return_time is None:
-        summary = orbit_summary(f, mu, budget)
-        candidates = range(1, summary.preperiod + 2 * summary.period + 1)
+        # 1 .. preperiod + period holds every value the profile takes at n >= 1
+        prof = orbit_distance_to_target(f, mu, mu, budget)
         return_time = next(
-            (
-                p
-                for p in candidates
-                if prohorov_distance(pushforward_iter(f, mu, p), mu, backend) < delta
-            ),
+            (p for p in range(1, prof.preperiod + prof.period + 1) if prof.value_at(p) < delta),
             None,
         )
         if return_time is None:

@@ -1,4 +1,4 @@
-"""Orbit summaries, distance profiles and the padded-cycle certificate."""
+"""The orbit engine, distance profiles and the padded-cycle certificate."""
 
 from fractions import Fraction
 
@@ -12,8 +12,10 @@ from cantordyn.measures import (
     atomic_measure,
     convex_combine,
     dirac,
+    prohorov,
     prohorov_distance,
     pushforward,
+    pushforward_iter,
 )
 from cantordyn.orbits import (
     PairClass,
@@ -22,7 +24,6 @@ from cantordyn.orbits import (
     distributional_densities,
     li_yorke_classify,
     orbit_distance_to_target,
-    orbit_summary,
     upper_density,
 )
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
@@ -31,29 +32,36 @@ IDENTITY = PrefixTableMap((("", ""),))
 SWAP = PrefixTableMap((("0", "1"), ("1", "0")))
 
 
-def test_orbit_summary_examples():
-    assert (orbit_summary(IDENTITY, dirac("01")).preperiod,
-            orbit_summary(IDENTITY, dirac("01")).period) == (0, 1)
-    summary = orbit_summary(SWAP, dirac(""))
-    assert (summary.preperiod, summary.period) == (0, 2)
+def test_state_cycle_examples():
+    for f, point, expected in ((IDENTITY, "01", (0, 1)), (SWAP, "", (0, 2))):
+        _, _, rho, tau, kind = orbits._evolve_distance_sequence(
+            f, (dirac(point),), (), orbits.DEFAULT_BUDGET
+        )
+        assert (kind, rho, tau) == ("state-cycle", *expected)
 
 
-def test_orbit_summary_balloon_path_dirac():
+def test_state_cycle_balloon_path_dirac():
     tower = make_balloon_tower([(5, 3)], [1])
     comp = tower.levels[0].components[0]
     m = len(comp.loop)
     for j, cell in enumerate(comp.path, start=1):
-        summary = orbit_summary(tower.table, dirac(representative(cell)))
-        assert summary.preperiod == m - j + 1  # steps to reach the loop
-        assert m % summary.period == 0
+        _, _, rho, tau, kind = orbits._evolve_distance_sequence(
+            tower.table, (dirac(representative(cell)),), (), orbits.DEFAULT_BUDGET
+        )
+        assert kind == "state-cycle"
+        assert rho == m - j + 1  # steps to reach the loop
+        assert m % tau == 0
 
 
-def test_orbit_summary_budget():
+def test_engine_budget_covers_the_padded_window():
+    # a bar orbit never literally repeats under a homeomorphism; its padded
+    # cycle (1, 2) needs the states up to index 1 + 2 * 2 = 5
     tower = make_dumbbell_tower((4, 2), 1, bar_length=1)
-    bar = dirac(representative(tower.levels[0].components[0].bar[0]))
-    # bar orbits never literally repeat under a homeomorphism
+    bar = (dirac(representative(tower.levels[0].components[0].bar[0])),)
+    _, _, rho, tau, kind = orbits._evolve_distance_sequence(tower.table, bar, (), 5)
+    assert (kind, rho, tau) == ("padded-cycle", 1, 2)
     with pytest.raises(ResourceBudgetError):
-        orbit_summary(tower.table, bar, budget=60)
+        orbits._evolve_distance_sequence(tower.table, bar, (), 4)
 
 
 def test_distance_profile_examples():
@@ -184,13 +192,13 @@ def test_padded_cycle_insert_bound_at_its_boundary():
 
 def test_profiles_solve_only_the_certified_window(monkeypatch):
     calls = []
-    solve = orbits.prohorov_distance
+    solve = orbits._one_sided_value
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(orbits, "prohorov_distance", counting)
+    monkeypatch.setattr(orbits, "_one_sided_value", counting)
     dumbbell = make_dumbbell_tower((4, 2), 2, bar_length=1)
     c0 = dumbbell.levels[0].components[0]
     prof = orbit_distance_to_target(
@@ -211,6 +219,39 @@ def test_profiles_solve_only_the_certified_window(monkeypatch):
     assert (prof.certificate, prof.preperiod, prof.period) == ("state-cycle", 2, 2)
     assert len(prof.values) == prof.preperiod + prof.period
     assert len(calls) == 4  # not the state that closes the cycle
+
+
+def _on_cells(masses):
+    return atomic_measure({representative(c): Fraction(m) for c, m in masses.items()})
+
+
+@pytest.mark.parametrize("family", ["balloon", "dumbbell"])
+def test_profiles_agree_with_unrolled_flow_solves(family):
+    # the profiles solve from blocks of the engine's joint matrix; a flow
+    # solve of each unrolled state, from its own words, is the oracle.  Two
+    # atoms on every side and values that change along the orbit, so a
+    # transposed or shifted block gives other values.
+    if family == "balloon":
+        f = make_balloon_tower([(3, 2), (5, 2)], [1, 2]).table
+        mu = _on_cells({"01": "1/4", "10": "3/4"})
+        nu = _on_cells({"00": "1/2", "01": "1/2"})
+        target = _on_cells({"00": "4/5", "11": "1/5"})
+        kind = "state-cycle"
+    else:
+        f = make_dumbbell_tower((4, 2), 2, bar_length=1).table
+        mu = _on_cells({"101": "2/3", "111": "1/3"})
+        nu = _on_cells({"010": "3/7", "111": "4/7"})
+        target = _on_cells({"1001": "2/3", "110": "1/3"})
+        kind = "padded-cycle"
+    for prof, second in (
+        (distance_profile(f, mu, nu), lambda n: pushforward_iter(f, nu, n)),
+        (orbit_distance_to_target(f, mu, target), lambda n: target),
+    ):
+        assert prof.certificate == kind
+        assert len(set(prof.values)) > 1
+        for n in range(prof.preperiod + 3 * prof.period + 2):
+            expected = prohorov(pushforward_iter(f, mu, n), second(n), backend="flow").value
+            assert prof.value_at(n) == expected, n
 
 
 def test_orbit_distance_to_target_infimum():
