@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     ana.add_argument("--out", default=".")
     ana.add_argument("--seed", type=int, default=None)
     ana.add_argument("--backend", choices=("enumeration", "flow", "auto", "both"),
-                     default=None, help="override the distance solver backend")
+                     default=None, help="select the distance solver of chain verification")
     ana.set_defaults(func=cmd_analyze)
 
     pro = sub.add_parser("prohorov", help="exact distance between measure files")

@@ -332,7 +332,6 @@ def chain_continuity_test(
     depth: int,
     eps: Fraction = Fraction(1, 4),
     delta: Fraction = Fraction(1, 2),
-    backend: str = "auto",
 ) -> Certificate:
     """Decide partition-level chain continuity of the induced map.
 
@@ -372,9 +371,9 @@ def chain_continuity_test(
         start = convex_combine(
             [(Fraction(1, 2), dirac(representative(a))), (Fraction(1, 2), dirac(representative(b)))]
         )
-        chain_a = chain_connect_map(f, start, dirac(representative(a)), delta, k, backend=backend)
-        chain_b = chain_connect_map(f, start, dirac(representative(b)), delta, k, backend=backend)
-        end_gap = prohorov_distance(chain_a.points[-1], chain_b.points[-1], backend)
+        chain_a = chain_connect_map(f, start, dirac(representative(a)), delta, k)
+        chain_b = chain_connect_map(f, start, dirac(representative(b)), delta, k)
+        end_gap = prohorov_distance(chain_a.points[-1], chain_b.points[-1])
         if not end_gap >= 2 * eps:
             raise CertificationError(
                 f"divergence witness endpoints are only {end_gap} apart"
@@ -441,7 +440,6 @@ def weak_shadowing_refutation(
     delta: Fraction,
     grid: list[AtomicMeasure],
     budget: int = DEFAULT_BUDGET,
-    backend: str = "auto",
 ) -> Certificate:
     """Refute weak eps-shadowing of a cross-component pseudotrajectory.
 
@@ -450,8 +448,8 @@ def weak_shadowing_refutation(
     anchors are unit masses on loop representatives in two different
     dumbbells, then shows that no grid measure's full orbit (both time
     directions, exact eventual periodicity) comes within eps of both
-    anchors.  ``backend`` solves the core chain and the anchor gap; the
-    orbit minima come from the profiles, which run the closed form.
+    anchors.  The core chain, the anchor gap and the orbit minima all run
+    the closed form.
     """
     eps, delta = Fraction(eps), Fraction(delta)
     if tower.kind != "dumbbell":
@@ -467,8 +465,8 @@ def weak_shadowing_refutation(
     mu_star = dirac(representative(comps[0].left[0]))
     nu_star = dirac(representative(comps[1].left[0]))
     k0 = chain_step_count(delta)
-    core = chain_connect_homeo(h, mu_star, nu_star, delta, k0, backend=backend)
-    anchor_gap = prohorov_distance(mu_star, nu_star, backend)
+    core = chain_connect_homeo(h, mu_star, nu_star, delta, k0)
+    anchor_gap = prohorov_distance(mu_star, nu_star)
     rows = []
     refuted_all = True
     for idx, eta in enumerate(grid):

@@ -188,7 +188,7 @@ def _verify_padded_window(f: PrefixTableMap, record, n_frozen: int, start: int, 
                 return False
             c, g = desc
             if g > 0:
-                dom, _ = f.matching_rule(wa)
+                dom, _ = f._match(wa)
                 if c < len(dom):
                     return False
                 inserts.append(c)

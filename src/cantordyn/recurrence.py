@@ -221,7 +221,7 @@ def loop_support_check(
 
 
 def recurrence_certificate(
-    tower: MapTower, mu: AtomicMeasure, eps: Fraction, backend: str = "auto"
+    tower: MapTower, mu: AtomicMeasure, eps: Fraction
 ) -> Certificate:
     """d(f~^{m}(mu), mu) < eps at the first level of mesh below eps, m the
     level's loop length; requires a loop-supported measure."""
@@ -231,7 +231,7 @@ def recurrence_certificate(
         raise ParameterError("measure charges transient cells; recurrence check declined")
     level = tower.level_with_mesh_below(eps)
     m = tower.levels[level].loop_length
-    dist = prohorov_distance(pushforward_iter(tower.table, mu, m), mu, backend)
+    dist = prohorov_distance(pushforward_iter(tower.table, mu, m), mu)
     return Certificate(
         operation="recurrence_certificate",
         passed=dist < eps,
@@ -243,7 +243,7 @@ def recurrence_certificate(
 
 
 def transient_perturbation(
-    tower: MapTower, mu: AtomicMeasure, lam: Fraction, backend: str = "auto"
+    tower: MapTower, mu: AtomicMeasure, lam: Fraction
 ) -> tuple[AtomicMeasure, Certificate]:
     """Mix lambda of a transient unit mass into mu.
 
@@ -268,7 +268,7 @@ def transient_perturbation(
         z = representative(comp.bar[0])
         target_cell = comp.bar[0]
     mu_lam = convex_combine([(1 - lam, mu), (lam, dirac(z))])
-    dist = prohorov_distance(mu_lam, mu, backend)
+    dist = prohorov_distance(mu_lam, mu)
     support = loop_support_check(tower, mu_lam)
     bar_mass = mu_lam.mass_of_cylinders([target_cell])
     passed = dist <= lam and not support.passed and bar_mass >= lam
@@ -311,16 +311,14 @@ def approx_by_periodic(
     eps: Fraction,
     return_time: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    backend: str = "auto",
 ) -> tuple[AtomicMeasure, Certificate]:
     """Build an exactly invariant measure within eps of a recurrent one.
 
     Finds a return time p with d(f~^p(mu), mu) below the level modulus
     (the least one, read off the certified profile of mu's orbit against
-    mu; ``backend`` solves the recorded return distance), splits every loop
-    into classes closed under p steps, and replaces mu on each class by its
-    average.  The result is exactly invariant under p steps of the induced
-    map and provably within eps of mu.
+    mu), splits every loop into classes closed under p steps, and replaces
+    mu on each class by its average.  The result is exactly invariant under
+    p steps of the induced map and provably within eps of mu.
     """
     eps = Fraction(eps)
     support = loop_support_check(tower, mu)
@@ -343,7 +341,7 @@ def approx_by_periodic(
         if return_time is None:
             raise ResourceBudgetError("no return time within the orbit budget")
     p = return_time
-    return_dist = prohorov_distance(pushforward_iter(f, mu, p), mu, backend)
+    return_dist = prohorov_distance(pushforward_iter(f, mu, p), mu)
     if not return_dist < delta:
         raise ParameterError(f"return distance {return_dist} is not below the modulus {delta}")
 
@@ -380,7 +378,7 @@ def approx_by_periodic(
     mu_prime = convex_combine(pieces)
     if pushforward_iter(f, mu_prime, p) != mu_prime:
         raise ParameterError("constructed measure is not exactly invariant")
-    dist = prohorov_distance(mu_prime, mu, backend)
+    dist = prohorov_distance(mu_prime, mu)
     mesh = partition.mesh()
     bound = mesh / len(partition)
     masses_prime = cell_masses(mu_prime, partition)

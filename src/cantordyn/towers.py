@@ -15,11 +15,14 @@ emitted only for the finest level; one rule per cell, mapping the cell onto
 the all-zero subcylinder of its successor cell, which makes every cell
 representative (prefix plus zero tail) move to the representative of the
 successor cell.
+
+``certify_tower`` matches the declared components to the shapes found by
+``maps.classify_components``, the one description of both edge patterns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from math import factorial
 
@@ -31,7 +34,7 @@ from .cantor import (
     union_is_proper_subset,
 )
 from .errors import CertificationError, ParameterError
-from .maps import PrefixTableMap, classify_components, graph_of
+from .maps import PrefixTableMap, classify_components, graph_of, map_from_dict, map_to_dict
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,14 @@ class DumbbellComponent:
     @property
     def cells(self) -> tuple[str, ...]:
         return self.left + self.bar + self.right
+
+
+# per tower kind: the component class and, in cell order, the roles under
+# which ``classify_components`` reports that shape's cells
+_SHAPES = {
+    "balloon": (BalloonComponent, ("path", "loop")),
+    "dumbbell": (DumbbellComponent, ("left", "bar", "right")),
+}
 
 
 @dataclass(frozen=True)
@@ -152,21 +163,17 @@ def make_balloon_tower(levels: list[tuple[int, int]], counts: list[int]) -> MapT
         prev = level_list[-1].components
         m_prev, m_cur = ms[k - 1], ms[k]
         ratio = counts[k] // counts[k - 1]
-        children: list[dict] = []
-        child_index: dict[tuple[int, int], int] = {}
-        for pi in range(len(prev)):
-            for c in range(ratio):
-                child_index[(pi, c)] = len(children)
-                children.append(
-                    {"parent": pi, "path": [None] * m_cur, "loop": [None] * m_cur}
-                )
+        # child c of parent pi is children[pi * ratio + c]
+        children = [
+            {"path": [None] * m_cur, "loop": [None] * m_cur} for _ in range(len(prev) * ratio)
+        ]
         for pi, parent in enumerate(prev):
             for j in range(1, m_prev + 1):
                 # slots inside parent path cell v_j: one path position per child
                 slots = [("path", c, j) for c in range(ratio)]
                 codes = balanced_code(len(slots), prefix=parent.path[j - 1])
                 for code, (role, c, pos) in zip(codes, slots):
-                    children[child_index[(pi, c)]][role][pos - 1] = code
+                    children[pi * ratio + c][role][pos - 1] = code
                 # slots inside parent loop cell w_j: per child, the loop
                 # positions congruent to j first (aligned position leftmost),
                 # then the winding path positions
@@ -181,12 +188,12 @@ def make_balloon_tower(levels: list[tuple[int, int]], counts: list[int]) -> MapT
                     )
                 codes = balanced_code(len(slots), prefix=parent.loop[j - 1])
                 for code, (role, c, pos) in zip(codes, slots):
-                    children[child_index[(pi, c)]][role][pos - 1] = code
+                    children[pi * ratio + c][role][pos - 1] = code
         comps = tuple(
             BalloonComponent(
-                path=tuple(ch["path"]), loop=tuple(ch["loop"]), parent=ch["parent"]
+                path=tuple(ch["path"]), loop=tuple(ch["loop"]), parent=i // ratio
             )
-            for ch in children
+            for i, ch in enumerate(children)
         )
         level_list.append(TowerLevel(levels[k][1], comps))
 
@@ -199,13 +206,9 @@ def make_balloon_tower(levels: list[tuple[int, int]], counts: list[int]) -> MapT
 
     rules = []
     for comp in level_list[-1].components:
-        m = len(comp.path)
-        for i in range(m - 1):
-            rules.append((comp.path[i], comp.path[i + 1] + "0"))
-        rules.append((comp.path[m - 1], comp.loop[0] + "0"))
-        for i in range(m - 1):
-            rules.append((comp.loop[i], comp.loop[i + 1] + "0"))
-        rules.append((comp.loop[m - 1], comp.loop[0] + "0"))
+        # each cell's successor is the next cell; the last loop cell's is loop[0]
+        successors = comp.cells[1:] + comp.loop[:1]
+        rules.extend((cell, nxt + "0") for cell, nxt in zip(comp.cells, successors))
     tower = MapTower("balloon", PrefixTableMap(tuple(rules)), tuple(level_list))
     certify_tower(tower)
     return tower
@@ -267,33 +270,25 @@ def make_dumbbell_tower(
     return tower
 
 
-def _expected_balloon_edges(comp: BalloonComponent) -> set[tuple[str, str]]:
-    m = len(comp.path)
-    edges = {(comp.path[i], comp.path[i + 1]) for i in range(m - 1)}
-    edges.add((comp.path[-1], comp.loop[0]))
-    edges |= {(comp.loop[i], comp.loop[(i + 1) % m]) for i in range(m)}
-    return edges
-
-
-def _expected_dumbbell_edges(comp: DumbbellComponent) -> set[tuple[str, str]]:
-    r, t = len(comp.left), len(comp.right)
-    edges = {(comp.left[i], comp.left[(i + 1) % r]) for i in range(r)}
-    edges |= {(comp.right[i], comp.right[(i + 1) % t]) for i in range(t)}
-    edges |= {(comp.bar[i], comp.bar[i + 1]) for i in range(len(comp.bar) - 1)}
-    edges.add((comp.left[0], comp.bar[0]))
-    edges.add((comp.bar[-1], comp.right[0]))
-    return edges
-
-
 def certify_tower(tower: MapTower) -> None:
     """Re-verify every declared level against the map; raise on any mismatch.
 
-    Checks: partitions refine strongly with shrinking mesh; the digraph edge
-    set at each level is exactly the declared balloons / dumbbells; balloon
-    images are proper subcylinders of their successors; dumbbell tables are
-    bijective and their loop witnesses cycle exactly; initial vertices nest
-    across levels along the declared parents.
+    Checks: partitions refine strongly with shrinking mesh; each component
+    has the tower's kind, and its role cells in order (path, loop; or left,
+    bar, right) are the ``cells`` of a shape of that kind, with loops of the
+    level's loop length, that ``classify_components`` finds in the level's
+    digraph; balloon images are proper subcylinders of their successors;
+    dumbbell tables are bijective and their loop witnesses cycle exactly;
+    initial vertices nest across levels along the declared parents.
+
+    The shape check is as strong as matching the digraph's edge set to the
+    declared patterns: the classifier returns a shape only when a weak
+    component's edges are exactly its pattern under the one labelling that
+    fits, and the declared components cover every cell once.
     """
+    if tower.kind not in _SHAPES:
+        raise CertificationError(f"unknown tower kind {tower.kind!r}")
+    component_class, roles = _SHAPES[tower.kind]
     f = tower.table
     prev_partition = None
     prev_components = None
@@ -306,58 +301,28 @@ def certify_tower(tower: MapTower) -> None:
             if not partition.mesh() < prev_partition.mesh():
                 raise CertificationError(f"mesh does not shrink at level {li}")
         graph = graph_of(f, partition)
-        expected: set[tuple[str, str]] = set()
+        # shapes of the tower's kind whose first and last roles (a balloon's
+        # path and loop, a dumbbell's two loops) have the level's loop length
+        classified = {
+            tuple(shape.cells.items())
+            for shape in classify_components(graph)
+            if shape.kind == tower.kind and shape.params[0] == shape.params[-1] == m
+        }
         for comp in level.components:
-            if tower.kind == "balloon":
-                if not isinstance(comp, BalloonComponent):
-                    raise CertificationError("balloon tower with non-balloon component")
-                if len(comp.path) != m or len(comp.loop) != m:
-                    raise CertificationError(
-                        f"component is not of type ({m},{m}) at level {li}"
-                    )
-                expected |= _expected_balloon_edges(comp)
-            else:
-                if not isinstance(comp, DumbbellComponent):
-                    raise CertificationError("dumbbell tower with non-dumbbell component")
-                if len(comp.left) != m or len(comp.right) != m:
-                    raise CertificationError(
-                        f"component plate weight is not {m} at level {li}"
-                    )
-                if not comp.bar:
-                    raise CertificationError("dumbbell component without a bar")
-                expected |= _expected_dumbbell_edges(comp)
-        if set(graph.edges) != expected:
-            raise CertificationError(
-                f"digraph at level {li} does not match the declared shape"
-            )
-        shapes = classify_components(graph)
-        want_kind = "balloon" if tower.kind == "balloon" else "dumbbell"
-        for shape in shapes:
-            if shape.kind != want_kind:
+            if not isinstance(comp, component_class):
+                raise CertificationError(f"{tower.kind} tower with a {type(comp).__name__}")
+            if tuple((role, getattr(comp, role)) for role in roles) not in classified:
                 raise CertificationError(
-                    f"component classified as {shape.kind!r}, expected {want_kind!r}"
-                )
-            if want_kind == "balloon" and shape.params != (m, m):
-                raise CertificationError(
-                    f"balloon of type {shape.params}, expected ({m}, {m})"
-                )
-            if want_kind == "dumbbell" and (shape.params[0] != m or shape.params[2] != m):
-                raise CertificationError(
-                    f"dumbbell of type {shape.params}, expected plates of weight {m}"
+                    f"digraph at level {li} does not match the declared shape "
+                    f"with loops of length {m}"
                 )
         if tower.kind == "balloon":
-            for comp in level.components:
-                succ = {}
-                for i in range(m - 1):
-                    succ[comp.path[i]] = comp.path[i + 1]
-                    succ[comp.loop[i]] = comp.loop[i + 1]
-                succ[comp.path[-1]] = comp.loop[0]
-                succ[comp.loop[-1]] = comp.loop[0]
-                for cell, target in succ.items():
-                    if not union_is_proper_subset(f.image_cylinders(cell), target):
-                        raise CertificationError(
-                            f"image of {cell!r} is not a proper subcylinder of {target!r}"
-                        )
+            # the shape check left every cell exactly one out-edge
+            for cell, (target,) in graph.out_map().items():
+                if not union_is_proper_subset(f.image_cylinders(cell), target):
+                    raise CertificationError(
+                        f"image of {cell!r} is not a proper subcylinder of {target!r}"
+                    )
         else:
             if not f.is_homeomorphism():
                 raise CertificationError("dumbbell tower table is not bijective")
@@ -387,61 +352,41 @@ def certify_tower(tower: MapTower) -> None:
 # ---------------------------------------------------------------------------
 # serialization
 
+_MAP_FORMAT = "cantordyn-map-v1"
+
 
 def tower_to_dict(tower: MapTower) -> dict:
-    levels = []
-    for level in tower.levels:
-        comps = []
-        for comp in level.components:
-            if tower.kind == "balloon":
-                comps.append(
-                    {"path": list(comp.path), "loop": list(comp.loop), "parent": comp.parent}
-                )
-            else:
-                comps.append(
-                    {
-                        "left": list(comp.left),
-                        "bar": list(comp.bar),
-                        "right": list(comp.right),
-                        "left_witness": comp.left_witness,
-                        "right_witness": comp.right_witness,
-                        "parent": comp.parent,
-                    }
-                )
-        levels.append({"q": level.q, "components": comps})
+    """JSON-able form of a tower: the map's rules and each level's components."""
     return {
-        "format": "cantordyn-map-v1",
+        "format": _MAP_FORMAT,
         "kind": tower.kind,
-        "rules": [[d, i] for d, i in tower.table.rules],
-        "levels": levels,
+        **map_to_dict(tower.table),
+        "levels": [
+            {"q": level.q, "components": [asdict(comp) for comp in level.components]}
+            for level in tower.levels
+        ],
     }
 
 
-def tower_from_dict(data: dict, verify: bool = True) -> MapTower:
-    table = PrefixTableMap(tuple((d, i) for d, i in data["rules"]))
-    levels = []
-    for lv in data["levels"]:
-        comps = []
-        for c in lv["components"]:
-            if data["kind"] == "balloon":
-                comps.append(
-                    BalloonComponent(
-                        path=tuple(c["path"]), loop=tuple(c["loop"]), parent=c["parent"]
-                    )
-                )
-            else:
-                comps.append(
-                    DumbbellComponent(
-                        left=tuple(c["left"]),
-                        bar=tuple(c["bar"]),
-                        right=tuple(c["right"]),
-                        left_witness=c["left_witness"],
-                        right_witness=c["right_witness"],
-                        parent=c["parent"],
-                    )
-                )
-        levels.append(TowerLevel(lv["q"], tuple(comps)))
-    tower = MapTower(data["kind"], table, tuple(levels))
-    if verify:
-        certify_tower(tower)
+def tower_from_dict(data: dict) -> MapTower:
+    """Load and certify a tower written by ``tower_to_dict``; ParameterError
+    unless ``data`` is a balloon or dumbbell map of this format."""
+    if data.get("format") != _MAP_FORMAT or data.get("kind") not in _SHAPES:
+        raise ParameterError(
+            f"not a balloon or dumbbell map of format {_MAP_FORMAT!r}: "
+            f"format {data.get('format')!r}, kind {data.get('kind')!r}"
+        )
+    component_class = _SHAPES[data["kind"]][0]
+
+    def component(record: dict):
+        # JSON holds each tuple of cells as a list
+        values = (record[field.name] for field in fields(component_class))
+        return component_class(*(tuple(v) if isinstance(v, list) else v for v in values))
+
+    levels = tuple(
+        TowerLevel(lv["q"], tuple(component(c) for c in lv["components"]))
+        for lv in data["levels"]
+    )
+    tower = MapTower(data["kind"], map_from_dict(data), levels)
+    certify_tower(tower)
     return tower

@@ -129,6 +129,40 @@ def test_report_payloads_are_pinned(tmp_path, name):
     assert hashlib.sha256(payload.encode()).hexdigest() == expected
 
 
+# sha256 of the map.json that generate writes
+MAP_DIGESTS = {
+    "balloon": (BALLOON_CONFIG,
+                "162a1cb7131fc84d3f971867a8ec831e7519dbef798ee3bf959679707326de0d"),
+    "dumbbell": (DUMBBELL_CONFIG,
+                 "f1a83022a55dd8e71f7217a10952eefc698b45448c25b4d7cf9a42da1d9880a4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_DIGESTS))
+def test_generated_map_files_are_pinned(tmp_path, name):
+    config, expected = MAP_DIGESTS[name]
+    cfg = _write_config(tmp_path, config)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "map.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == expected
+
+
+@pytest.mark.parametrize("key, value", [("kind", "Dumbbell"), ("format", "cantordyn-map-v0")])
+def test_analyze_rejects_a_foreign_map_file(tmp_path, capsys, key, value):
+    # loaded, a "Dumbbell" map would skip the shadowing suite's
+    # dumbbell-only refutation and pass
+    cfg = _write_config(tmp_path, DUMBBELL_CONFIG)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    map_path = tmp_path / "map.json"
+    data = json.loads(map_path.read_text())
+    data[key] = value
+    map_path.write_text(json.dumps(data))
+    assert main(["analyze", "--config", cfg, "--suite", "shadowing",
+                 "--out", str(tmp_path)]) == 3
+    assert "not a balloon or dumbbell map" in capsys.readouterr().err
+    assert not (tmp_path / "report_shadowing.json").exists()
+
+
 def test_declined_suite_keeps_the_others(tmp_path):
     # no certified level of this tower has mesh below 1/4, so recurrence declines
     cfg = _write_config(tmp_path, DUMBBELL_CONFIG.replace("eps = 1/3", "eps = 1/4"))

@@ -1,6 +1,7 @@
 """Balloon and dumbbell tower generation, certification, serialization."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,57 @@ def test_wrong_shape_declaration_is_rejected():
     )
     with pytest.raises(CertificationError):
         certify_tower(bad)
+
+
+@pytest.mark.parametrize("kind", ["balloon", "dumbbell"])
+def test_rotated_loop_declaration_is_rejected(kind):
+    # the declared cells are the digraph's, in the wrong order: a check on
+    # role cell sets instead of labellings would accept it
+    if kind == "balloon":
+        tower = make_balloon_tower([(3, 2)], [1])
+        comp = tower.levels[0].components[0]
+        rotated = BalloonComponent(path=comp.path, loop=comp.loop[1:] + comp.loop[:1])
+    else:
+        tower = make_dumbbell_tower((3, 2), 1)
+        comp = tower.levels[0].components[0]
+        rotated = replace(comp, left=comp.left[1:] + comp.left[:1])
+    bad = MapTower(kind, tower.table, (TowerLevel(2, (rotated,)),))
+    with pytest.raises(CertificationError, match="declared shape"):
+        certify_tower(bad)
+
+
+@pytest.mark.parametrize("kind", ["balloon", "dumbbell"])
+def test_level_with_wrong_loop_length_is_rejected(kind):
+    # q = 1 declares loops of length factorial(1) = 1; the components' loops have length 2
+    if kind == "balloon":
+        tower = make_balloon_tower([(2, 2)], [1])
+    else:
+        tower = make_dumbbell_tower((3, 2), 1)
+    bad = MapTower(kind, tower.table, (TowerLevel(1, tower.levels[0].components),))
+    with pytest.raises(CertificationError, match="loops of length 1"):
+        certify_tower(bad)
+
+
+def test_balloon_image_onto_whole_successor_is_rejected():
+    # same digraph, but one cell maps onto all of its successor cell
+    tower = make_balloon_tower([(2, 2)], [1])
+    comp = tower.levels[0].components[0]
+    partition = tower.levels[0].partition()
+    successors = comp.cells[1:] + comp.loop[:1]
+    for cell, target in zip(comp.cells, successors):
+        rules = tuple(
+            (dom, target if dom == cell else img) for dom, img in tower.table.rules
+        )
+        bad = MapTower("balloon", PrefixTableMap(rules), tower.levels)
+        assert graph_of(bad.table, partition) == graph_of(tower.table, partition)
+        with pytest.raises(CertificationError, match="proper subcylinder"):
+            certify_tower(bad)
+
+
+def test_unknown_tower_kind_is_rejected():
+    tower = make_dumbbell_tower((3, 2), 1)
+    with pytest.raises(CertificationError, match="unknown tower kind"):
+        certify_tower(replace(tower, kind="Dumbbell"))
 
 
 def test_tower_serialization_bit_exact():
