@@ -16,7 +16,10 @@ its inputs (a ParameterError while it runs) is recorded as a failed
 certificate, so the other suites' certificates are kept.
 
 All rationals cross this boundary as "p/q" strings; reports are
-deterministic given the config and seed (timings live in a separate field).
+deterministic given the config and seed.  The separate ``timings`` field
+holds, per suite, its wall time in ms, the Prohorov solves and pushforwards
+it computed (``solves``, ``pushforwards``) and the calls of each that the
+per-process memos answered instead (``solve_hits``, ``pushforward_hits``).
 """
 
 from __future__ import annotations
@@ -43,7 +46,13 @@ from .dynamics import (
 )
 from .errors import CantorDynError, ParameterError, ResourceBudgetError
 from .grids import li_yorke_scan, random_cell_measure, simplex_grid
-from .measures import measure_from_lines, measure_to_lines, prohorov, prohorov_two_sided
+from .measures import (
+    _memo_counts,
+    measure_from_lines,
+    measure_to_lines,
+    prohorov,
+    prohorov_two_sided,
+)
 from .orbits import PairClass
 from .recurrence import (
     AdmissibleChoice,
@@ -250,7 +259,7 @@ def run_suite(tower, suite: str, cfg, rng):
     certificates = []
     timings = []
     for runner in runners[suite]:
-        t0 = time.monotonic()
+        t0, memo0 = time.monotonic(), _memo_counts()
         try:
             certificates.extend(runner(tower, cfg, rng))
         except (ResourceBudgetError, ParameterError) as exc:
@@ -265,7 +274,9 @@ def run_suite(tower, suite: str, cfg, rng):
                     witnesses={"error": str(exc)},
                 )
             )
-        timings.append({"stage": runner.__name__, "ms": int(1000 * (time.monotonic() - t0))})
+        ms = int(1000 * (time.monotonic() - t0))
+        memo = {key: n - memo0[key] for key, n in _memo_counts().items()}
+        timings.append({"stage": runner.__name__, "ms": ms, **memo})
     return certificates, timings
 
 

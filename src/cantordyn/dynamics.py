@@ -26,7 +26,6 @@ from .measures import (
 )
 from .orbits import (
     DEFAULT_BUDGET,
-    DistanceProfile,
     distance_profile,
     orbit_distance_to_target,
 )
@@ -295,25 +294,31 @@ def entropy_estimate(
     n_max; exact (branch and bound) for grids of at most ``exact_limit``
     measures, a greedy lower bound beyond that."""
     eps_list = tuple(Fraction(e) for e in eps_list)
-    profiles: dict[tuple[int, int], DistanceProfile] = {}
+    ascending = sorted(set(eps_list))
+    # joins[eps][k]: the pairs whose distance first reaches eps at step k,
+    # so that the running maximum over steps < n is >= eps from horizon
+    # n = k + 1 on; values[k] for k past the profile's window repeat earlier
+    # ones, so a pair that has not reached eps by then never does
+    joins: dict[Fraction, list[list[tuple[int, int]]]] = {
+        eps: [[] for _ in range(n_max)] for eps in ascending
+    }
     for i, j in combinations(range(len(grid)), 2):
-        profiles[(i, j)] = distance_profile(f, grid[i], grid[j], budget)
+        prof = distance_profile(f, grid[i], grid[j], budget)
+        reached = 0
+        for k, d in enumerate(prof.values[:n_max]):
+            while reached < len(ascending) and ascending[reached] <= d:
+                joins[ascending[reached]][k].append((i, j))
+                reached += 1
     exact = len(grid) <= exact_limit
+    count = _max_clique_size if exact else _greedy_separated
+    adj = {eps: [set() for _ in grid] for eps in ascending}
     counts: dict[tuple[int, Fraction], int] = {}
-    running: dict[tuple[int, int], Fraction] = {k: Fraction(0) for k in profiles}
     for n in range(1, n_max + 1):
-        for key, prof in profiles.items():
-            running[key] = max(running[key], prof.value_at(n - 1))
         for eps in eps_list:
-            adj: list[set[int]] = [set() for _ in grid]
-            for (i, j), dn in running.items():
-                if dn >= eps:
-                    adj[i].add(j)
-                    adj[j].add(i)
-            if exact:
-                counts[(n, eps)] = _max_clique_size(adj, len(grid))
-            else:
-                counts[(n, eps)] = _greedy_separated(adj, len(grid))
+            for i, j in joins[eps][n - 1]:
+                adj[eps][i].add(j)
+                adj[eps][j].add(i)
+            counts[(n, eps)] = count(adj[eps], len(grid))
     return EntropyTable(
         grid_size=len(grid),
         eps_list=eps_list,

@@ -328,5 +328,19 @@ def map_to_dict(f: PrefixTableMap) -> dict:
     return {"rules": [[d, i] for d, i in f.rules]}
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` when it has the JSON type ``kind``, else ParameterError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParameterError(f"{what} must be {_JSON_TYPES[kind]}, not {value!r}")
+    return value
+
+
 def map_from_dict(data: dict) -> PrefixTableMap:
-    return PrefixTableMap(tuple((d, i) for d, i in data["rules"]))
+    rules = _expect(data["rules"], list, "the rules")
+    for rule in rules:
+        if not isinstance(rule, list) or len(rule) != 2:
+            raise ParameterError(f"a rule must be a [domain, image] pair, not {rule!r}")
+    return PrefixTableMap(tuple((d, i) for d, i in rules))

@@ -31,18 +31,27 @@ g is an integer numerator over the common denominator, and one rule,
 ``_interval_value``, decides each interval in integers and builds the one
 Fraction of each returned value.  The solvers and the grid scanner share
 ``_thresholds``, ``_masks`` and that rule.
+
+``prohorov`` and ``pushforward`` are memoised per process, each in a
+least-recently-used memo bounded at 256 entries: a chain of length k + 1
+repeats the steps of the chain of length k, and the same measures come back
+across pairs.  A measure has one canonical form and a map is equal to
+another exactly when their rules are, so a hit returns what a fresh call
+would; the results are frozen, so a shared one cannot be changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .cantor import CylinderPartition, canonical_point, point_in_cylinder, separation
 from .errors import BackendSelectionError, CertificationError, ParameterError
 
 ENUMERATION_LIMIT = 16
+_MEMO_SIZE = 256  # entries kept by each of the solve and pushforward memos
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -136,7 +145,14 @@ def dirac(point: str) -> AtomicMeasure:
 
 
 def pushforward(f, mu: AtomicMeasure) -> AtomicMeasure:
-    """Image measure: each atom moves to its image point, collisions merge.
+    """Image measure: each atom moves to its image point, collisions merge."""
+    return _pushed(f, mu)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pushed(f, mu: AtomicMeasure) -> AtomicMeasure:
+    """``pushforward``, memoised: equal maps have equal rules and equal
+    measures one form, so equal arguments have one image.
 
     The support is canonical already, so each word goes straight to
     ``PrefixTableMap._image``, which returns canonical points.
@@ -415,6 +431,14 @@ def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Pro
     agreement).  The result names the solver that ran: "closed_form" for
     "auto".
     """
+    return _solved(mu, nu, backend)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _solved(mu: AtomicMeasure, nu: AtomicMeasure, backend: str) -> ProhorovResult:
+    """``prohorov``, memoised per backend: equal measures have one form, so
+    equal arguments have one result, which is frozen; a raised error is not
+    kept."""
     seps = _separation_matrix(mu.support, nu.support)
     if backend == "both":
         v1, w1 = _one_sided_value(mu, nu, seps)
@@ -426,6 +450,14 @@ def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Pro
         raise BackendSelectionError(f"unknown backend {backend!r}")
     value, witness = _one_sided_value(mu, nu, seps, backend)
     return ProhorovResult(value, witness, "closed_form" if backend == "auto" else backend)
+
+
+def _memo_counts() -> dict[str, int]:
+    """Solves and pushforwards computed so far in this process, and the
+    calls that the memos answered instead."""
+    solved, pushed = _solved.cache_info(), _pushed.cache_info()
+    return {"solves": solved.misses, "solve_hits": solved.hits,
+            "pushforwards": pushed.misses, "pushforward_hits": pushed.hits}
 
 
 def prohorov_distance(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Fraction:

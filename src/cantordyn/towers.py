@@ -34,7 +34,14 @@ from .cantor import (
     union_is_proper_subset,
 )
 from .errors import CertificationError, ParameterError
-from .maps import PrefixTableMap, classify_components, graph_of, map_from_dict, map_to_dict
+from .maps import (
+    PrefixTableMap,
+    _expect,
+    classify_components,
+    graph_of,
+    map_from_dict,
+    map_to_dict,
+)
 
 
 @dataclass(frozen=True)
@@ -370,23 +377,32 @@ def tower_to_dict(tower: MapTower) -> dict:
 
 def tower_from_dict(data: dict) -> MapTower:
     """Load and certify a tower written by ``tower_to_dict``; ParameterError
-    unless ``data`` is a balloon or dumbbell map of this format."""
-    if data.get("format") != _MAP_FORMAT or data.get("kind") not in _SHAPES:
+    unless ``data`` is a well-formed balloon or dumbbell map of this format."""
+    _expect(data, dict, "a map file")
+    # the kind is compared by equality: a JSON list is not hashable
+    if data.get("format") != _MAP_FORMAT or data.get("kind") not in tuple(_SHAPES):
         raise ParameterError(
             f"not a balloon or dumbbell map of format {_MAP_FORMAT!r}: "
             f"format {data.get('format')!r}, kind {data.get('kind')!r}"
         )
-    component_class = _SHAPES[data["kind"]][0]
+    component_class, roles = _SHAPES[data["kind"]]
 
-    def component(record: dict):
-        # JSON holds each tuple of cells as a list
-        values = (record[field.name] for field in fields(component_class))
-        return component_class(*(tuple(v) if isinstance(v, list) else v for v in values))
+    def component(record):
+        _expect(record, dict, "a component")
+        values = {field.name: record[field.name] for field in fields(component_class)}
+        for role in roles:  # JSON holds each tuple of cells as a list
+            values[role] = tuple(_expect(values[role], list, f"the {role} cells"))
+        if values["parent"] is not None:
+            _expect(values["parent"], int, "a parent link")
+        return component_class(**values)
 
-    levels = tuple(
-        TowerLevel(lv["q"], tuple(component(c) for c in lv["components"]))
-        for lv in data["levels"]
-    )
+    def level(record) -> TowerLevel:
+        _expect(record, dict, "a level")
+        components = _expect(record["components"], list, "a level's components")
+        q = _expect(record["q"], int, "a level's q")
+        return TowerLevel(q, tuple(component(c) for c in components))
+
+    levels = tuple(level(lv) for lv in _expect(data["levels"], list, "the levels"))
     tower = MapTower(data["kind"], map_from_dict(data), levels)
     certify_tower(tower)
     return tower

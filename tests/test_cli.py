@@ -8,7 +8,7 @@ import pytest
 
 from cantordyn import cli
 from cantordyn.cli import main, write_measure
-from cantordyn.measures import atomic_measure, dirac
+from cantordyn.measures import _pushed, _solved, atomic_measure, dirac
 from fractions import Fraction
 
 BALLOON_CONFIG = """
@@ -163,6 +163,40 @@ def test_analyze_rejects_a_foreign_map_file(tmp_path, capsys, key, value):
     assert not (tmp_path / "report_shadowing.json").exists()
 
 
+def _first_component(data):
+    return data["levels"][0]["components"][0]
+
+
+# each edit of a generated dumbbell map; one that returns a value replaces it
+MALFORMED_MAPS = {
+    "not-an-object": lambda data: [],
+    "non-integer-q": lambda data: data["levels"][0].update(q="2"),
+    "rule-not-a-pair": lambda data: data["rules"][0].append("1"),
+    "cells-as-a-string": lambda data: _first_component(data).update(left="00000001"),
+    "kind-as-a-list": lambda data: data.update(kind=["dumbbell"]),
+    "rules-as-a-string": lambda data: data.update(rules="01"),
+    "levels-as-an-object": lambda data: data.update(levels={}),
+    "level-as-a-list": lambda data: data["levels"].__setitem__(0, []),
+    "components-as-a-string": lambda data: data["levels"][0].update(components="ab"),
+    "component-as-a-list": lambda data: data["levels"][0]["components"].__setitem__(0, []),
+    "parent-as-a-string": lambda data: _first_component(data).update(parent="0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_MAPS))
+def test_analyze_rejects_a_malformed_map_file(tmp_path, capsys, fault):
+    cfg = _write_config(tmp_path, DUMBBELL_CONFIG)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    map_path = tmp_path / "map.json"
+    data = json.loads(map_path.read_text())
+    changed = MALFORMED_MAPS[fault](data)
+    map_path.write_text(json.dumps(data if changed is None else changed))
+    assert main(["analyze", "--config", cfg, "--suite", "shadowing",
+                 "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "report_shadowing.json").exists()
+
+
 def test_declined_suite_keeps_the_others(tmp_path):
     # no certified level of this tower has mesh below 1/4, so recurrence declines
     cfg = _write_config(tmp_path, DUMBBELL_CONFIG.replace("eps = 1/3", "eps = 1/4"))
@@ -185,11 +219,15 @@ def test_declined_suite_keeps_the_others(tmp_path):
             "loop_support_check"} <= operations
 
 
-def test_readme_example_config_liyorke(tmp_path):
-    # the example config of README.md: 24 cells at level 0, 300 grid measures
+def _readme_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     config = readme.split("Example config:\n\n```ini\n")[1].split("```")[0]
-    cfg = _write_config(tmp_path, config)
+    return _write_config(tmp_path, config)
+
+
+def test_readme_example_config_liyorke(tmp_path):
+    # the example config of README.md: 24 cells at level 0, 300 grid measures
+    cfg = _readme_config(tmp_path)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
     # only this suite: the config's entropy suite takes minutes
     assert main(["analyze", "--config", cfg, "--suite", "liyorke",
@@ -201,6 +239,35 @@ def test_readme_example_config_liyorke(tmp_path):
         "asymptotic": 432, "separated_below": 44418, "li_yorke_pair": 0,
     }
     assert cert["details"] == {"preperiod": 6, "period": 6}
+
+
+@pytest.mark.parametrize("suite", ["chains", "shadowing", "recurrence"])
+def test_readme_example_config_suites(tmp_path, suite):
+    # every README suite but entropy, which still runs for about a minute
+    cfg = _readme_config(tmp_path)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", suite,
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"report_{suite}.json").read_text())
+    assert report["certificates"]
+    assert all(c["passed"] for c in report["certificates"])
+
+
+def test_report_timings_count_the_memos(tmp_path):
+    cfg = _write_config(tmp_path, BALLOON_CONFIG)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    # the memos live as long as the process: start from empty ones
+    _solved.cache_clear()
+    _pushed.cache_clear()
+    assert main(["analyze", "--config", cfg, "--suite", "chains",
+                 "--out", str(tmp_path)]) == 0
+    [stage] = json.loads((tmp_path / "report_chains.json").read_text())["timings"]
+    assert stage["stage"] == "_suite_chains"
+    assert set(stage) == {"stage", "ms", "solves", "solve_hits",
+                          "pushforwards", "pushforward_hits"}
+    # a chain of length k + 1 repeats the steps of the chain of length k
+    assert stage["solves"] > 0 and stage["solve_hits"] > 0
+    assert stage["pushforwards"] > 0 and stage["pushforward_hits"] > 0
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -14,11 +14,14 @@ from cantordyn.cantor import (
     point_in_cylinder,
     standard_partition,
 )
+from cantordyn.dynamics import chain_connect_map, chain_step_count
 from cantordyn.errors import BackendSelectionError, ParameterError
-from cantordyn.grids import random_atomic_measure
+from cantordyn.grids import random_atomic_measure, random_cell_measure
 from cantordyn.maps import PrefixTableMap
 from cantordyn.measures import (
     AtomicMeasure,
+    _pushed,
+    _solved,
     atomic_measure,
     cell_masses,
     convex_combine,
@@ -395,6 +398,84 @@ def test_interpolation_step_bound():
 def test_interpolation_instance_from_diracs():
     mixed = convex_combine([(Fraction(1, 2), dirac("")), (Fraction(1, 2), dirac("1"))])
     assert prohorov_distance(mixed, dirac("")) == Fraction(1, 2)
+
+
+# -- the memos ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["auto", "flow", "enumeration", "both"])
+def test_memoised_solve_equals_a_fresh_one(backend):
+    rng = random.Random(29)
+    for _ in range(20):
+        mu = random_atomic_measure(rng, max_atoms=6)
+        nu = random_atomic_measure(rng, max_atoms=6)
+        prohorov(mu, nu, backend)
+        hits = _solved.cache_info().hits
+        # equal measures built anew share the memo entry
+        cached = prohorov(atomic_measure(mu.atoms), atomic_measure(nu.atoms), backend)
+        assert _solved.cache_info().hits == hits + 1
+        _solved.cache_clear()
+        fresh = prohorov(mu, nu, backend)
+        assert (cached.value, cached.witness_set, cached.backend) == (
+            fresh.value, fresh.witness_set, fresh.backend)
+
+
+def test_solve_memo_keeps_each_backend_apart():
+    mu = atomic_measure({"": Fraction(1, 2), "1": Fraction(1, 2)})
+    nu = dirac("01")
+    assert prohorov(mu, nu).backend == "closed_form"
+    assert prohorov(mu, nu, backend="both").backend == "both"
+    assert prohorov(mu, nu, backend="auto").backend == "closed_form"
+
+
+def test_solve_memo_keeps_no_error():
+    big = atomic_measure({format(i, "06b"): Fraction(1, 20) for i in range(20)})
+    for _ in range(2):
+        with pytest.raises(BackendSelectionError):
+            prohorov(big, big, backend="enumeration")
+        with pytest.raises(BackendSelectionError):
+            prohorov(big, big, backend="nope")
+
+
+def test_pushforward_memo_keys_maps_by_rules():
+    h = make_dumbbell_tower((4, 2), 2, 1).table
+    mu = random_atomic_measure(random.Random(3), max_atoms=8, max_depth=6)
+    first = pushforward(h.invert(), mu)
+    hits = _pushed.cache_info().hits
+    second = pushforward(h.invert(), mu)  # an equal map, another object
+    assert _pushed.cache_info().hits == hits + 1
+    assert second == first
+    masses = dict(mu.atoms)
+    assert dict(first.atoms) == _reference_pushforward(h.invert(), masses)
+
+
+def test_memos_are_bounded():
+    for memo in (_solved, _pushed):
+        assert memo.cache_info().maxsize is not None
+
+
+def test_chain_steps_do_not_depend_on_the_memos():
+    tower = make_balloon_tower([(3, 2), (5, 2)], [2, 4])
+    partition = tower.levels[0].partition()
+    rng = random.Random(5)
+    mu = random_cell_measure(partition, rng, 4)
+    nu = random_cell_measure(partition, rng, 4)
+    delta = Fraction(1, 2)
+    k0 = chain_step_count(delta)
+
+    def step_distances(clear: bool) -> list:
+        out = []
+        for k in range(k0, k0 + 4):
+            if clear:
+                _solved.cache_clear()
+                _pushed.cache_clear()
+            out.append(chain_connect_map(tower.table, mu, nu, delta, k).step_distances)
+        return out
+
+    fresh = step_distances(clear=True)
+    hits = _solved.cache_info().hits
+    assert step_distances(clear=False) == fresh
+    assert _solved.cache_info().hits > hits
 
 
 # -- serialization ----------------------------------------------------------
