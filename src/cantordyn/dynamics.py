@@ -18,6 +18,7 @@ from .errors import CertificationError, ParameterError
 from .maps import PrefixTableMap, eventual_image, graph_of
 from .measures import (
     AtomicMeasure,
+    _combine,
     convex_combine,
     dirac,
     prohorov_distance,
@@ -49,8 +50,16 @@ class Chain:
         return len(self.points) - 1
 
 
+def _exact(name: str, value) -> Fraction:
+    """``value`` as a Fraction; a float is rejected, never converted."""
+    if isinstance(value, float):
+        raise ParameterError(f"{name} {value!r} is a float, not an exact rational")
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def verify_chain(f: PrefixTableMap, points, delta: Fraction, backend: str = "auto") -> Chain:
     """Independent step verification with the exact solver; raises on failure."""
+    delta = _exact("delta", delta)
     pts = tuple(points)
     dists = []
     for a, b in zip(pts, pts[1:]):
@@ -58,28 +67,25 @@ def verify_chain(f: PrefixTableMap, points, delta: Fraction, backend: str = "aut
         if not d < delta:
             raise CertificationError(f"chain step distance {d} is not below {delta}")
         dists.append(d)
-    return Chain(pts, Fraction(delta), tuple(dists))
-
-
-def largest_fraction_below(delta: Fraction, max_denominator: int) -> Fraction:
-    """The largest p/q < delta with q <= max_denominator."""
-    best = Fraction(0)
-    for q in range(1, max_denominator + 1):
-        p = (delta.numerator * q - 1) // delta.denominator
-        if p >= 1 and Fraction(p, q) > best:
-            best = Fraction(p, q)
-    return best
+    return Chain(pts, delta, tuple(dists))
 
 
 def default_gamma(delta: Fraction) -> Fraction:
-    """Canonical mixing step below delta: the largest fraction under delta
-    with denominator at most twice delta's."""
-    delta = Fraction(delta)
-    if not 0 < delta < 1:
+    """Canonical mixing step below delta = a/b: the largest fraction under
+    delta with denominator at most 2b.
+
+    That is delta's left Farey neighbour of order 2b, p/q with a*q - b*p = 1:
+    q is the largest number up to 2b congruent to a^-1 mod b.
+    """
+    delta = _exact("delta", delta)
+    a, b = delta.numerator, delta.denominator
+    if not 0 < a < b:
         raise ParameterError("delta must lie strictly between 0 and 1")
-    gamma = largest_fraction_below(delta, 2 * delta.denominator)
-    assert 0 < gamma < delta
-    return gamma
+    q = pow(a, -1, b)
+    q += (2 * b - q) // b * b
+    p = (a * q - 1) // b
+    assert p > 0 and a * q - b * p == 1  # 0 < p/q < delta, no closer fraction
+    return Fraction(p, q)
 
 
 def chain_step_count(delta: Fraction, gamma: Fraction | None = None) -> int:
@@ -87,9 +93,11 @@ def chain_step_count(delta: Fraction, gamma: Fraction | None = None) -> int:
 
     Depends only on delta once gamma is derived canonically from it.
     """
-    gamma = default_gamma(delta) if gamma is None else Fraction(gamma)
-    k0 = -((-gamma.denominator) // gamma.numerator)  # ceil(1/gamma)
-    assert (k0 - 1) * gamma < 1 <= k0 * gamma
+    delta = _exact("delta", delta)
+    gamma = default_gamma(delta) if gamma is None else _exact("gamma", gamma)
+    p, q = gamma.numerator, gamma.denominator
+    k0 = -(-q // p)  # ceil(1/gamma)
+    assert (k0 - 1) * p < q <= k0 * p
     return k0
 
 
@@ -107,19 +115,23 @@ def chain_connect_map(
 
     Interpolates (1 - j*gamma) f~^j(mu) + j*gamma f~^j(nu) until the mixing
     weight reaches 1, jumps to the pure nu orbit, then follows it exactly.
+    With gamma = p/q the interpolant has the integer weights q - j*p and j*p
+    over q, both positive for j < k0, and is merged by the one combine core
+    of ``measures``.  gamma defaults to ``default_gamma(delta)``.
     """
-    delta = Fraction(delta)
-    gamma = default_gamma(delta) if gamma is None else Fraction(gamma)
+    delta = _exact("delta", delta)
+    gamma = default_gamma(delta) if gamma is None else _exact("gamma", gamma)
     if not 0 < gamma < delta:
         raise ParameterError("gamma must lie strictly between 0 and delta")
     k0 = chain_step_count(delta, gamma)
     if k < k0:
         raise ParameterError(f"chain length {k} is below the minimum {k0}")
+    p, q = gamma.numerator, gamma.denominator
     points = [mu]
     mu_j, nu_j = mu, nu
     for j in range(1, k0):
         mu_j, nu_j = pushforward(f, mu_j), pushforward(f, nu_j)
-        points.append(convex_combine([(1 - j * gamma, mu_j), (j * gamma, nu_j)]))
+        points.append(_combine([(q - j * p, mu_j), (j * p, nu_j)], q))
     nu_j = pushforward(f, nu_j)
     points.append(nu_j)
     for _ in range(k0 + 1, k + 1):

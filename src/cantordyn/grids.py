@@ -15,14 +15,15 @@ runs in numpy int arithmetic, at any number of tracked points.  Each
 interval is clamped by the solver's own rule, ``measures._interval_value``,
 once per possible integer g, and the values rank into a short list of exact
 rationals.  No floats are involved anywhere.
+
+numpy is imported inside the scanner's methods and ``li_yorke_scan`` only,
+so building grids, maps and measures (``cantordyn generate``) never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .cantor import CylinderPartition, representative
 from .errors import ParameterError
@@ -34,6 +35,7 @@ from .orbits import (
     DistanceProfile,
     PairClass,
     _evolve_distance_sequence,
+    _li_yorke_rule,
 )
 
 
@@ -146,6 +148,8 @@ class CommonSupportScanner:
     """
 
     def __init__(self, family: TrajectoryFamily, measures: list[AtomicMeasure], resolution: int):
+        import numpy as np
+
         k = len(family.points)
         self.family = family
         self.resolution = resolution
@@ -172,12 +176,16 @@ class CommonSupportScanner:
         """(k, classes) 0/1 membership of the classes of "d <= 1/s" among the
         tracked points at time n; in an ultrametric each class is one
         distinct row mask of the closeness relation."""
+        import numpy as np
+
         classes = dict.fromkeys(_masks(self.family.matrix_at(n), s))
         return np.array([[m >> j & 1 for m in classes] for j in range(len(self.family.points))],
                         dtype=np.int64)
 
     def rank_matrix_at(self, n: int) -> np.ndarray:
         """(R, R) uint16 matrix of ranked d(mu_i(n), mu_j(n)) for all pairs."""
+        import numpy as np
+
         thresholds = self.thresholds_at(n)
         res = self.resolution
         nmeas = self.mass.shape[0]
@@ -200,6 +208,7 @@ class CommonSupportScanner:
 
     def distance(self, i: int, j: int, n: int) -> Fraction:
         """Exact d(mu_i(n), mu_j(n)) for one pair, without the batch tables."""
+        import numpy as np
 
         def g_at(s):
             mu_b, nu_b = self.mass[[i, j]] @ self._classes(n, s)
@@ -236,11 +245,7 @@ class LiYorkeScan:
         return self.scanner.values[int(self.limsup_ranks[i, j])]
 
     def classify(self, i: int, j: int) -> PairClass:
-        if self.limsup(i, j) == 0:
-            return PairClass.ASYMPTOTIC
-        if self.liminf(i, j) > 0:
-            return PairClass.SEPARATED_BELOW
-        return PairClass.LI_YORKE_PAIR
+        return _li_yorke_rule(self.liminf(i, j), self.limsup(i, j))
 
 
 def li_yorke_scan(
@@ -254,6 +259,8 @@ def li_yorke_scan(
     liminf and limsup of each pair's distance sequence are taken over one
     certified period of the shared trajectory family.
     """
+    import numpy as np
+
     family = track_representatives(f, partition, budget)
     grid = simplex_grid(partition, resolution)
     scanner = CommonSupportScanner(family, grid, resolution)

@@ -5,8 +5,8 @@ stripped) held in integer form: positive integer weights over one common
 denominator, in lowest terms.  Fractions appear only at the boundary -- the
 constructor converts (point, Fraction) atoms once, and the ``atoms`` and
 ``masses`` views, ``cell_masses`` and ``mass_of_cylinders`` report them --
-so pushforwards, convex combinations and solver set-up run on ints.  The
-Prohorov distance
+so pushforwards, the one atom merge of convex combinations (``_combine``)
+and solver set-up run on ints.  The Prohorov distance
 
     d(mu, nu) = inf{ delta > 0 : mu(X) <= nu(X^delta) + delta for all X }
 
@@ -179,14 +179,22 @@ def convex_combine(weighted: list[tuple[Fraction, AtomicMeasure]]) -> AtomicMeas
         raise ParameterError("weights must be nonnegative")
     if sum(weights, Fraction(0)) != 1:
         raise ParameterError("weights must sum to exactly 1")
-    parts = [(w, mu) for w, (_, mu) in zip(weights, weighted) if w]
-    denom = lcm(*[w.denominator * mu.denom for w, mu in parts])
+    total = lcm(*[w.denominator for w in weights])
+    parts = [(w.numerator * (total // w.denominator), mu)
+             for w, (_, mu) in zip(weights, weighted) if w]
+    return _combine(parts, total)
+
+
+def _combine(parts: list[tuple[int, AtomicMeasure]], total: int) -> AtomicMeasure:
+    """The sum of (w / total) mu over ``parts``, for positive integer weights
+    w that sum to ``total``: the one routine that merges weighted atoms."""
+    common = lcm(*[mu.denom for _, mu in parts])
     out: dict[str, int] = {}
     for w, mu in parts:
-        scale = w.numerator * (denom // (w.denominator * mu.denom))
+        scale = w * (common // mu.denom)
         for p, m in zip(mu.support, mu.weights):
             out[p] = out.get(p, 0) + m * scale
-    return _from_weights(out, denom)
+    return _from_weights(out, total * common)
 
 
 def cell_masses(mu: AtomicMeasure, partition: CylinderPartition) -> dict[str, Fraction]:

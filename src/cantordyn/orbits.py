@@ -89,9 +89,14 @@ class PairClass(enum.Enum):
 
 def li_yorke_classify(profile: DistanceProfile) -> PairClass:
     """Classify a pair by the exact liminf/limsup of its distance sequence."""
-    if profile.limsup == 0:
+    return _li_yorke_rule(profile.liminf, profile.limsup)
+
+
+def _li_yorke_rule(liminf: Fraction, limsup: Fraction) -> PairClass:
+    """The class of a pair whose distances have this liminf and limsup."""
+    if limsup == 0:
         return PairClass.ASYMPTOTIC
-    if profile.liminf > 0:
+    if liminf > 0:
         return PairClass.SEPARATED_BELOW
     return PairClass.LI_YORKE_PAIR
 

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cantordyn
 from cantordyn import cli
 from cantordyn.cli import main, write_measure
 from cantordyn.measures import _pushed, _solved, atomic_measure, dirac
@@ -239,6 +243,27 @@ def test_readme_example_config_liyorke(tmp_path):
         "asymptotic": 432, "separated_below": 44418, "li_yorke_pair": 0,
     }
     assert cert["details"] == {"preperiod": 6, "period": 6}
+
+
+def test_generate_runs_without_numpy(tmp_path):
+    # only the grid scans need numpy; building and writing a map does not
+    cfg = _readme_config(tmp_path)
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from cantordyn.cli import main\n"
+        f"sys.exit(main(['generate', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]))\n"
+    )
+    src = str(Path(cantordyn.__file__).resolve().parents[1])
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "map.json").exists()
+    # with numpy present the package still exports the grid scan
+    from cantordyn import li_yorke_scan, simplex_grid
+
+    assert callable(li_yorke_scan) and callable(simplex_grid)
 
 
 @pytest.mark.parametrize("suite", ["chains", "shadowing", "recurrence"])

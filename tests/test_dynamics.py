@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,9 +23,15 @@ from cantordyn.dynamics import (
     weak_shadowing_refutation,
 )
 from cantordyn.errors import CertificationError, ParameterError
-from cantordyn.grids import simplex_grid
+from cantordyn.grids import random_cell_measure, simplex_grid
 from cantordyn.maps import PrefixTableMap
-from cantordyn.measures import atomic_measure, dirac, prohorov_distance, pushforward_iter
+from cantordyn.measures import (
+    atomic_measure,
+    convex_combine,
+    dirac,
+    prohorov_distance,
+    pushforward_iter,
+)
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
 SWAP = PrefixTableMap((("0", "1"), ("1", "0")))
@@ -43,6 +50,65 @@ def test_gamma_and_k0():
     # delta just above 1/2 admits a two-step chain
     assert chain_step_count(Fraction(51, 100)) == 2
     assert chain_step_count(Fraction(51, 100), gamma=Fraction(1, 2)) == 2
+
+
+def _largest_fraction_below(delta, max_denominator):
+    """Brute-force oracle: the largest p/q < delta with q <= max_denominator."""
+    best = Fraction(0)
+    for q in range(1, max_denominator + 1):
+        p = (delta.numerator * q - 1) // delta.denominator
+        if p >= 1 and Fraction(p, q) > best:
+            best = Fraction(p, q)
+    return best
+
+
+def test_default_gamma_matches_brute_force_oracle():
+    checked = 0
+    for b in range(2, 120):
+        for a in range(1, b):
+            if gcd(a, b) == 1:
+                delta = Fraction(a, b)
+                assert default_gamma(delta) == _largest_fraction_below(delta, 2 * b), delta
+                checked += 1
+    assert checked == 4353
+
+
+@pytest.mark.parametrize("call", [
+    lambda: default_gamma(0.5),
+    lambda: chain_step_count(0.5),
+    lambda: chain_step_count(Fraction(1, 2), gamma=0.25),
+    lambda: chain_connect_map(SWAP, dirac(""), dirac("1"), 0.5, 3),
+    lambda: chain_connect_map(SWAP, dirac(""), dirac("1"), Fraction(1, 2), 3, gamma=0.25),
+    lambda: chain_connect_homeo(SWAP, dirac(""), dirac("1"), 0.75, 2),
+    lambda: chain_connect_homeo(SWAP, dirac(""), dirac("1"), Fraction(3, 4), 2, gamma=0.5),
+    lambda: verify_chain(SWAP, [dirac(""), dirac("1")], 0.5),
+])
+def test_chain_functions_reject_floats(call):
+    with pytest.raises(ParameterError, match="float"):
+        call()
+
+
+@pytest.mark.parametrize("tower", [
+    make_balloon_tower([(3, 2), (5, 2)], [2, 4]),
+    make_dumbbell_tower((4, 2), 2, bar_length=1),
+], ids=["balloon", "dumbbell"])
+@pytest.mark.parametrize("gamma", [None, Fraction(1, 5)])
+def test_chain_interpolants_match_convex_combine(tower, gamma):
+    rng = random.Random(11)
+    f = tower.table
+    partition = tower.levels[0].partition()
+    delta = Fraction(1, 2)
+    step = default_gamma(delta) if gamma is None else gamma
+    k0 = chain_step_count(delta, step)
+    for _ in range(8):
+        mu = random_cell_measure(partition, rng, 4)
+        nu = random_cell_measure(partition, rng, 3)
+        chain = chain_connect_map(f, mu, nu, delta, k0 + 1, gamma)
+        for j in range(1, k0):
+            expected = convex_combine(
+                [(1 - j * step, pushforward_iter(f, mu, j)), (j * step, pushforward_iter(f, nu, j))]
+            )
+            assert chain.points[j] == expected
 
 
 def test_k0_depends_only_on_delta():
