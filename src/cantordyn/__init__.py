@@ -83,7 +83,6 @@ from .orbits import (
 )
 from .recurrence import (
     AdmissibleChoice,
-    LoopDecomposition,
     approx_by_periodic,
     consistency_check,
     enumerate_admissible_choices,

@@ -339,7 +339,7 @@ def cmd_prohorov(args) -> int:
     if args.two_sided:
         # the two-sided oracle has no closed form: every choice but
         # enumeration runs flow, so the default never meets enumeration's limit
-        two_sided_backend = "enumeration" if args.backend == "enumeration" else "auto"
+        two_sided_backend = "enumeration" if args.backend == "enumeration" else "flow"
         symmetric = prohorov_two_sided(mu, nu, backend=two_sided_backend)
         print(f"two-sided: {symmetric}")
         if symmetric != result.value:

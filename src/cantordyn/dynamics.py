@@ -19,17 +19,14 @@ from .maps import PrefixTableMap, eventual_image, graph_of
 from .measures import (
     AtomicMeasure,
     _combine,
+    _exact,
     convex_combine,
     dirac,
     prohorov_distance,
     pushforward,
     pushforward_iter,
 )
-from .orbits import (
-    DEFAULT_BUDGET,
-    distance_profile,
-    orbit_distance_to_target,
-)
+from .orbits import distance_profile, orbit_distance_to_target
 from .towers import MapTower
 
 
@@ -48,13 +45,6 @@ class Chain:
     @property
     def length(self) -> int:
         return len(self.points) - 1
-
-
-def _exact(name: str, value) -> Fraction:
-    """``value`` as a Fraction; a float is rejected, never converted."""
-    if isinstance(value, float):
-        raise ParameterError(f"{name} {value!r} is a float, not an exact rational")
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def verify_chain(f: PrefixTableMap, points, delta: Fraction, backend: str = "auto") -> Chain:
@@ -89,12 +79,15 @@ def default_gamma(delta: Fraction) -> Fraction:
 
 
 def chain_step_count(delta: Fraction, gamma: Fraction | None = None) -> int:
-    """The least k0 with (k0 - 1) * gamma < 1 <= k0 * gamma.
+    """The least k0 with (k0 - 1) * gamma < 1 <= k0 * gamma, for a mixing
+    step 0 < gamma < delta (ParameterError otherwise).
 
     Depends only on delta once gamma is derived canonically from it.
     """
     delta = _exact("delta", delta)
     gamma = default_gamma(delta) if gamma is None else _exact("gamma", gamma)
+    if not 0 < gamma < delta:
+        raise ParameterError("gamma must lie strictly between 0 and delta")
     p, q = gamma.numerator, gamma.denominator
     k0 = -(-q // p)  # ceil(1/gamma)
     assert (k0 - 1) * p < q <= k0 * p
@@ -121,8 +114,6 @@ def chain_connect_map(
     """
     delta = _exact("delta", delta)
     gamma = default_gamma(delta) if gamma is None else _exact("gamma", gamma)
-    if not 0 < gamma < delta:
-        raise ParameterError("gamma must lie strictly between 0 and delta")
     k0 = chain_step_count(delta, gamma)
     if k < k0:
         raise ParameterError(f"chain length {k} is below the minimum {k0}")
@@ -173,19 +164,20 @@ def equicontinuity_modulus(partition) -> Fraction:
 
 
 def sample_modulus_pairs(
-    tower: MapTower, eps: Fraction, count: int, rng, resolution: int = 8
+    tower: MapTower, eps: Fraction, count: int, rng
 ) -> list[tuple[AtomicMeasure, AtomicMeasure]]:
     """Random measure pairs within the equicontinuity modulus of the level
-    whose mesh is below eps: nu = (1 - a) mu + a eta with a < delta."""
+    whose mesh is below eps: nu = (1 - a) mu + a eta with a < delta, mu and
+    eta random cell measures with denominator 8."""
     from .grids import random_cell_measure
 
-    level = tower.level_with_mesh_below(Fraction(eps))
+    level = tower.level_with_mesh_below(_exact("eps", eps))
     partition = tower.levels[level].partition()
     delta = equicontinuity_modulus(partition)
     pairs = []
     for _ in range(count):
-        mu = random_cell_measure(partition, rng, resolution)
-        eta = random_cell_measure(partition, rng, resolution)
+        mu = random_cell_measure(partition, rng, 8)
+        eta = random_cell_measure(partition, rng, 8)
         alpha = delta * Fraction(rng.randint(1, 7), 8)
         nu = convex_combine([(1 - alpha, mu), (alpha, eta)])
         pairs.append((mu, nu))
@@ -196,7 +188,6 @@ def equicontinuity_certificate(
     tower: MapTower,
     eps: Fraction,
     pairs: list[tuple[AtomicMeasure, AtomicMeasure]],
-    budget: int = DEFAULT_BUDGET,
 ) -> Certificate:
     """Verify sup_n d(f~^n mu, f~^n nu) < eps for pairs within the modulus.
 
@@ -207,7 +198,7 @@ def equicontinuity_certificate(
     """
     if tower.kind != "balloon":
         raise ParameterError("equicontinuity certificate applies to balloon towers")
-    eps = Fraction(eps)
+    eps = _exact("eps", eps)
     level = tower.level_with_mesh_below(eps)
     partition = tower.levels[level].partition()
     delta = equicontinuity_modulus(partition)
@@ -217,7 +208,7 @@ def equicontinuity_certificate(
         d0 = prohorov_distance(mu, nu)
         if not d0 < delta:
             raise ParameterError(f"pair at distance {d0} is not within the modulus {delta}")
-        prof = distance_profile(tower.table, mu, nu, budget)
+        prof = distance_profile(tower.table, mu, nu)
         sup = prof.supremum()
         checked.append({"initial": d0, "sup": sup})
         if not sup < eps:
@@ -234,6 +225,9 @@ def equicontinuity_certificate(
 
 # ---------------------------------------------------------------------------
 # entropy evidence via separated sets
+
+
+EXACT_LIMIT = 25  # largest grid counted exactly by branch and bound
 
 
 def _max_clique_size(adj: list[set[int]], n: int) -> int:
@@ -295,17 +289,13 @@ class EntropyTable:
 
 
 def entropy_estimate(
-    f: PrefixTableMap,
-    grid: list[AtomicMeasure],
-    eps_list,
-    n_max: int,
-    budget: int = DEFAULT_BUDGET,
-    exact_limit: int = 25,
+    f: PrefixTableMap, grid: list[AtomicMeasure], eps_list, n_max: int
 ) -> EntropyTable:
     """Maximum sizes of (n, eps)-separated subsets of the grid, for n up to
-    n_max; exact (branch and bound) for grids of at most ``exact_limit``
-    measures, a greedy lower bound beyond that."""
-    eps_list = tuple(Fraction(e) for e in eps_list)
+    n_max; exact (branch and bound) for grids of at most ``EXACT_LIMIT``
+    measures, a greedy lower bound beyond that.  Each pair's distances come
+    from one certified ``distance_profile``."""
+    eps_list = tuple(_exact("eps", e) for e in eps_list)
     ascending = sorted(set(eps_list))
     # joins[eps][k]: the pairs whose distance first reaches eps at step k,
     # so that the running maximum over steps < n is >= eps from horizon
@@ -315,13 +305,13 @@ def entropy_estimate(
         eps: [[] for _ in range(n_max)] for eps in ascending
     }
     for i, j in combinations(range(len(grid)), 2):
-        prof = distance_profile(f, grid[i], grid[j], budget)
+        prof = distance_profile(f, grid[i], grid[j])
         reached = 0
         for k, d in enumerate(prof.values[:n_max]):
             while reached < len(ascending) and ascending[reached] <= d:
                 joins[ascending[reached]][k].append((i, j))
                 reached += 1
-    exact = len(grid) <= exact_limit
+    exact = len(grid) <= EXACT_LIMIT
     count = _max_clique_size if exact else _greedy_separated
     adj = {eps: [set() for _ in grid] for eps in ascending}
     counts: dict[tuple[int, Fraction], int] = {}
@@ -359,7 +349,7 @@ def chain_continuity_test(
     one starting measure whose endpoints are at least 2*eps apart, refuting
     chain continuity at that point.
     """
-    eps, delta = Fraction(eps), Fraction(delta)
+    eps, delta = _exact("eps", eps), _exact("delta", delta)
     survivors = {d: sorted(eventual_image(f, d)) for d in range(1, depth + 1)}
     singleton = all(len(s) == 1 for s in survivors.values())
     nested = all(
@@ -456,7 +446,6 @@ def weak_shadowing_refutation(
     eps: Fraction,
     delta: Fraction,
     grid: list[AtomicMeasure],
-    budget: int = DEFAULT_BUDGET,
 ) -> Certificate:
     """Refute weak eps-shadowing of a cross-component pseudotrajectory.
 
@@ -468,7 +457,7 @@ def weak_shadowing_refutation(
     anchors.  The core chain, the anchor gap and the orbit minima all run
     the closed form.
     """
-    eps, delta = Fraction(eps), Fraction(delta)
+    eps, delta = _exact("eps", eps), _exact("delta", delta)
     if tower.kind != "dumbbell":
         raise ParameterError("weak-shadowing refutation needs a dumbbell tower")
     comps = tower.levels[0].components
@@ -479,8 +468,8 @@ def weak_shadowing_refutation(
         raise ParameterError("map is transitive at the cell level; refutation declined")
     h = tower.table
     h_inv = h.invert()
-    mu_star = dirac(representative(comps[0].left[0]))
-    nu_star = dirac(representative(comps[1].left[0]))
+    mu_star = dirac(representative(comps[0].initial_vertex))
+    nu_star = dirac(representative(comps[1].initial_vertex))
     k0 = chain_step_count(delta)
     core = chain_connect_homeo(h, mu_star, nu_star, delta, k0)
     anchor_gap = prohorov_distance(mu_star, nu_star)
@@ -489,8 +478,8 @@ def weak_shadowing_refutation(
     for idx, eta in enumerate(grid):
         mins = {}
         for name, anchor in (("first", mu_star), ("second", nu_star)):
-            forward = orbit_distance_to_target(h, eta, anchor, budget)
-            backward = orbit_distance_to_target(h_inv, eta, anchor, budget)
+            forward = orbit_distance_to_target(h, eta, anchor)
+            backward = orbit_distance_to_target(h_inv, eta, anchor)
             mins[name] = min(forward.infimum(), backward.infimum())
         shadows_both = mins["first"] < eps and mins["second"] < eps
         refuted_all &= not shadows_both

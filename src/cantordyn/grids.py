@@ -112,9 +112,7 @@ class TrajectoryFamily:
         return self.matrices[self.preperiod + (n - self.preperiod) % self.period]
 
 
-def track_representatives(
-    f: PrefixTableMap, partition: CylinderPartition, budget: int = DEFAULT_BUDGET
-) -> TrajectoryFamily:
+def track_representatives(f: PrefixTableMap, partition: CylinderPartition) -> TrajectoryFamily:
     """Evolve all cell representatives jointly and certify the eventual
     periodicity of their pairwise separation matrix.
 
@@ -125,7 +123,7 @@ def track_representatives(
     """
     start = tuple(representative(c) for c in partition.cells)
     _, matrices, rho, tau, _ = _evolve_distance_sequence(
-        f, tuple(dirac(w) for w in start), (), budget
+        f, tuple(dirac(w) for w in start), (), DEFAULT_BUDGET
     )
     return TrajectoryFamily(start, rho, tau, matrices)
 
@@ -248,12 +246,7 @@ class LiYorkeScan:
         return _li_yorke_rule(self.liminf(i, j), self.limsup(i, j))
 
 
-def li_yorke_scan(
-    f: PrefixTableMap,
-    partition: CylinderPartition,
-    resolution: int,
-    budget: int = DEFAULT_BUDGET,
-) -> LiYorkeScan:
+def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: int) -> LiYorkeScan:
     """Classify every unordered pair of simplex-grid measures exactly.
 
     liminf and limsup of each pair's distance sequence are taken over one
@@ -261,7 +254,7 @@ def li_yorke_scan(
     """
     import numpy as np
 
-    family = track_representatives(f, partition, budget)
+    family = track_representatives(f, partition)
     grid = simplex_grid(partition, resolution)
     scanner = CommonSupportScanner(family, grid, resolution)
     rho, tau = family.preperiod, family.period

@@ -54,6 +54,14 @@ ENUMERATION_LIMIT = 16
 _MEMO_SIZE = 256  # entries kept by each of the solve and pushforward memos
 
 
+def _exact(name: str, value) -> Fraction:
+    """``value`` as a Fraction; a float is rejected, never converted.  The
+    one float check of every entry point that takes a rational."""
+    if isinstance(value, float):
+        raise ParameterError(f"{name} {value!r} is a float, not an exact rational")
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class AtomicMeasure:
     """A probability measure with finitely many rational point masses.
@@ -77,9 +85,7 @@ class AtomicMeasure:
     def __init__(self, atoms):
         merged: dict[str, Fraction] = {}
         for point, mass in atoms:
-            if isinstance(mass, float):
-                raise ParameterError(f"atom mass {mass!r} is a float, not an exact rational")
-            mass = Fraction(mass)
+            mass = _exact("atom mass", mass)
             if mass < 0:
                 raise ParameterError("negative atom mass")
             if mass == 0:
@@ -172,9 +178,7 @@ def pushforward_iter(f, mu: AtomicMeasure, n: int) -> AtomicMeasure:
 
 def convex_combine(weighted: list[tuple[Fraction, AtomicMeasure]]) -> AtomicMeasure:
     """Convex combination of measures; weights must be >= 0 and sum to 1."""
-    if any(isinstance(w, float) for w, _ in weighted):
-        raise ParameterError("weights must be exact rationals, not floats")
-    weights = [Fraction(w) for w, _ in weighted]
+    weights = [_exact("weight", w) for w, _ in weighted]
     if any(w < 0 for w in weights):
         raise ParameterError("weights must be nonnegative")
     if sum(weights, Fraction(0)) != 1:
@@ -473,31 +477,27 @@ def prohorov_distance(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto
     return prohorov(mu, nu, backend).value
 
 
-def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Fraction:
+def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "flow") -> Fraction:
     """Infimum of the symmetric condition; equals the one-sided value.
 
     Kept as an independent oracle so the equality of the two formulations
-    can be cross-checked on every input; it runs on the enumeration or flow
-    backend, "auto" means flow, and "both" insists that the two agree.
+    can be cross-checked on every input.  It has no closed form: ``backend``
+    is "flow" or "enumeration" (at most ``ENUMERATION_LIMIT`` atoms), and
+    any other name raises BackendSelectionError.
     """
+    g_of = {"flow": _g_flow, "enumeration": _g_enumeration}.get(backend)
+    if g_of is None:
+        raise BackendSelectionError(f"unknown two-sided backend {backend!r}")
     mu_int, nu_int, denom = _scaled_masses(mu, nu)
     seps = _separation_matrix(mu.support, nu.support)
     seps_T = tuple(zip(*seps))
 
-    def value(g_of) -> Fraction:
-        def g_at(s):
-            g1, _ = g_of(mu_int, nu_int, _masks(seps, s), denom)
-            g2, _ = g_of(nu_int, mu_int, _masks(seps_T, s), denom)
-            return max(g1, g2), None
+    def g_at(s):
+        g1, _ = g_of(mu_int, nu_int, _masks(seps, s), denom)
+        g2, _ = g_of(nu_int, mu_int, _masks(seps_T, s), denom)
+        return max(g1, g2), None
 
-        return _clamped_min(_thresholds(seps), denom, g_at)[0]
-
-    if backend == "both":
-        a, b = value(_g_enumeration), value(_g_flow)
-        if a != b:
-            raise CertificationError(f"backends disagree: {a} vs {b}")
-        return a
-    return value(_g_enumeration if backend == "enumeration" else _g_flow)
+    return _clamped_min(_thresholds(seps), denom, g_at)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .errors import ParameterError, ResourceBudgetError
 from .maps import PrefixTableMap
 from .measures import AtomicMeasure, _one_sided_value, pushforward
 
-DEFAULT_BUDGET = 400
+DEFAULT_BUDGET = 400  # the one step budget of every certified orbit
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ def _evolve_distance_sequence(
 
 
 def _solved_window(
-    f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure, nu_moves: bool, budget: int
+    f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure, nu_moves: bool
 ) -> DistanceProfile:
     """Profile of d(f~^n mu, nu_n), where nu_n is f~^n nu if ``nu_moves`` and
     nu itself otherwise (nu's words frozen in the engine).
@@ -277,7 +277,9 @@ def _solved_window(
     after them, nu's.
     """
     initial, frozen = ((mu, nu), ()) if nu_moves else ((mu,), nu.support)
-    states, matrices, rho, tau, kind = _evolve_distance_sequence(f, initial, frozen, budget)
+    states, matrices, rho, tau, kind = _evolve_distance_sequence(
+        f, initial, frozen, DEFAULT_BUDGET
+    )
     values = []
     for state, matrix in zip(states, matrices):
         k = len(state[0])
@@ -286,15 +288,13 @@ def _solved_window(
     return DistanceProfile(tuple(values), rho, tau, kind)
 
 
-def distance_profile(
-    f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure, budget: int = DEFAULT_BUDGET
-) -> DistanceProfile:
+def distance_profile(f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure) -> DistanceProfile:
     """Exact profile of d(f~^n mu, f~^n nu) with certified liminf/limsup."""
-    return _solved_window(f, mu, nu, True, budget)
+    return _solved_window(f, mu, nu, True)
 
 
 def orbit_distance_to_target(
-    f: PrefixTableMap, mu: AtomicMeasure, target: AtomicMeasure, budget: int = DEFAULT_BUDGET
+    f: PrefixTableMap, mu: AtomicMeasure, target: AtomicMeasure
 ) -> DistanceProfile:
     """Exact profile of d(f~^n mu, target) against a fixed target measure."""
-    return _solved_window(f, mu, target, False, budget)
+    return _solved_window(f, mu, target, False)

@@ -22,6 +22,7 @@ from .certs import Certificate
 from .errors import ParameterError, ResourceBudgetError
 from .measures import (
     AtomicMeasure,
+    _exact,
     atomic_measure,
     cell_masses,
     convex_combine,
@@ -29,8 +30,8 @@ from .measures import (
     prohorov_distance,
     pushforward_iter,
 )
-from .orbits import DEFAULT_BUDGET, orbit_distance_to_target
-from .towers import BalloonComponent, DumbbellComponent, MapTower
+from .orbits import orbit_distance_to_target
+from .towers import MapTower
 
 
 @dataclass(frozen=True)
@@ -38,22 +39,15 @@ class AdmissibleChoice:
     """A nested component selection with a loop offset and period.
 
     ``components[k]`` indexes a component of tower level k; each must be a
-    child of the previous one.  ``loop`` selects which loop carries the mass
-    on dumbbell towers ("right" or "left"); offset is 1-based.
+    child of the previous one.  ``loop`` names the loop that carries the
+    mass, a key of the component's ``LOOPS``: "right" on every tower, "left"
+    on dumbbells too; offset is 1-based.
     """
 
     components: tuple[int, ...]
     offset: int = 1
     period: int = 1
     loop: str = "right"
-
-
-def _loop_cells(component, which: str) -> tuple[str, ...]:
-    if isinstance(component, BalloonComponent):
-        return component.loop
-    if isinstance(component, DumbbellComponent):
-        return component.right if which == "right" else component.left
-    raise ParameterError(f"unsupported component type {type(component).__name__}")
 
 
 def _validate_choice(tower: MapTower, choice: AdmissibleChoice) -> None:
@@ -66,11 +60,9 @@ def _validate_choice(tower: MapTower, choice: AdmissibleChoice) -> None:
             raise ParameterError(f"no component {ci} at level {k}")
         if prev is not None and comps[ci].parent != prev:
             raise ParameterError("choice components are not nested (parent mismatch)")
+        if choice.loop not in comps[ci].LOOPS:
+            raise ParameterError(f"{tower.kind} components have no {choice.loop!r} loop")
         prev = ci
-    if choice.loop not in ("right", "left"):
-        raise ParameterError("loop must be 'right' or 'left'")
-    if choice.loop == "left" and tower.kind != "dumbbell":
-        raise ParameterError("left loops exist only on dumbbell towers")
 
 
 def periodic_measure(tower: MapTower, choice: AdmissibleChoice, level: int) -> AtomicMeasure:
@@ -91,7 +83,7 @@ def periodic_measure(tower: MapTower, choice: AdmissibleChoice, level: int) -> A
     if not 1 <= t <= m:
         raise ParameterError(f"offset {t} outside 1..{m}")
     comp = tower.levels[level].components[choice.components[level]]
-    loop = _loop_cells(comp, choice.loop)
+    loop = comp.loop_cells(choice.loop)
     mu = atomic_measure(
         {
             representative(loop[(t - 1 + j * p) % m]): Fraction(p, m)
@@ -110,24 +102,21 @@ def periodic_measure(tower: MapTower, choice: AdmissibleChoice, level: int) -> A
     return mu
 
 
-def enumerate_admissible_choices(
-    tower: MapTower, period: int, depth: int | None = None, loops: tuple[str, ...] = ("right",)
-) -> list[AdmissibleChoice]:
-    """All nested component chains of the given depth with all offsets in
-    1..period; distinct choices yield pairwise distinct periodic measures."""
-    depth = len(tower.levels) if depth is None else depth
+def enumerate_admissible_choices(tower: MapTower, period: int) -> list[AdmissibleChoice]:
+    """All nested component chains through every certified level, each with
+    every offset in 1..period, on the right loop; distinct choices yield
+    pairwise distinct periodic measures."""
     chains: list[tuple[int, ...]] = [(i,) for i in range(len(tower.levels[0].components))]
-    for k in range(1, depth):
-        comps = tower.levels[k].components
+    for level in tower.levels[1:]:
         chains = [
             chain + (ci,)
             for chain in chains
-            for ci, comp in enumerate(comps)
+            for ci, comp in enumerate(level.components)
             if comp.parent == chain[-1]
         ]
     return [
-        AdmissibleChoice(components=chain, offset=t, period=period, loop=which)
-        for chain, t, which in product(chains, range(1, period + 1), loops)
+        AdmissibleChoice(components=chain, offset=t, period=period)
+        for chain, t in product(chains, range(1, period + 1))
     ]
 
 
@@ -165,40 +154,28 @@ def consistency_check(
     )
 
 
-def _transient_cells(tower: MapTower, level: int) -> list[tuple[str, str]]:
-    """Cells that chain-recurrent measures must not charge: balloon paths,
-    dumbbell bars."""
-    out = []
-    for comp in tower.levels[level].components:
-        if isinstance(comp, BalloonComponent):
-            out.extend(("path", c) for c in comp.path)
-        else:
-            out.extend(("bar", c) for c in comp.bar)
-    return out
-
-
-def loop_support_check(
-    tower: MapTower, mu: AtomicMeasure, level: int = 0, preimage_horizon: int | None = None
-) -> Certificate:
+def loop_support_check(tower: MapTower, mu: AtomicMeasure) -> Certificate:
     """Necessary condition for chain recurrence of the induced map: zero
-    mass on every transient cell.
+    mass on every transient cell of level 0 (each component's ``TRANSIENT``
+    role: balloon paths, dumbbell bars).
 
     On dumbbell towers the preimages h^{-n} of the first bar cells must also
-    carry zero mass, up to a horizon defaulting to bar length plus plate
-    weight (beyond it those preimages recede into the left loops).
+    carry zero mass, for n up to the longest bar plus the loop length
+    (beyond it those preimages recede into the left loops).
     """
+    level_obj = tower.levels[0]
     violations = []
-    for kind, cell in _transient_cells(tower, level):
-        mass = mu.mass_of_cylinders([cell])
-        if mass != 0:
-            violations.append({"cell": cell, "kind": kind, "mass": mass})
+    for comp in level_obj.components:
+        for cell in comp.transient:
+            mass = mu.mass_of_cylinders([cell])
+            if mass != 0:
+                violations.append({"cell": cell, "kind": comp.TRANSIENT, "mass": mass})
     if tower.kind == "dumbbell":
-        level_obj = tower.levels[level]
-        if preimage_horizon is None:
-            bar_max = max(len(c.bar) for c in level_obj.components)
-            preimage_horizon = bar_max + level_obj.loop_length
+        bar_max = max(len(c.transient) for c in level_obj.components)
+        preimage_horizon = bar_max + level_obj.loop_length
         for comp in level_obj.components:
-            region = (comp.bar[0],)
+            first = comp.transient[0]
+            region = (first,)
             for n in range(1, preimage_horizon + 1):
                 pieces = []
                 for cyl in region:
@@ -207,14 +184,14 @@ def loop_support_check(
                 mass = mu.mass_of_cylinders(region)
                 if mass != 0:
                     violations.append(
-                        {"cell": comp.bar[0], "kind": f"preimage_{n}", "mass": mass}
+                        {"cell": first, "kind": f"preimage_{n}", "mass": mass}
                     )
                     break
     return Certificate(
         operation="loop_support_check",
         passed=not violations,
         verdict="loop_supported" if not violations else "transient_mass_found",
-        parameters={"level": level},
+        parameters={"level": 0},
         witnesses={"violations": violations},
         details={},
     )
@@ -225,7 +202,7 @@ def recurrence_certificate(
 ) -> Certificate:
     """d(f~^{m}(mu), mu) < eps at the first level of mesh below eps, m the
     level's loop length; requires a loop-supported measure."""
-    eps = Fraction(eps)
+    eps = _exact("eps", eps)
     support = loop_support_check(tower, mu)
     if not support.passed:
         raise ParameterError("measure charges transient cells; recurrence check declined")
@@ -251,22 +228,23 @@ def transient_perturbation(
     fails the loop-support check with at least lambda of transient mass:
     arbitrarily small perturbations leave the chain-recurrent candidates.
     """
-    lam = Fraction(lam)
+    lam = _exact("lambda", lam)
     if not 0 < lam < 1:
         raise ParameterError("lambda must lie strictly between 0 and 1")
     comp = tower.levels[0].components[0]
-    if isinstance(comp, BalloonComponent):
-        if len(comp.path) < 2:
+    transient = comp.transient
+    if tower.kind == "balloon":
+        if len(transient) < 2:
             raise ParameterError(
                 "perturbation needs a path of length at least 2 so the mass "
                 "lands in a transient cell"
             )
         # image of the initial vertex's representative: sits in the second path cell
-        z = tower.table.apply(representative(comp.path[0]))
-        target_cell = comp.path[1]
+        z = tower.table.apply(representative(comp.initial_vertex))
+        target_cell = transient[1]
     else:
-        z = representative(comp.bar[0])
-        target_cell = comp.bar[0]
+        z = representative(transient[0])
+        target_cell = transient[0]
     mu_lam = convex_combine([(1 - lam, mu), (lam, dirac(z))])
     dist = prohorov_distance(mu_lam, mu)
     support = loop_support_check(tower, mu_lam)
@@ -287,18 +265,6 @@ def transient_perturbation(
     return mu_lam, cert
 
 
-@dataclass(frozen=True)
-class LoopDecomposition:
-    """Per component: the loop split into classes closed under stepping the
-    return time, with the measure's class sums."""
-
-    component: int
-    loop: str
-    class_cells: tuple[tuple[str, ...], ...]
-    class_sums: tuple[Fraction, ...]
-    class_size: int
-
-
 def _loop_classes(loop_cells: tuple[str, ...], p: int) -> list[tuple[int, ...]]:
     m = len(loop_cells)
     g = gcd(p, m)
@@ -310,7 +276,6 @@ def approx_by_periodic(
     mu: AtomicMeasure,
     eps: Fraction,
     return_time: int | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> tuple[AtomicMeasure, Certificate]:
     """Build an exactly invariant measure within eps of a recurrent one.
 
@@ -320,7 +285,7 @@ def approx_by_periodic(
     mu on each class by its average.  The result is exactly invariant under
     p steps of the induced map and provably within eps of mu.
     """
-    eps = Fraction(eps)
+    eps = _exact("eps", eps)
     support = loop_support_check(tower, mu)
     if not support.passed:
         raise ParameterError("measure charges transient cells; approximation declined")
@@ -333,7 +298,7 @@ def approx_by_periodic(
 
     if return_time is None:
         # 1 .. preperiod + period holds every value the profile takes at n >= 1
-        prof = orbit_distance_to_target(f, mu, mu, budget)
+        prof = orbit_distance_to_target(f, mu, mu)
         return_time = next(
             (p for p in range(1, prof.preperiod + prof.period + 1) if prof.value_at(p) < delta),
             None,
@@ -347,11 +312,10 @@ def approx_by_periodic(
 
     masses = cell_masses(mu, partition)
     pieces: list[tuple[Fraction, AtomicMeasure]] = []
-    decompositions = []
-    loops = ("right", "left") if tower.kind == "dumbbell" else ("right",)
+    classes_out = []
     for ci, comp in enumerate(level_obj.components):
-        for which in loops:
-            cells = _loop_cells(comp, which)
+        for which in comp.LOOPS:
+            cells = comp.loop_cells(which)
             classes = _loop_classes(cells, p)
             k = len(classes[0])
             sums = []
@@ -364,16 +328,8 @@ def approx_by_periodic(
                         {representative(c): Fraction(1, k) for c in cls_cells}
                     )
                     pieces.append((total, uniform))
-            decompositions.append(
-                LoopDecomposition(
-                    component=ci,
-                    loop=which,
-                    class_cells=tuple(
-                        tuple(cells[i] for i in cls) for cls in classes
-                    ),
-                    class_sums=tuple(sums),
-                    class_size=k,
-                )
+            classes_out.append(
+                {"component": ci, "loop": which, "class_size": k, "class_sums": sums}
             )
     mu_prime = convex_combine(pieces)
     if pushforward_iter(f, mu_prime, p) != mu_prime:
@@ -395,15 +351,7 @@ def approx_by_periodic(
         details={
             "cellwise_bound": bound,
             "cellwise_ok": cellwise_ok,
-            "classes": [
-                {
-                    "component": d.component,
-                    "loop": d.loop,
-                    "class_size": d.class_size,
-                    "class_sums": list(d.class_sums),
-                }
-                for d in decompositions
-            ],
+            "classes": classes_out,
         },
     )
     return mu_prime, cert

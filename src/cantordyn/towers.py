@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from math import factorial
+from typing import ClassVar
 
 from .cantor import (
     CylinderPartition,
@@ -44,27 +45,52 @@ from .maps import (
 )
 
 
+class _Component:
+    """What the roles of a component mean, said once for both shapes.
+
+    ``ROLES`` lists the role fields in cell order, as ``classify_components``
+    reports them; ``LOOPS`` maps each loop name of ``AdmissibleChoice.loop``
+    to its role, right first; ``TRANSIENT`` names the role whose cells the
+    periodic and chain-recurrent measures may not charge.
+    """
+
+    @property
+    def cells(self) -> tuple[str, ...]:
+        return sum((getattr(self, role) for role in self.ROLES), ())
+
+    @property
+    def initial_vertex(self) -> str:
+        return self.cells[0]
+
+    def loop_cells(self, which: str) -> tuple[str, ...]:
+        return getattr(self, self.LOOPS[which])
+
+    @property
+    def transient(self) -> tuple[str, ...]:
+        return getattr(self, self.TRANSIENT)
+
+
 @dataclass(frozen=True)
-class BalloonComponent:
+class BalloonComponent(_Component):
     """One balloon: path cells v_1..v_m and loop cells w_1..w_m."""
+
+    ROLES: ClassVar[tuple[str, ...]] = ("path", "loop")
+    LOOPS: ClassVar[dict[str, str]] = {"right": "loop"}
+    TRANSIENT: ClassVar[str] = "path"
 
     path: tuple[str, ...]
     loop: tuple[str, ...]
     parent: int | None = None
 
-    @property
-    def initial_vertex(self) -> str:
-        return self.path[0]
-
-    @property
-    def cells(self) -> tuple[str, ...]:
-        return self.path + self.loop
-
 
 @dataclass(frozen=True)
-class DumbbellComponent:
+class DumbbellComponent(_Component):
     """One balanced dumbbell: left loop, bar, right loop, and the two
     clopen subcylinders that cycle exactly with their loops."""
+
+    ROLES: ClassVar[tuple[str, ...]] = ("left", "bar", "right")
+    LOOPS: ClassVar[dict[str, str]] = {"right": "right", "left": "left"}
+    TRANSIENT: ClassVar[str] = "bar"
 
     left: tuple[str, ...]
     bar: tuple[str, ...]
@@ -73,21 +99,9 @@ class DumbbellComponent:
     right_witness: str
     parent: int | None = None
 
-    @property
-    def initial_vertex(self) -> str:
-        return self.left[0]
 
-    @property
-    def cells(self) -> tuple[str, ...]:
-        return self.left + self.bar + self.right
-
-
-# per tower kind: the component class and, in cell order, the roles under
-# which ``classify_components`` reports that shape's cells
-_SHAPES = {
-    "balloon": (BalloonComponent, ("path", "loop")),
-    "dumbbell": (DumbbellComponent, ("left", "bar", "right")),
-}
+# per tower kind, the component class that describes its shape
+_SHAPES = {"balloon": BalloonComponent, "dumbbell": DumbbellComponent}
 
 
 @dataclass(frozen=True)
@@ -295,7 +309,7 @@ def certify_tower(tower: MapTower) -> None:
     """
     if tower.kind not in _SHAPES:
         raise CertificationError(f"unknown tower kind {tower.kind!r}")
-    component_class, roles = _SHAPES[tower.kind]
+    component_class = _SHAPES[tower.kind]
     f = tower.table
     prev_partition = None
     prev_components = None
@@ -318,7 +332,7 @@ def certify_tower(tower: MapTower) -> None:
         for comp in level.components:
             if not isinstance(comp, component_class):
                 raise CertificationError(f"{tower.kind} tower with a {type(comp).__name__}")
-            if tuple((role, getattr(comp, role)) for role in roles) not in classified:
+            if tuple((role, getattr(comp, role)) for role in comp.ROLES) not in classified:
                 raise CertificationError(
                     f"digraph at level {li} does not match the declared shape "
                     f"with loops of length {m}"
@@ -334,11 +348,9 @@ def certify_tower(tower: MapTower) -> None:
             if not f.is_homeomorphism():
                 raise CertificationError("dumbbell tower table is not bijective")
             for comp in level.components:
-                for witness, cells in (
-                    (comp.left_witness, comp.left),
-                    (comp.right_witness, comp.right),
-                ):
-                    period = len(cells)
+                for which in comp.LOOPS:
+                    witness = getattr(comp, f"{which}_witness")
+                    period = len(comp.loop_cells(which))
                     back = f.iterated_image_cylinders((witness,), period)
                     if back != normalize_cylinder_union((witness,)):
                         raise CertificationError(
@@ -385,12 +397,12 @@ def tower_from_dict(data: dict) -> MapTower:
             f"not a balloon or dumbbell map of format {_MAP_FORMAT!r}: "
             f"format {data.get('format')!r}, kind {data.get('kind')!r}"
         )
-    component_class, roles = _SHAPES[data["kind"]]
+    component_class = _SHAPES[data["kind"]]
 
     def component(record):
         _expect(record, dict, "a component")
         values = {field.name: record[field.name] for field in fields(component_class)}
-        for role in roles:  # JSON holds each tuple of cells as a list
+        for role in component_class.ROLES:  # JSON holds each tuple of cells as a list
             values[role] = tuple(_expect(values[role], list, f"the {role} cells"))
         if values["parent"] is not None:
             _expect(values["parent"], int, "a parent link")

@@ -342,7 +342,7 @@ def test_prohorov_command(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "choice, expected",
-    [("enumeration", "enumeration"), ("flow", "auto"), ("auto", "auto"), ("both", "auto")],
+    [("enumeration", "enumeration"), ("flow", "flow"), ("auto", "flow"), ("both", "flow")],
 )
 def test_prohorov_two_sided_backend(tmp_path, capsys, monkeypatch, choice, expected):
     # enumeration asks for the enumeration oracle; every other choice runs

@@ -32,6 +32,11 @@ from cantordyn.measures import (
     prohorov_distance,
     pushforward_iter,
 )
+from cantordyn.recurrence import (
+    approx_by_periodic,
+    recurrence_certificate,
+    transient_perturbation,
+)
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
 SWAP = PrefixTableMap((("0", "1"), ("1", "0")))
@@ -84,6 +89,40 @@ def test_default_gamma_matches_brute_force_oracle():
     lambda: verify_chain(SWAP, [dirac(""), dirac("1")], 0.5),
 ])
 def test_chain_functions_reject_floats(call):
+    with pytest.raises(ParameterError, match="float"):
+        call()
+
+
+@pytest.mark.parametrize("gamma", [Fraction(0), Fraction(-1, 4), Fraction(1, 2), Fraction(3, 2)],
+                         ids=["zero", "negative", "delta", "above-delta"])
+def test_chain_step_count_rejects_gamma_out_of_range(gamma):
+    # a mixing step must lie strictly between 0 and delta = 1/2
+    with pytest.raises(ParameterError, match="strictly between 0 and delta"):
+        chain_step_count(Fraction(1, 2), gamma)
+
+
+_BALLOON = make_balloon_tower([(3, 2), (5, 2)], [2, 4])
+_DUMBBELL = make_dumbbell_tower((4, 2), 2, bar_length=1)
+_LOOP_MEASURE = dirac(representative(_BALLOON.levels[0].components[0].loop[0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chain_continuity_test(SWAP, 2, eps=0.25),
+    lambda: chain_continuity_test(SWAP, 2, delta=0.5),
+    lambda: weak_shadowing_refutation(_DUMBBELL, 0.25, Fraction(1, 2), []),
+    lambda: weak_shadowing_refutation(_DUMBBELL, Fraction(1, 4), 0.5, []),
+    lambda: equicontinuity_certificate(_BALLOON, 0.25, []),
+    lambda: sample_modulus_pairs(_BALLOON, 0.25, 1, random.Random(0)),
+    lambda: entropy_estimate(SWAP, [dirac("")], [0.5], 1),
+    lambda: recurrence_certificate(_BALLOON, _LOOP_MEASURE, 0.25),
+    lambda: transient_perturbation(_BALLOON, _LOOP_MEASURE, 0.25),
+    lambda: approx_by_periodic(_BALLOON, _LOOP_MEASURE, 0.25),
+    lambda: atomic_measure([("", 1.0)]),
+    lambda: convex_combine([(0.5, dirac("")), (Fraction(1, 2), dirac("1"))]),
+], ids=["continuity-eps", "continuity-delta", "shadowing-eps", "shadowing-delta",
+        "equicontinuity", "modulus-pairs", "entropy", "recurrence", "perturbation",
+        "approx", "atomic-measure", "convex-combine"])
+def test_entry_points_reject_floats(call):
     with pytest.raises(ParameterError, match="float"):
         call()
 

@@ -75,7 +75,7 @@ def test_scanner_matches_reference_engine():
     for _ in range(15):
         i, j = rng.randrange(len(grid)), rng.randrange(len(grid))
         fast = scanner.pair_profile(i, j)
-        slow = distance_profile(tower.table, grid[i], grid[j], budget=200)
+        slow = distance_profile(tower.table, grid[i], grid[j])
         horizon = max(len(fast.values), len(slow.values)) + 2
         for n in range(horizon):
             assert fast.value_at(n) == slow.value_at(n), (i, j, n)

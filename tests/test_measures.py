@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,15 +49,25 @@ def grid_oracle_bracket(mu, nu, step=Fraction(1, 1000)):
     atom's distance to the nearest point of the subset are computed once;
     a nu atom lies in the strict delta-neighborhood of the subset exactly
     when that nearest distance is below delta.
+
+    Masses and grid points are integers over one denominator D, a multiple
+    of both measures' denominators and of step's, and each distance d is
+    held as floor(d * D): for an integer j, d * D < j exactly when
+    floor(d * D) < j, so the strict test stays exact in integers.
     """
-    dist = [[point_distance(q, p) for p, _ in mu.atoms] for q, _ in nu.atoms]
+    mu_atoms, nu_atoms = mu.atoms, nu.atoms
+    denom = lcm(mu.denom, nu.denom, step.denominator)
+
+    def scaled(x):
+        return x.numerator * denom // x.denominator
+
+    dist = [[scaled(point_distance(q, p)) for p, _ in mu_atoms] for q, _ in nu_atoms]
+    nu_masses = [scaled(m) for _, m in nu_atoms]
     subsets = []
-    for r in range(1, 1 << len(mu.atoms)):
-        members = [i for i in range(len(mu.atoms)) if r >> i & 1]
-        mass_mu = sum(mu.atoms[i][1] for i in members)
-        nearest = [
-            (min(row[i] for i in members), m) for row, (_, m) in zip(dist, nu.atoms)
-        ]
+    for r in range(1, 1 << len(mu_atoms)):
+        members = [i for i in range(len(mu_atoms)) if r >> i & 1]
+        mass_mu = sum(scaled(mu_atoms[i][1]) for i in members)
+        nearest = [(min(row[i] for i in members), m) for row, m in zip(dist, nu_masses)]
         subsets.append((mass_mu, nearest))
 
     def feasible(delta):
@@ -70,7 +80,7 @@ def grid_oracle_bracket(mu, nu, step=Fraction(1, 1000)):
     lo, hi = 0, 1000  # delta = 1 is always feasible for probability measures
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if feasible(mid * step):
+        if feasible(scaled(mid * step)):
             hi = mid
         else:
             lo = mid
@@ -292,6 +302,14 @@ def test_enumeration_backend_size_guard():
     assert prohorov(big, big, backend="flow").value == 0
     assert prohorov(big, big, backend="both").value == 0  # closed form against flow
     assert prohorov(big, big).value == 0  # auto runs the closed form at every size
+
+
+@pytest.mark.parametrize("backend", ["both", "bogus", "auto"])
+def test_two_sided_oracle_takes_only_flow_or_enumeration(backend):
+    mu = atomic_measure({"": Fraction(1, 2), "1": Fraction(1, 2)})
+    with pytest.raises(BackendSelectionError, match="two-sided"):
+        prohorov_two_sided(mu, dirac(""), backend)
+    assert prohorov_two_sided(mu, dirac("")) == Fraction(1, 2)
 
 
 def test_metric_axioms_on_random_triples():

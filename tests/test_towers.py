@@ -240,3 +240,27 @@ def test_representatives_cycle_on_loops():
             for i, cell in enumerate(comp.loop):
                 image = f.apply(representative(cell))
                 assert image == representative(comp.loop[(i + 1) % m])
+
+
+@pytest.mark.parametrize("tower, component_class, loops, transient", [
+    (make_balloon_tower([(3, 2), (5, 2)], [2, 4]), BalloonComponent,
+     lambda c: {"right": c.loop}, lambda c: c.path),
+    (make_dumbbell_tower((4, 2), 2, bar_length=1), DumbbellComponent,
+     lambda c: {"right": c.right, "left": c.left}, lambda c: c.bar),
+], ids=["balloon", "dumbbell"])
+def test_component_roles_are_described_once(tower, component_class, loops, transient):
+    # the classifier's role keys, in cell order, are the class's ROLES
+    for level in tower.levels:
+        shapes = classify_components(graph_of(tower.table, level.partition()))
+        assert shapes and all(tuple(s.cells) == component_class.ROLES for s in shapes)
+    assert set(component_class.LOOPS.values()) <= set(component_class.ROLES)
+    assert component_class.TRANSIENT in component_class.ROLES
+    for level in tower.levels:
+        for comp in level.components:
+            # right first, as the periodic approximation visits the loops
+            assert {w: comp.loop_cells(w) for w in comp.LOOPS} == loops(comp)
+            assert list(comp.LOOPS) == list(loops(comp))
+            assert comp.transient == transient(comp)
+            assert comp.initial_vertex == comp.cells[0]
+    # the role constants are class data: serialization sees only the fields
+    assert "ROLES" not in tower_to_dict(tower)["levels"][0]["components"][0]
