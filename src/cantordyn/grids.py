@@ -29,7 +29,7 @@ from .cantor import CylinderPartition, representative
 from .errors import ParameterError
 from .maps import PrefixTableMap
 from .measures import AtomicMeasure, atomic_measure, dirac
-from .measures import _clamped_min, _interval_value, _masks, _thresholds
+from .measures import _clamped_min, _interval_value, _masks, _separation_matrix, _thresholds
 from .orbits import (
     DEFAULT_BUDGET,
     DistanceProfile,
@@ -119,13 +119,14 @@ def track_representatives(f: PrefixTableMap, partition: CylinderPartition) -> Tr
     Runs the measure-orbit engine on the Dirac masses of the representatives:
     their masses never change, so the engine's state-cycle and padded-cycle
     certificates apply to the separation matrix of the words themselves, and
-    the family keeps the matrices of the engine's certified window.
+    the family keeps the matrices of the states of the certified window.
     """
     start = tuple(representative(c) for c in partition.cells)
-    _, matrices, rho, tau, _ = _evolve_distance_sequence(
+    states, rho, tau, _ = _evolve_distance_sequence(
         f, tuple(dirac(w) for w in start), (), DEFAULT_BUDGET
     )
-    return TrajectoryFamily(start, rho, tau, matrices)
+    words = ([mu.support[0] for mu in state] for state in states)
+    return TrajectoryFamily(start, rho, tau, tuple(_separation_matrix(w, w) for w in words))
 
 
 # ---------------------------------------------------------------------------

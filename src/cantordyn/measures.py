@@ -25,19 +25,21 @@ coupling are kept as independent oracles.  All three are exact over the
 integers after clearing denominators, and they must always agree.
 
 Distances are exact integers until reported: pairs of words are compared by
-their separation n (d = 1/n; ``_separation_matrix`` here, a block of the
-symmetric joint matrix in the orbit engine), the thresholds are separations,
+their separation n (d = 1/n; ``_separation_matrix``, or the symmetric
+joint matrix of the orbit engine), the thresholds are separations,
 g is an integer numerator over the common denominator, and one rule,
 ``_interval_value``, decides each interval in integers and builds the one
 Fraction of each returned value.  The solvers and the grid scanner share
 ``_thresholds``, ``_masks`` and that rule.
 
-``prohorov`` and ``pushforward`` are memoised per process, each in a
-least-recently-used memo bounded at 256 entries: a chain of length k + 1
-repeats the steps of the chain of length k, and the same measures come back
-across pairs.  A measure has one canonical form and a map is equal to
-another exactly when their rules are, so a hit returns what a fresh call
-would; the results are frozen, so a shared one cannot be changed.
+``prohorov`` and ``pushforward`` are memoised per process, in
+least-recently-used memos bounded at 2,048 and 256 entries: a chain of
+length k + 1 repeats the steps of the chain of length k, the same measures
+come back across pairs, and the distance profiles of a grid meet the same
+pairs of states again and again.  A measure has one canonical form and a
+map is equal to another exactly when their rules are, so a hit returns what
+a fresh call would; the results are frozen, so a shared one cannot be
+changed.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from .cantor import CylinderPartition, canonical_point, point_in_cylinder, separ
 from .errors import BackendSelectionError, CertificationError, ParameterError
 
 ENUMERATION_LIMIT = 16
-_MEMO_SIZE = 256  # entries kept by each of the solve and pushforward memos
+_SOLVE_MEMO_SIZE = 2048  # the profile states of a grid recur within this many solves
+_PUSH_MEMO_SIZE = 256  # a larger pushforward memo only costs memory
 
 
 def _exact(name: str, value) -> Fraction:
@@ -155,7 +158,7 @@ def pushforward(f, mu: AtomicMeasure) -> AtomicMeasure:
     return _pushed(f, mu)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=_PUSH_MEMO_SIZE)
 def _pushed(f, mu: AtomicMeasure) -> AtomicMeasure:
     """``pushforward``, memoised: equal maps have equal rules and equal
     measures one form, so equal arguments have one image.
@@ -446,7 +449,7 @@ def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Pro
     return _solved(mu, nu, backend)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=_SOLVE_MEMO_SIZE)
 def _solved(mu: AtomicMeasure, nu: AtomicMeasure, backend: str) -> ProhorovResult:
     """``prohorov``, memoised per backend: equal measures have one form, so
     equal arguments have one result, which is frozen; a raised error is not

@@ -22,14 +22,15 @@ ResourceBudgetError rather than returning an unproven answer.
 
 One engine, ``_evolve_distance_sequence``, implements both mechanisms.  It
 only certifies: it returns the certified window -- the states up to
-preperiod + period and their joint separation matrices (integers n with
-d = 1/n, one ``cantor.separation`` per unordered pair; the padded check
-reads first differences off them directly) -- and its callers evaluate that
-window.  Distance profiles and target distances solve each window state
-from a block of its joint matrix, ``recurrence.approx_by_periodic`` reads
-its return time off the profile of an orbit against its start, and
-``grids.track_representatives`` keeps the matrices of the jointly tracked
-cell representatives.
+preperiod + period -- and its callers evaluate that window.  It builds a
+joint separation matrix (integers n with d = 1/n, one ``cantor.separation``
+per unordered pair; the padded check reads first differences off them
+directly) only for a step that may close a padded cycle, never for a state
+cycle.  Distance profiles and target distances solve each window state with
+``measures.prohorov``, whose memo solves a state that recurs across profiles
+once; ``recurrence.approx_by_periodic`` reads its return time off the
+profile of an orbit against its start, and ``grids.track_representatives``
+separates the words of the jointly tracked cell representatives.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from fractions import Fraction
 from .cantor import separation
 from .errors import ParameterError, ResourceBudgetError
 from .maps import PrefixTableMap
-from .measures import AtomicMeasure, _one_sided_value, pushforward
+from .measures import AtomicMeasure, prohorov, pushforward
 
 DEFAULT_BUDGET = 400  # the one step budget of every certified orbit
+_PAD_SCAN = 16  # earlier steps of equal masses pad-tested one by one
 
 
 @dataclass(frozen=True)
@@ -133,13 +135,22 @@ def distributional_densities(
 # the padded-cycle engine
 
 
+def _masses(state: tuple[AtomicMeasure, ...]):
+    """Per-measure integer masses: equal ones pair two states' atoms by index."""
+    return tuple((mu.weights, mu.denom) for mu in state)
+
+
+def _words(state: tuple[AtomicMeasure, ...]) -> list[str]:
+    return [p for mu in state for p in mu.support]
+
+
 def _joint_record(state: tuple[AtomicMeasure, ...], frozen: tuple[str, ...]):
     """(per-measure integer masses, words, joint separation matrix) of a state.
 
     The matrix is symmetric with a zero diagonal, so each unordered pair of
     words is separated once.
     """
-    words = [p for mu in state for p in mu.support]
+    words = _words(state)
     words.extend(frozen)
     k = len(words)
     rows = [[0] * k for _ in range(k)]
@@ -147,23 +158,28 @@ def _joint_record(state: tuple[AtomicMeasure, ...], frozen: tuple[str, ...]):
         row = rows[i]
         for j in range(i + 1, k):
             row[j] = rows[j][i] = separation(u, words[j])
-    masses = tuple((mu.weights, mu.denom) for mu in state)
-    return masses, words, tuple(map(tuple, rows))
+    return _masses(state), words, tuple(map(tuple, rows))
 
 
-def _pad_descriptor(w_old: str, w_new: str) -> tuple[int, int] | None:
-    """(insert position, growth) when w_new is w_old with one zero-run extended."""
-    if w_new == w_old:
-        return (len(w_old), 0)
-    g = len(w_new) - len(w_old)
-    if g <= 0:
-        return None
-    c = 0
-    while c < len(w_old) and w_old[c] == w_new[c]:
-        c += 1
-    if w_new[c: c + g] == "0" * g and w_new[c + g:] == w_old[c:]:
-        return (c, g)
-    return None
+def _pad_inserts(f: PrefixTableMap, words_a, words_b) -> list[int] | None:
+    """The pad test: the insert positions of the words of ``words_b`` that
+    are their partners in ``words_a`` with one zero-run extended beyond the
+    rule domain that fires on them, when every other word is unchanged;
+    None when some pair is neither."""
+    inserts = []
+    for wa, wb in zip(words_a, words_b):
+        if wb == wa:
+            continue
+        g = len(wb) - len(wa)
+        if g <= 0:
+            return None
+        c = 0
+        while c < len(wa) and wa[c] == wb[c]:
+            c += 1
+        if wb[c: c + g] != "0" * g or wb[c + g:] != wa[c:] or c < len(f._match(wa)[0]):
+            return None
+        inserts.append(c)
+    return inserts
 
 
 def _verify_padded_window(f: PrefixTableMap, record, n_frozen: int, start: int, tau: int) -> bool:
@@ -174,30 +190,17 @@ def _verify_padded_window(f: PrefixTableMap, record, n_frozen: int, start: int, 
     period tau from index start on.  Neither the masses nor the matrix
     follow from the word pairing: atoms may trade masses while keeping their
     words, and a moving atom may sit on a frozen word and then pad away.
+    The frozen words close every record, the same in each.
     """
     for j in range(start, start + tau + 1):
         masses_a, words_a, matrix_a = record(j)
         masses_b, words_b, matrix_b = record(j + tau)
         # equal per-measure weights also pair the atoms by index
-        if masses_a != masses_b:
+        if masses_a != masses_b or matrix_a != matrix_b:
             return False
-        inserts = []
         n_moving = len(words_a) - n_frozen
-        for i, (wa, wb) in enumerate(zip(words_a, words_b)):
-            if i >= n_moving:
-                if wa != wb:
-                    return False
-                continue
-            desc = _pad_descriptor(wa, wb)
-            if desc is None:
-                return False
-            c, g = desc
-            if g > 0:
-                dom, _ = f._match(wa)
-                if c < len(dom):
-                    return False
-                inserts.append(c)
-        if matrix_a != matrix_b:
+        inserts = _pad_inserts(f, words_a[:n_moving], words_b[:n_moving])
+        if inserts is None:
             return False
         # a separation n is a first difference at index n - 1
         if inserts and max(map(max, matrix_a)) > min(inserts):
@@ -210,57 +213,65 @@ def _evolve_distance_sequence(
     initial: tuple[AtomicMeasure, ...],
     frozen: tuple[str, ...],
     budget: int,
-) -> tuple[tuple[tuple[AtomicMeasure, ...], ...], tuple, int, int, str]:
+) -> tuple[tuple[tuple[AtomicMeasure, ...], ...], int, int, str]:
     """Shared engine: evolve the measures and certify that their joint
     distance data is eventually periodic.
 
-    Returns the certified window -- the states 0 .. preperiod+period-1 and
-    their joint separation matrices -- with the preperiod, the period and the
-    certificate kind.  Nothing is evaluated on the states: callers map
-    their own value over the window.
+    Returns the certified window -- the states 0 .. preperiod+period-1 --
+    with the preperiod, the period and the certificate kind.  Nothing is
+    evaluated on the states: callers map their own value over the window.
+
+    A state cycle needs no joint record.  A padded cycle (rho, n - rho) is a
+    candidate when steps rho and n have equal masses and equal joint
+    matrices, and its whole window is verified newest rho first.  While
+    fewer than ``_PAD_SCAN`` earlier steps share the masses, a pair must
+    first pass the pad test that opens the window check, and only then are
+    its records built: the same candidates, since a pair that fails the test
+    fails the check.  Past that, each step is recorded and looked up by its
+    matrix, so an orbit that pads without settling costs one record per step.
     """
     states: list[tuple[AtomicMeasure, ...]] = [initial]
-    records: list = []  # records[k] is the joint record of states[k], built once
+    records: dict = {}  # joint records by step, built once
     exact_seen: dict = {initial: 0}
-    sig_seen: dict = {}
-    failed: set = set()
+    mass_seen: dict = {_masses(initial): [0]}
+    sig_seen: dict = {}  # (masses, matrix) -> steps, for masses past the scan
 
     def ensure(k: int) -> None:
         while len(states) <= k:
             states.append(tuple(pushforward(f, mu) for mu in states[-1]))
 
     def record(k: int):
-        while len(records) <= k:
-            records.append(_joint_record(states[len(records)], frozen))
+        if k not in records:
+            records[k] = _joint_record(states[k], frozen)
         return records[k]
-
-    def signature(k: int):
-        masses, _, matrix = record(k)
-        return masses, matrix
-
-    def window(rho: int, tau: int, kind: str):
-        n = rho + tau
-        return tuple(states[:n]), tuple(r[2] for r in records[:n]), rho, tau, kind
-
-    sig_seen[signature(0)] = [0]
 
     for n in range(1, budget + 1):
         ensure(n)
         st = states[n]
-        rho = exact_seen.get(st)
-        if rho is not None:
-            return window(rho, n - rho, "state-cycle")
-        exact_seen[st] = n
-        sig = signature(n)
-        for rho in reversed(sig_seen.get(sig, ())):
+        rho = exact_seen.setdefault(st, n)
+        if rho < n:
+            return tuple(states[:n]), rho, n - rho, "state-cycle"
+        masses = _masses(st)
+        group = mass_seen.setdefault(masses, [])
+        if len(group) < _PAD_SCAN:
+            words = _words(st)
+            found = (rho for rho in reversed(group)
+                     if _pad_inserts(f, _words(states[rho]), words) is not None
+                     and record(rho)[2] == record(n)[2])
+        else:
+            if len(group) == _PAD_SCAN:
+                for k in group:
+                    sig_seen.setdefault((masses, record(k)[2]), []).append(k)
+            found = reversed(sig_seen.setdefault((masses, record(n)[2]), []))
+        for rho in found:
             tau = n - rho
-            if (rho, tau) in failed or rho + 2 * tau > budget:
-                continue
-            ensure(rho + 2 * tau)
-            if _verify_padded_window(f, record, len(frozen), rho, tau):
-                return window(rho, tau, "padded-cycle")
-            failed.add((rho, tau))
-        sig_seen.setdefault(sig, []).append(n)
+            if rho + 2 * tau <= budget:
+                ensure(rho + 2 * tau)
+                if _verify_padded_window(f, record, len(frozen), rho, tau):
+                    return tuple(states[:n]), rho, tau, "padded-cycle"
+        if len(group) >= _PAD_SCAN:
+            sig_seen[masses, record(n)[2]].append(n)
+        group.append(n)
     raise ResourceBudgetError(
         f"no certified eventual periodicity within {budget} steps"
     )
@@ -272,20 +283,13 @@ def _solved_window(
     """Profile of d(f~^n mu, nu_n), where nu_n is f~^n nu if ``nu_moves`` and
     nu itself otherwise (nu's words frozen in the engine).
 
-    Each window state is solved from the cross block of its joint matrix:
-    the rows are mu's words, which come first, and the columns are the words
-    after them, nu's.
+    Each window state is solved by ``prohorov``, so a state that recurs
+    across profiles is solved once.
     """
     initial, frozen = ((mu, nu), ()) if nu_moves else ((mu,), nu.support)
-    states, matrices, rho, tau, kind = _evolve_distance_sequence(
-        f, initial, frozen, DEFAULT_BUDGET
-    )
-    values = []
-    for state, matrix in zip(states, matrices):
-        k = len(state[0])
-        block = tuple(row[k:] for row in matrix[:k])
-        values.append(_one_sided_value(state[0], state[1] if nu_moves else nu, block)[0])
-    return DistanceProfile(tuple(values), rho, tau, kind)
+    states, rho, tau, kind = _evolve_distance_sequence(f, initial, frozen, DEFAULT_BUDGET)
+    values = tuple(prohorov(st[0], st[1] if nu_moves else nu).value for st in states)
+    return DistanceProfile(values, rho, tau, kind)
 
 
 def distance_profile(f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure) -> DistanceProfile:

@@ -54,7 +54,7 @@ from cantordyn.recurrence import (
 )
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
-from test_measures import grid_oracle_bracket
+from test_measures import GRID_STEP, grid_oracle_bracket
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -91,7 +91,7 @@ def test_criterion_1_prohorov_solver_exactness():
         assert prohorov(mu, nu, backend="flow").value == value
         assert prohorov_two_sided(mu, nu) == value
         bracket = grid_oracle_bracket(mu, nu)
-        assert bracket - Fraction(1, 1000) <= value <= bracket
+        assert bracket - GRID_STEP <= value <= bracket
     elapsed = time.monotonic() - start
     report(
         1,

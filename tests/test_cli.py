@@ -233,7 +233,7 @@ def test_readme_example_config_liyorke(tmp_path):
     # the example config of README.md: 24 cells at level 0, 300 grid measures
     cfg = _readme_config(tmp_path)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    # only this suite: the config's entropy suite takes minutes
+    # only this suite: the config's entropy suite takes about 20 seconds
     assert main(["analyze", "--config", cfg, "--suite", "liyorke",
                  "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report_liyorke.json").read_text())
@@ -268,7 +268,7 @@ def test_generate_runs_without_numpy(tmp_path):
 
 @pytest.mark.parametrize("suite", ["chains", "shadowing", "recurrence"])
 def test_readme_example_config_suites(tmp_path, suite):
-    # every README suite but entropy, which still runs for about a minute
+    # every README suite but entropy, which still runs for about 20 seconds
     cfg = _readme_config(tmp_path)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert main(["analyze", "--config", cfg, "--suite", suite,

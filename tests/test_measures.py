@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,21 +40,26 @@ DOUBLE = PrefixTableMap((("0", "00"), ("1", "01")))
 MERGE = PrefixTableMap((("0", "0"), ("1", "0")))
 
 
-def grid_oracle_bracket(mu, nu, step=Fraction(1, 1000)):
-    """Smallest feasible grid multiple of ``step`` for the one-sided
+GRID_STEP = Fraction(1, 1000)  # the spacing of the oracle's grid of deltas
+
+
+def grid_oracle_bracket(mu, nu):
+    """Smallest feasible grid multiple of ``GRID_STEP`` for the one-sided
     condition, checked directly from the definition.
 
-    The exact distance lies in [k*step - step, k*step]: feasibility is
-    monotone, so binary search is sound.  Each subset's mu mass and each nu
-    atom's distance to the nearest point of the subset are computed once;
-    a nu atom lies in the strict delta-neighborhood of the subset exactly
-    when that nearest distance is below delta.
+    The exact distance lies in [k*step - step, k*step] for step =
+    ``GRID_STEP``: feasibility is monotone, so binary search is sound.  Each
+    subset's mu mass and each nu atom's distance to the nearest point of the
+    subset are computed once; a nu atom lies in the strict
+    delta-neighborhood of the subset exactly when that nearest distance is
+    below delta.
 
     Masses and grid points are integers over one denominator D, a multiple
     of both measures' denominators and of step's, and each distance d is
     held as floor(d * D): for an integer j, d * D < j exactly when
     floor(d * D) < j, so the strict test stays exact in integers.
     """
+    step = GRID_STEP
     mu_atoms, nu_atoms = mu.atoms, nu.atoms
     denom = lcm(mu.denom, nu.denom, step.denominator)
 
@@ -77,7 +82,7 @@ def grid_oracle_bracket(mu, nu, step=Fraction(1, 1000)):
                 return False
         return True
 
-    lo, hi = 0, 1000  # delta = 1 is always feasible for probability measures
+    lo, hi = 0, ceil(1 / step)  # delta = 1 is always feasible for probability measures
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if feasible(scaled(mid * step)):
@@ -292,7 +297,7 @@ def test_backends_and_formulations_agree_on_random_pairs():
         assert prohorov_two_sided(mu, nu, backend="enumeration") == value
         assert prohorov_two_sided(mu, nu, backend="flow") == value
         bracket = grid_oracle_bracket(mu, nu)
-        assert bracket - Fraction(1, 1000) <= value <= bracket
+        assert bracket - GRID_STEP <= value <= bracket
 
 
 def test_enumeration_backend_size_guard():

@@ -1,5 +1,6 @@
 """The orbit engine, distance profiles and the padded-cycle certificate."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cantordyn.cantor import representative
 from cantordyn.errors import ParameterError, ResourceBudgetError
 from cantordyn import orbits
+from cantordyn.grids import random_atomic_measure, random_cell_measure
 from cantordyn.maps import PrefixTableMap
 from cantordyn.measures import (
     atomic_measure,
@@ -34,7 +36,7 @@ SWAP = PrefixTableMap((("0", "1"), ("1", "0")))
 
 def test_state_cycle_examples():
     for f, point, expected in ((IDENTITY, "01", (0, 1)), (SWAP, "", (0, 2))):
-        _, _, rho, tau, kind = orbits._evolve_distance_sequence(
+        _, rho, tau, kind = orbits._evolve_distance_sequence(
             f, (dirac(point),), (), orbits.DEFAULT_BUDGET
         )
         assert (kind, rho, tau) == ("state-cycle", *expected)
@@ -45,7 +47,7 @@ def test_state_cycle_balloon_path_dirac():
     comp = tower.levels[0].components[0]
     m = len(comp.loop)
     for j, cell in enumerate(comp.path, start=1):
-        _, _, rho, tau, kind = orbits._evolve_distance_sequence(
+        _, rho, tau, kind = orbits._evolve_distance_sequence(
             tower.table, (dirac(representative(cell)),), (), orbits.DEFAULT_BUDGET
         )
         assert kind == "state-cycle"
@@ -58,7 +60,7 @@ def test_engine_budget_covers_the_padded_window():
     # cycle (1, 2) needs the states up to index 1 + 2 * 2 = 5
     tower = make_dumbbell_tower((4, 2), 1, bar_length=1)
     bar = (dirac(representative(tower.levels[0].components[0].bar[0])),)
-    _, _, rho, tau, kind = orbits._evolve_distance_sequence(tower.table, bar, (), 5)
+    _, rho, tau, kind = orbits._evolve_distance_sequence(tower.table, bar, (), 5)
     assert (kind, rho, tau) == ("padded-cycle", 1, 2)
     with pytest.raises(ResourceBudgetError):
         orbits._evolve_distance_sequence(tower.table, bar, (), 4)
@@ -192,13 +194,13 @@ def test_padded_cycle_insert_bound_at_its_boundary():
 
 def test_profiles_solve_only_the_certified_window(monkeypatch):
     calls = []
-    solve = orbits._one_sided_value
+    solve = orbits.prohorov
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(orbits, "_one_sided_value", counting)
+    monkeypatch.setattr(orbits, "prohorov", counting)
     dumbbell = make_dumbbell_tower((4, 2), 2, bar_length=1)
     c0 = dumbbell.levels[0].components[0]
     prof = orbit_distance_to_target(
@@ -221,16 +223,168 @@ def test_profiles_solve_only_the_certified_window(monkeypatch):
     assert len(calls) == 4  # not the state that closes the cycle
 
 
+def test_state_cycles_build_no_joint_record(monkeypatch):
+    calls = []
+    build = orbits._joint_record
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(orbits, "_joint_record", counting)
+    balloon = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
+    cells = balloon.levels[0].partition().cells
+    prof = distance_profile(
+        balloon.table, dirac(representative(cells[0])), dirac(representative(cells[2]))
+    )
+    assert prof.certificate == "state-cycle"
+    assert calls == []
+    dumbbell = make_dumbbell_tower((4, 2), 2, bar_length=1)
+    c0 = dumbbell.levels[0].components[0]
+    prof = distance_profile(
+        dumbbell.table, dirac(representative(c0.bar[0])), dirac(representative(c0.left[0]))
+    )
+    assert prof.certificate == "padded-cycle"
+    assert calls
+
+
+# -- the eager engine that built a joint record for every step, kept as an
+# oracle: it keys each step on its full (masses, matrix) signature and runs
+# its own pad test, so it shares only _joint_record with the engine
+
+
+def _eager_pad_descriptor(w_old, w_new):
+    if w_new == w_old:
+        return (len(w_old), 0)
+    g = len(w_new) - len(w_old)
+    if g <= 0:
+        return None
+    c = 0
+    while c < len(w_old) and w_old[c] == w_new[c]:
+        c += 1
+    if w_new[c: c + g] == "0" * g and w_new[c + g:] == w_old[c:]:
+        return (c, g)
+    return None
+
+
+def _eager_verify(f, record, n_frozen, start, tau):
+    for j in range(start, start + tau + 1):
+        masses_a, words_a, matrix_a = record(j)
+        masses_b, words_b, matrix_b = record(j + tau)
+        if masses_a != masses_b:
+            return False
+        inserts = []
+        n_moving = len(words_a) - n_frozen
+        for i, (wa, wb) in enumerate(zip(words_a, words_b)):
+            if i >= n_moving:
+                if wa != wb:
+                    return False
+                continue
+            desc = _eager_pad_descriptor(wa, wb)
+            if desc is None:
+                return False
+            c, g = desc
+            if g > 0:
+                if c < len(f.matching_rule(wa)[0]):
+                    return False
+                inserts.append(c)
+        if matrix_a != matrix_b:
+            return False
+        if inserts and max(map(max, matrix_a)) > min(inserts):
+            return False
+    return True
+
+
+def _eager_engine(f, initial, frozen, budget):
+    states, records = [initial], []
+    exact_seen, sig_seen = {initial: 0}, {}
+
+    def ensure(k):
+        while len(states) <= k:
+            states.append(tuple(pushforward(f, mu) for mu in states[-1]))
+
+    def record(k):
+        while len(records) <= k:
+            records.append(orbits._joint_record(states[len(records)], frozen))
+        return records[k]
+
+    def signature(k):
+        masses, _, matrix = record(k)
+        return masses, matrix
+
+    sig_seen[signature(0)] = [0]
+    for n in range(1, budget + 1):
+        ensure(n)
+        rho = exact_seen.setdefault(states[n], n)
+        if rho < n:
+            return tuple(states[:n]), rho, n - rho, "state-cycle"
+        sig = signature(n)
+        for rho in reversed(sig_seen.get(sig, ())):
+            tau = n - rho
+            if rho + 2 * tau > budget:
+                continue
+            ensure(rho + 2 * tau)
+            if _eager_verify(f, record, len(frozen), rho, tau):
+                return tuple(states[:n]), rho, tau, "padded-cycle"
+        sig_seen.setdefault(sig, []).append(n)
+    raise ResourceBudgetError(f"no certified eventual periodicity within {budget} steps")
+
+
+def _outcome(engine, *args):
+    try:
+        return engine(*args)
+    except ResourceBudgetError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("pad_scan", [1, 2, orbits._PAD_SCAN])
+def test_engine_matches_the_eager_engine(monkeypatch, pad_scan):
+    # equal (states, preperiod, period, kind), or the same budget error, on
+    # random measures of balloon and dumbbell towers, both directions of the
+    # homeomorphism, moving pairs and frozen targets, with the pairwise pad
+    # scan cut short or at its length
+    monkeypatch.setattr(orbits, "_PAD_SCAN", pad_scan)
+    rng = random.Random(13)
+    balloon = make_balloon_tower([(3, 2), (5, 2)], [2, 4])
+    dumbbell = make_dumbbell_tower((4, 2), 2, bar_length=1)
+    kinds = set()
+    for f, level in ((balloon.table, balloon.levels[1]), (dumbbell.table, dumbbell.levels[0]),
+                     (dumbbell.table.invert(), dumbbell.levels[0])):
+        partition = level.partition()
+        for i in range(24):
+            if i % 3:
+                mu, nu = (random_cell_measure(partition, rng, rng.randint(1, 4)) for _ in "ab")
+            else:
+                mu, nu = (random_atomic_measure(rng, 3, 5) for _ in "ab")
+            for initial, frozen in (((mu, nu), ()), ((mu,), nu.support)):
+                for budget in (6, orbits.DEFAULT_BUDGET):
+                    args = (f, initial, frozen, budget)
+                    got = _outcome(orbits._evolve_distance_sequence, *args)
+                    assert got == _outcome(_eager_engine, *args)
+                    kinds.add("budget" if isinstance(got, str) else got[3])
+    assert kinds == {"state-cycle", "padded-cycle", "budget"}
+
+
+def test_pad_test_rejects_an_insert_inside_the_rule_domain():
+    # "01" -> "001" extends a zero-run inside the domain "01" that fires on
+    # "01", so no window opens at step 0; "001" -> "0001" pads beyond "00"
+    f = PrefixTableMap((("00", "000"), ("01", "001"), ("1", "1")))
+    args = (f, (dirac("01"), dirac("1")), (), orbits.DEFAULT_BUDGET)
+    got = orbits._evolve_distance_sequence(*args)
+    assert got[1:] == (1, 1, "padded-cycle")
+    assert got == _eager_engine(*args)
+
+
 def _on_cells(masses):
     return atomic_measure({representative(c): Fraction(m) for c, m in masses.items()})
 
 
 @pytest.mark.parametrize("family", ["balloon", "dumbbell"])
 def test_profiles_agree_with_unrolled_flow_solves(family):
-    # the profiles solve from blocks of the engine's joint matrix; a flow
-    # solve of each unrolled state, from its own words, is the oracle.  Two
-    # atoms on every side and values that change along the orbit, so a
-    # transposed or shifted block gives other values.
+    # the profiles solve the engine's window states with the closed form; a
+    # flow solve of each unrolled state is the oracle.  Two atoms on every
+    # side and values that change along the orbit, so a swapped pair or a
+    # shifted window gives other values.
     if family == "balloon":
         f = make_balloon_tower([(3, 2), (5, 2)], [1, 2]).table
         mu = _on_cells({"01": "1/4", "10": "3/4"})
