@@ -29,12 +29,13 @@ from .cantor import CylinderPartition, representative
 from .errors import ParameterError
 from .maps import PrefixTableMap
 from .measures import AtomicMeasure, atomic_measure, dirac
-from .measures import _clamped_min, _interval_value, _masks, _separation_matrix, _thresholds
+from .measures import _clamped_min, _interval_value, _masks, _thresholds
 from .orbits import (
     DEFAULT_BUDGET,
     DistanceProfile,
     PairClass,
     _evolve_distance_sequence,
+    _joint_record,
     _li_yorke_rule,
 )
 
@@ -125,8 +126,7 @@ def track_representatives(f: PrefixTableMap, partition: CylinderPartition) -> Tr
     states, rho, tau, _ = _evolve_distance_sequence(
         f, tuple(dirac(w) for w in start), (), DEFAULT_BUDGET
     )
-    words = ([mu.support[0] for mu in state] for state in states)
-    return TrajectoryFamily(start, rho, tau, tuple(_separation_matrix(w, w) for w in words))
+    return TrajectoryFamily(start, rho, tau, tuple(_joint_record(s, ())[2] for s in states))
 
 
 # ---------------------------------------------------------------------------

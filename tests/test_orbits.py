@@ -337,13 +337,10 @@ def _outcome(engine, *args):
         return str(exc)
 
 
-@pytest.mark.parametrize("pad_scan", [1, 2, orbits._PAD_SCAN])
-def test_engine_matches_the_eager_engine(monkeypatch, pad_scan):
+def test_engine_matches_the_eager_engine():
     # equal (states, preperiod, period, kind), or the same budget error, on
     # random measures of balloon and dumbbell towers, both directions of the
-    # homeomorphism, moving pairs and frozen targets, with the pairwise pad
-    # scan cut short or at its length
-    monkeypatch.setattr(orbits, "_PAD_SCAN", pad_scan)
+    # homeomorphism, moving pairs and frozen targets
     rng = random.Random(13)
     balloon = make_balloon_tower([(3, 2), (5, 2)], [2, 4])
     dumbbell = make_dumbbell_tower((4, 2), 2, bar_length=1)
@@ -373,6 +370,29 @@ def test_pad_test_rejects_an_insert_inside_the_rule_domain():
     got = orbits._evolve_distance_sequence(*args)
     assert got[1:] == (1, 1, "padded-cycle")
     assert got == _eager_engine(*args)
+
+
+def _counting_rules(prefix, bits, last):
+    """prefix + x -> prefix + (x + 1) over the bits-wide x; the last x -> ``last``."""
+    words = [prefix + format(x, f"0{bits}b") for x in range(2 ** bits)]
+    return list(zip(words, words[1:] + [last]))
+
+
+@pytest.mark.parametrize("rules, start, other, window", [
+    # 32 counting steps, then a zero-run that grows by one each step
+    ([("1", "1"), ("00", "000")] + _counting_rules("01", 5, "001"), "01", "1", (32, 1)),
+    # each 32-step count inserts one zero past the counter: the cycle opens
+    # at a step recorded only when the matrix lookup took over
+    ([("0", "0")] + _counting_rules("1", 5, "1000000"), "1000001", "01", (0, 32)),
+])
+def test_orbits_past_the_pad_scan_certify_through_the_matrix_lookup(rules, start, other, window):
+    f = PrefixTableMap(tuple(rules))
+    for initial, frozen in (((dirac(start), dirac(other)), ()), ((dirac(start),), (other,))):
+        args = (f, initial, frozen, orbits.DEFAULT_BUDGET)
+        got = orbits._evolve_distance_sequence(*args)
+        assert got[1:] == (*window, "padded-cycle")
+        assert sum(window) > orbits._PAD_SCAN
+        assert got == _eager_engine(*args)
 
 
 def _on_cells(masses):
