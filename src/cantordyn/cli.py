@@ -17,10 +17,11 @@ certificate, so the other suites' certificates are kept.
 
 All rationals cross this boundary as "p/q" strings; reports are
 deterministic given the config and seed.  The separate ``timings`` field
-holds, per suite, its wall time in ms, the Prohorov solves and pushforwards
-it computed (``solves``, ``pushforwards``; the solves include those of the
-distance profiles) and the calls of each that the per-process memos
-answered instead (``solve_hits``, ``pushforward_hits``).
+holds, per suite, its wall time in ms, the integer Prohorov problems it
+solved and the pushforwards it computed (``solves``, ``pushforwards``; the
+solves include those of the distance profiles) and the calls of each that
+a per-process memo answered instead (``solve_hits``, ``pushforward_hits``).
+``solves`` plus ``solve_hits`` is the number of ``prohorov`` calls.
 """
 
 from __future__ import annotations

@@ -297,30 +297,30 @@ def entropy_estimate(
     from one certified ``distance_profile``."""
     eps_list = tuple(_exact("eps", e) for e in eps_list)
     ascending = sorted(set(eps_list))
-    # joins[eps][k]: the pairs whose distance first reaches eps at step k,
-    # so that the running maximum over steps < n is >= eps from horizon
-    # n = k + 1 on; values[k] for k past the profile's window repeat earlier
-    # ones, so a pair that has not reached eps by then never does
-    joins: dict[Fraction, list[list[tuple[int, int]]]] = {
-        eps: [[] for _ in range(n_max)] for eps in ascending
-    }
+    # joins[r][k]: the pairs whose distance first reaches ascending[r] at
+    # step k, so that the running maximum over steps < n is >= that eps from
+    # horizon n = k + 1 on; values[k] for k past the profile's window repeat
+    # earlier ones, so a pair that has not reached eps by then never does.
+    # The graphs are kept by position r, so the per-pair loop hashes no eps.
+    joins = [[[] for _ in range(n_max)] for _ in ascending]
     for i, j in combinations(range(len(grid)), 2):
         prof = distance_profile(f, grid[i], grid[j])
         reached = 0
         for k, d in enumerate(prof.values[:n_max]):
             while reached < len(ascending) and ascending[reached] <= d:
-                joins[ascending[reached]][k].append((i, j))
+                joins[reached][k].append((i, j))
                 reached += 1
     exact = len(grid) <= EXACT_LIMIT
     count = _max_clique_size if exact else _greedy_separated
-    adj = {eps: [set() for _ in grid] for eps in ascending}
+    adj = [[set() for _ in grid] for _ in ascending]
     counts: dict[tuple[int, Fraction], int] = {}
     for n in range(1, n_max + 1):
         for eps in eps_list:
-            for i, j in joins[eps][n - 1]:
-                adj[eps][i].add(j)
-                adj[eps][j].add(i)
-            counts[(n, eps)] = count(adj[eps], len(grid))
+            r = ascending.index(eps)
+            for i, j in joins[r][n - 1]:
+                adj[r][i].add(j)
+                adj[r][j].add(i)
+            counts[(n, eps)] = count(adj[r], len(grid))
     return EntropyTable(
         grid_size=len(grid),
         eps_list=eps_list,

@@ -33,13 +33,21 @@ Fraction of each returned value.  The solvers and the grid scanner share
 ``_thresholds``, ``_masks`` and that rule.
 
 ``prohorov`` and ``pushforward`` are memoised per process, in
-least-recently-used memos bounded at 2,048 and 256 entries: a chain of
-length k + 1 repeats the steps of the chain of length k, the same measures
-come back across pairs, and the distance profiles of a grid meet the same
-pairs of states again and again.  A measure has one canonical form and a
-map is equal to another exactly when their rules are, so a hit returns what
-a fresh call would; the results are frozen, so a shared one cannot be
-changed.
+least-recently-used memos: a chain of length k + 1 repeats the steps of the
+chain of length k, the same measures come back across pairs, and the
+distance profiles of a grid meet the same pairs of states again and again.
+A distance depends only on the integer masses and the separations between
+the words, so a solve is kept twice: by its pair of measures and backend
+(256 entries, as many as the pushforward memo), which answers an exact
+repeat without building its separation matrix, and behind that by the
+integer problem -- both weight tuples and denominators, the separation
+matrix and the backend (2,048 entries) -- which answers every pair with
+other words but the same masses and separations, such as a padded orbit's
+later states or a relabelled pair.  That memo keeps the witness as row
+indices, which each call maps back onto its own words.  A measure has one
+canonical form and a map is equal to another exactly when their rules
+are, so a hit returns what a fresh call would; the results are frozen, so
+a shared one cannot be changed.
 """
 
 from __future__ import annotations
@@ -53,8 +61,8 @@ from .cantor import CylinderPartition, canonical_point, point_in_cylinder, separ
 from .errors import BackendSelectionError, CertificationError, ParameterError
 
 ENUMERATION_LIMIT = 16
-_SOLVE_MEMO_SIZE = 2048  # the profile states of a grid recur within this many solves
-_PUSH_MEMO_SIZE = 256  # a larger pushforward memo only costs memory
+_MEASURE_MEMO_SIZE = 256  # pushforwards and solves by measure; larger only costs memory
+_PROBLEM_MEMO_SIZE = 2048  # the integer problems of a grid's profiles recur within this many
 
 
 def _exact(name: str, value) -> Fraction:
@@ -73,7 +81,8 @@ class AtomicMeasure:
     ``weights[i] / denom``.  ``support`` is sorted and holds canonical,
     distinct points; the weights are positive, sum to ``denom`` and share no
     common factor, so every measure has exactly one form and equality and
-    hashing compare words and integers.
+    hashing compare words and integers.  The hash is computed once, with the
+    form, because the memos hash the same measures again and again.
 
     ``AtomicMeasure(atoms)`` takes (point, mass) pairs with exact rational
     masses, canonicalizes the points, merges duplicates, drops zero masses
@@ -118,6 +127,13 @@ class AtomicMeasure:
     def __len__(self) -> int:
         return len(self.support)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: a string hash differs between processes
+        return _from_weights, (dict(zip(self.support, self.weights)), self.denom)
+
     def __repr__(self) -> str:
         return f"AtomicMeasure(atoms={self.atoms!r})"
 
@@ -128,9 +144,11 @@ def _set_form(mu: AtomicMeasure, weights: dict[str, int], denom: int) -> None:
         raise ParameterError("atom masses must sum to exactly 1")
     support = tuple(sorted(weights))
     g = gcd(*weights.values())
-    object.__setattr__(mu, "support", support)
-    object.__setattr__(mu, "weights", tuple(weights[p] // g for p in support))
-    object.__setattr__(mu, "denom", denom // g)
+    form = (support, tuple(weights[p] // g for p in support), denom // g)
+    object.__setattr__(mu, "support", form[0])
+    object.__setattr__(mu, "weights", form[1])
+    object.__setattr__(mu, "denom", form[2])
+    object.__setattr__(mu, "_hash", hash(form))
 
 
 def _from_weights(weights: dict[str, int], denom: int) -> AtomicMeasure:
@@ -158,7 +176,7 @@ def pushforward(f, mu: AtomicMeasure) -> AtomicMeasure:
     return _pushed(f, mu)
 
 
-@lru_cache(maxsize=_PUSH_MEMO_SIZE)
+@lru_cache(maxsize=_MEASURE_MEMO_SIZE)
 def _pushed(f, mu: AtomicMeasure) -> AtomicMeasure:
     """``pushforward``, memoised: equal maps have equal rules and equal
     measures one form, so equal arguments have one image.
@@ -225,10 +243,11 @@ class ProhorovResult:
     backend: str
 
 
-def _scaled_masses(mu: AtomicMeasure, nu: AtomicMeasure) -> tuple[list[int], list[int], int]:
-    denom = lcm(mu.denom, nu.denom)
-    a, b = denom // mu.denom, denom // nu.denom
-    return [w * a for w in mu.weights], [w * b for w in nu.weights], denom
+def _scaled_masses(mu_w, mu_d: int, nu_w, nu_d: int) -> tuple[list[int], list[int], int]:
+    """Both weight tuples over their least common denominator."""
+    denom = lcm(mu_d, nu_d)
+    a, b = denom // mu_d, denom // nu_d
+    return [w * a for w in mu_w], [w * b for w in nu_w], denom
 
 
 def _separation_matrix(rows, cols) -> tuple[tuple[int, ...], ...]:
@@ -425,16 +444,15 @@ _G_OF = {"auto": _g_closed_form, "enumeration": _g_enumeration, "flow": _g_flow}
 
 
 def _one_sided_value(
-    mu: AtomicMeasure, nu: AtomicMeasure, seps, backend: str = "auto"
-) -> tuple[Fraction, tuple[str, ...]]:
-    """The distance and witness set from ``seps``, the separations of mu's
-    words (rows) against nu's (columns)."""
-    mu_int, nu_int, denom = _scaled_masses(mu, nu)
+    mu_int, nu_int, denom: int, seps, backend: str
+) -> tuple[Fraction, tuple[int, ...]]:
+    """The distance and the witness rows from scaled masses over ``denom``
+    and ``seps``, the separations of mu's words (rows) against nu's
+    (columns)."""
     g_of = _G_OF[backend]
-    value, wit = _clamped_min(
+    return _clamped_min(
         _thresholds(seps), denom, lambda s: g_of(mu_int, nu_int, _masks(seps, s), denom)
     )
-    return value, tuple(mu.support[i] for i in wit)
 
 
 def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> ProhorovResult:
@@ -449,29 +467,40 @@ def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Pro
     return _solved(mu, nu, backend)
 
 
-@lru_cache(maxsize=_SOLVE_MEMO_SIZE)
+@lru_cache(maxsize=_MEASURE_MEMO_SIZE)
 def _solved(mu: AtomicMeasure, nu: AtomicMeasure, backend: str) -> ProhorovResult:
     """``prohorov``, memoised per backend: equal measures have one form, so
     equal arguments have one result, which is frozen; a raised error is not
-    kept."""
+    kept.  A miss separates the words and solves the integer problem."""
     seps = _separation_matrix(mu.support, nu.support)
+    value, rows, name = _solved_problem(mu.weights, mu.denom, nu.weights, nu.denom, seps, backend)
+    return ProhorovResult(value, tuple(mu.support[i] for i in rows), name)
+
+
+@lru_cache(maxsize=_PROBLEM_MEMO_SIZE)
+def _solved_problem(mu_w, mu_d: int, nu_w, nu_d: int, seps, backend: str):
+    """(value, witness rows, backend name) of the integer problem that
+    ``_solved`` reads off a pair of measures; the words never enter it."""
+    mu_int, nu_int, denom = _scaled_masses(mu_w, mu_d, nu_w, nu_d)
     if backend == "both":
-        v1, w1 = _one_sided_value(mu, nu, seps)
-        v2, _ = _one_sided_value(mu, nu, seps, "flow")
+        v1, w1 = _one_sided_value(mu_int, nu_int, denom, seps, "auto")
+        v2, _ = _one_sided_value(mu_int, nu_int, denom, seps, "flow")
         if v1 != v2:
             raise CertificationError(f"backends disagree: {v1} vs {v2}")
-        return ProhorovResult(v1, w1, "both")
+        return v1, w1, "both"
     if backend not in _G_OF:
         raise BackendSelectionError(f"unknown backend {backend!r}")
-    value, witness = _one_sided_value(mu, nu, seps, backend)
-    return ProhorovResult(value, witness, "closed_form" if backend == "auto" else backend)
+    value, rows = _one_sided_value(mu_int, nu_int, denom, seps, backend)
+    return value, rows, "closed_form" if backend == "auto" else backend
 
 
 def _memo_counts() -> dict[str, int]:
-    """Solves and pushforwards computed so far in this process, and the
-    calls that the memos answered instead."""
-    solved, pushed = _solved.cache_info(), _pushed.cache_info()
-    return {"solves": solved.misses, "solve_hits": solved.hits,
+    """Integer problems solved and pushforwards computed so far in this
+    process, and the calls that a memo answered instead: ``solves`` plus
+    ``solve_hits`` is the number of ``prohorov`` calls."""
+    front, problems = _solved.cache_info(), _solved_problem.cache_info()
+    pushed = _pushed.cache_info()
+    return {"solves": problems.misses, "solve_hits": front.hits + problems.hits,
             "pushforwards": pushed.misses, "pushforward_hits": pushed.hits}
 
 
@@ -491,7 +520,7 @@ def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "flo
     g_of = {"flow": _g_flow, "enumeration": _g_enumeration}.get(backend)
     if g_of is None:
         raise BackendSelectionError(f"unknown two-sided backend {backend!r}")
-    mu_int, nu_int, denom = _scaled_masses(mu, nu)
+    mu_int, nu_int, denom = _scaled_masses(mu.weights, mu.denom, nu.weights, nu.denom)
     seps = _separation_matrix(mu.support, nu.support)
     seps_T = tuple(zip(*seps))
 

@@ -27,8 +27,10 @@ joint separation matrix (integers n with d = 1/n, one ``cantor.separation``
 per unordered pair; the padded check reads first differences off them
 directly) only for a step that may close a padded cycle, never for a state
 cycle.  Distance profiles and target distances solve each window state with
-``measures.prohorov``, whose memo solves a state that recurs across profiles
-once; ``recurrence.approx_by_periodic`` reads its return time off the
+``measures.prohorov``, whose memo is keyed on the integer problem -- the
+masses and the separations, not the words -- so a state whose problem
+recurs, in a padded window or across profiles, is solved once;
+``recurrence.approx_by_periodic`` reads its return time off the
 profile of an orbit against its start, and ``grids.track_representatives``
 keeps the ``_joint_record`` matrices of the tracked cell representatives.
 """

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import cantordyn
-from cantordyn import cli
+from cantordyn import cli, measures
 from cantordyn.cli import main, write_measure
-from cantordyn.measures import _pushed, _solved, atomic_measure, dirac
+from cantordyn.measures import _pushed, _solved, _solved_problem, atomic_measure, dirac
 from fractions import Fraction
 
 BALLOON_CONFIG = """
@@ -233,7 +233,7 @@ def test_readme_example_config_liyorke(tmp_path):
     # the example config of README.md: 24 cells at level 0, 300 grid measures
     cfg = _readme_config(tmp_path)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    # only this suite: the config's entropy suite takes about 20 seconds
+    # only this suite: the config's entropy suite takes about 10 seconds
     assert main(["analyze", "--config", cfg, "--suite", "liyorke",
                  "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report_liyorke.json").read_text())
@@ -268,7 +268,7 @@ def test_generate_runs_without_numpy(tmp_path):
 
 @pytest.mark.parametrize("suite", ["chains", "shadowing", "recurrence"])
 def test_readme_example_config_suites(tmp_path, suite):
-    # every README suite but entropy, which still runs for about 20 seconds
+    # every README suite but entropy, which still runs for about 10 seconds
     cfg = _readme_config(tmp_path)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert main(["analyze", "--config", cfg, "--suite", suite,
@@ -278,12 +278,24 @@ def test_readme_example_config_suites(tmp_path, suite):
     assert all(c["passed"] for c in report["certificates"])
 
 
-def test_report_timings_count_the_memos(tmp_path):
+def test_report_timings_count_the_memos(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, BALLOON_CONFIG)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
     # the memos live as long as the process: start from empty ones
     _solved.cache_clear()
+    _solved_problem.cache_clear()
     _pushed.cache_clear()
+    # count every prohorov call, under each name a module imported it by
+    calls, prohorov = [], measures.prohorov
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return prohorov(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("cantordyn.") and \
+                getattr(module, "prohorov", None) is prohorov:
+            monkeypatch.setattr(module, "prohorov", counted)
     assert main(["analyze", "--config", cfg, "--suite", "chains",
                  "--out", str(tmp_path)]) == 0
     [stage] = json.loads((tmp_path / "report_chains.json").read_text())["timings"]
@@ -293,6 +305,8 @@ def test_report_timings_count_the_memos(tmp_path):
     # a chain of length k + 1 repeats the steps of the chain of length k
     assert stage["solves"] > 0 and stage["solve_hits"] > 0
     assert stage["pushforwards"] > 0 and stage["pushforward_hits"] > 0
+    # each call is one integer problem solved or one memo hit
+    assert stage["solves"] + stage["solve_hits"] == len(calls)
 
 
 def test_reports_are_deterministic(tmp_path):

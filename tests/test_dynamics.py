@@ -293,6 +293,21 @@ def test_entropy_balloon_slope_zero():
         assert table.slope_zero_at_horizon(eps)
 
 
+def test_entropy_counts_each_eps_of_an_unsorted_list_with_repeats():
+    tower = make_balloon_tower([(3, 2), (5, 2)], [2, 4])
+    grid = simplex_grid(tower.levels[0].partition(), 1)
+    eps_list = [Fraction(1, 3), Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1, 3)]
+    table = entropy_estimate(tower.table, grid, eps_list, 3)
+    assert table.eps_list == tuple(eps_list)
+    for eps in set(eps_list):
+        alone = entropy_estimate(tower.table, grid, [eps], 3)
+        assert {n: table.counts[(n, eps)] for n in table.horizons} == \
+            {n: alone.counts[(n, eps)] for n in alone.horizons}
+    # the counts differ between the eps and between the horizons
+    assert table.counts[(1, Fraction(1))] < table.counts[(1, Fraction(1, 2))]
+    assert table.counts[(1, Fraction(1, 2))] < table.counts[(2, Fraction(1, 2))]
+
+
 def test_weak_shadowing_refutation():
     tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
     grid = simplex_grid(tower.levels[0].partition(), 1)  # all unit cell masses

@@ -1,6 +1,10 @@
 """Atomic measures and the exact Prohorov solver, with independent oracles."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import ceil, gcd, lcm
@@ -21,7 +25,9 @@ from cantordyn.maps import PrefixTableMap
 from cantordyn.measures import (
     AtomicMeasure,
     _pushed,
+    _separation_matrix,
     _solved,
+    _solved_problem,
     atomic_measure,
     cell_masses,
     convex_combine,
@@ -438,9 +444,41 @@ def test_memoised_solve_equals_a_fresh_one(backend):
         cached = prohorov(atomic_measure(mu.atoms), atomic_measure(nu.atoms), backend)
         assert _solved.cache_info().hits == hits + 1
         _solved.cache_clear()
+        _solved_problem.cache_clear()
         fresh = prohorov(mu, nu, backend)
         assert (cached.value, cached.witness_set, cached.backend) == (
             fresh.value, fresh.witness_set, fresh.backend)
+
+
+@pytest.mark.parametrize("backend", ["auto", "flow", "enumeration", "both"])
+def test_integer_problem_memo_serves_other_words(backend):
+    # every first difference is at index 0 or 1, so inserting a 0 at index 2
+    # keeps the masses and the separations and changes the words
+    pair_a = (atomic_measure({"001": Fraction(1, 10), "111": Fraction(9, 10)}),
+              atomic_measure({"011": Fraction(3, 10), "101": Fraction(7, 10)}))
+    pair_b = (atomic_measure({"0001": Fraction(1, 10), "1101": Fraction(9, 10)}),
+              atomic_measure({"0101": Fraction(3, 10), "1001": Fraction(7, 10)}))
+    nu_c = atomic_measure({"0101": Fraction(7, 10), "1001": Fraction(3, 10)})
+    assert _separation_matrix(pair_a[0].support, pair_a[1].support) == \
+        _separation_matrix(pair_b[0].support, pair_b[1].support)
+
+    def fresh(mu, nu):
+        _solved.cache_clear()
+        _solved_problem.cache_clear()
+        return prohorov(mu, nu, backend)
+
+    expected_b, expected_c = fresh(*pair_b), fresh(pair_b[0], nu_c)
+    assert expected_b.witness_set and expected_b.value != expected_c.value
+    fresh(*pair_a)
+    info = _solved_problem.cache_info()
+    got_b = prohorov(*pair_b, backend)
+    assert _solved_problem.cache_info().hits == info.hits + 1
+    # the witness is reported in pair b's own words
+    assert set(got_b.witness_set) <= set(pair_b[0].support)
+    assert got_b == expected_b
+    # other nu weights over the same words and denominator are another problem
+    assert prohorov(pair_b[0], nu_c, backend) == expected_c
+    assert _solved_problem.cache_info().misses == info.misses + 1
 
 
 def test_solve_memo_keeps_each_backend_apart():
@@ -473,8 +511,36 @@ def test_pushforward_memo_keys_maps_by_rules():
 
 
 def test_memos_are_bounded():
-    for memo in (_solved, _pushed):
+    for memo in (_solved, _solved_problem, _pushed):
         assert memo.cache_info().maxsize is not None
+
+
+def test_equal_measures_hash_equal_however_built():
+    target = {"": Fraction(1, 2), "01": Fraction(1, 2)}
+    built = [
+        AtomicMeasure([("", Fraction(1, 4)), ("0", Fraction(1, 4)), ("01", Fraction(1, 2))]),
+        atomic_measure({"000": Fraction(1, 2), "01": Fraction(1, 2)}),
+        pushforward(DOUBLE, atomic_measure({"": Fraction(1, 2), "1": Fraction(1, 2)})),
+        convex_combine([(Fraction(1, 2), dirac("")), (Fraction(1, 2), dirac("01"))]),
+        pickle.loads(pickle.dumps(atomic_measure(target))),
+    ]
+    for mu in built:
+        assert mu == atomic_measure(target)
+        assert hash(mu) == hash(atomic_measure(target))
+    assert len(set(built)) == 1
+
+
+def test_unpickled_measure_hashes_as_one_built_in_its_process():
+    # string hashes differ between processes, so a hash must not travel
+    mu = atomic_measure({"01": Fraction(1, 3), "1": Fraction(2, 3)})
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    check = ("import pickle, sys; from cantordyn.measures import AtomicMeasure; "
+             "mu = pickle.loads(sys.stdin.buffer.read()); "
+             "assert hash(mu) == hash(AtomicMeasure(mu.atoms))")
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", check], input=pickle.dumps(mu),
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_chain_steps_do_not_depend_on_the_memos():
@@ -491,6 +557,7 @@ def test_chain_steps_do_not_depend_on_the_memos():
         for k in range(k0, k0 + 4):
             if clear:
                 _solved.cache_clear()
+                _solved_problem.cache_clear()
                 _pushed.cache_clear()
             out.append(chain_connect_map(tower.table, mu, nu, delta, k).step_distances)
         return out
