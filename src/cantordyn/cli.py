@@ -11,9 +11,11 @@ prohorov   exact distance between two measure files
 report     print the pass/fail table of an existing report
 
 Exit codes: 0 all certificates pass, 2 some certificate failed,
-3 configuration or usage error.  A suite that exceeds a budget or declines
-its inputs (a ParameterError while it runs) is recorded as a failed
-certificate, so the other suites' certificates are kept.
+3 configuration or usage error (a config file that does not parse, or a
+malformed [map] or [run] value).  A suite that exceeds a budget or declines
+its inputs (a ParameterError while it runs, such as a malformed [analysis]
+value it reads) is recorded as a failed certificate, so the other suites'
+certificates are kept.
 
 All rationals cross this boundary as "p/q" strings; reports are
 deterministic given the config and seed.  The separate ``timings`` field
@@ -69,6 +71,7 @@ from .recurrence import (
 from .towers import make_balloon_tower, make_dumbbell_tower, tower_from_dict, tower_to_dict
 
 SUITES = ("liyorke", "entropy", "chains", "shadowing", "recurrence", "all")
+BACKENDS = ("enumeration", "flow", "auto", "both")
 
 
 def _fractions(raw: str) -> list[Fraction]:
@@ -77,6 +80,39 @@ def _fractions(raw: str) -> list[Fraction]:
 
 def _ints(raw: str) -> list[int]:
     return [int(part.strip()) for part in raw.split(",") if part.strip()]
+
+
+def _read(cfg, section: str, key: str, parse, fallback=None):
+    """``parse`` of the value of ``key`` in ``section``: a missing key
+    without a fallback, or a value that ``parse`` cannot read, raises
+    ParameterError naming the key."""
+    raw = cfg.get(section, key, fallback=fallback)
+    if raw is None:
+        raise ParameterError(f"[{section}] {key} is missing")
+    try:
+        return parse(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+
+
+def _backend(raw: str) -> str:
+    if raw not in BACKENDS:
+        raise ValueError(f"not one of {', '.join(BACKENDS)}")
+    return raw
+
+
+def _depth_q(raw: str) -> tuple[int, int]:
+    depth, q = raw.split(":")
+    return int(depth), int(q)
+
+
+def _level(tower, cfg) -> int:
+    """The configured certified level, 0 .. len(tower.levels) - 1."""
+    level = _read(cfg, "analysis", "level", int, "0")
+    if not 0 <= level < len(tower.levels):
+        raise ParameterError(f"[analysis] level = {level} is not a certified level "
+                             f"(0..{len(tower.levels) - 1})")
+    return level
 
 
 def load_config(path: str) -> configparser.ConfigParser:
@@ -88,19 +124,15 @@ def load_config(path: str) -> configparser.ConfigParser:
 
 
 def build_tower_from_config(cfg: configparser.ConfigParser):
-    sec = cfg["map"]
-    kind = sec.get("kind", "balloon")
+    kind = cfg.get("map", "kind", fallback="balloon")
     if kind == "balloon":
-        levels = [
-            (int(d), int(q))
-            for d, q in (pair.split(":") for pair in sec["levels"].split(","))
-        ]
-        counts = _ints(sec["counts"])
-        return make_balloon_tower(levels, counts)
+        levels = _read(cfg, "map", "levels", lambda raw: [_depth_q(p) for p in raw.split(",")])
+        return make_balloon_tower(levels, _read(cfg, "map", "counts", _ints))
     if kind == "dumbbell":
-        depth, q = (int(x) for x in sec["level"].split(":"))
         return make_dumbbell_tower(
-            (depth, q), sec.getint("count", 1), sec.getint("bar_length", 1)
+            _read(cfg, "map", "level", _depth_q),
+            _read(cfg, "map", "count", int, "1"),
+            _read(cfg, "map", "bar_length", int, "1"),
         )
     raise ParameterError(f"unknown map kind {kind!r}")
 
@@ -122,8 +154,8 @@ def cmd_generate(args) -> int:
 
 
 def _suite_liyorke(tower, cfg, rng):
-    resolution = cfg.getint("analysis", "grid_resolution", fallback=2)
-    level = cfg.getint("analysis", "level", fallback=0)
+    resolution = _read(cfg, "analysis", "grid_resolution", int, "2")
+    level = _level(tower, cfg)
     scan = li_yorke_scan(tower.table, tower.levels[level].partition(), resolution)
     yield Certificate(
         operation="li_yorke_scan",
@@ -139,10 +171,10 @@ def _suite_liyorke(tower, cfg, rng):
 
 
 def _suite_entropy(tower, cfg, rng):
-    level = cfg.getint("analysis", "level", fallback=0)
-    resolution = cfg.getint("analysis", "entropy_resolution", fallback=2)
-    horizon = cfg.getint("analysis", "entropy_horizon", fallback=6)
-    eps_list = _fractions(cfg.get("analysis", "entropy_eps", fallback="1/2, 1/4"))
+    level = _level(tower, cfg)
+    resolution = _read(cfg, "analysis", "entropy_resolution", int, "2")
+    horizon = _read(cfg, "analysis", "entropy_horizon", int, "6")
+    eps_list = _read(cfg, "analysis", "entropy_eps", _fractions, "1/2, 1/4")
     partition = tower.levels[level].partition()
     grid = simplex_grid(partition, resolution)
     table = entropy_estimate(tower.table, grid, eps_list, horizon)
@@ -165,12 +197,11 @@ def _suite_entropy(tower, cfg, rng):
 
 
 def _suite_chains(tower, cfg, rng):
-    backend = cfg.get("analysis", "backend", fallback="auto")
-    deltas = _fractions(cfg.get("analysis", "chain_deltas", fallback="3/4, 1/2"))
-    extra = cfg.getint("analysis", "chain_lengths_extra", fallback=2)
-    level = cfg.getint("analysis", "level", fallback=0)
-    partition = tower.levels[level].partition()
-    pair_count = cfg.getint("analysis", "chain_pairs", fallback=4)
+    backend = _read(cfg, "analysis", "backend", _backend, "auto")
+    deltas = _read(cfg, "analysis", "chain_deltas", _fractions, "3/4, 1/2")
+    extra = _read(cfg, "analysis", "chain_lengths_extra", int, "2")
+    partition = tower.levels[_level(tower, cfg)].partition()
+    pair_count = _read(cfg, "analysis", "chain_pairs", int, "4")
     pairs = [
         (random_cell_measure(partition, rng, 4), random_cell_measure(partition, rng, 4))
         for _ in range(pair_count)
@@ -200,27 +231,29 @@ def _suite_chains(tower, cfg, rng):
         )
     yield chain_continuity_test(
         tower.table,
-        cfg.getint("analysis", "continuity_depth", fallback=3),
-        Fraction(cfg.get("analysis", "eps", fallback="1/4")),
-        Fraction(cfg.get("analysis", "delta", fallback="1/2")),
+        _read(cfg, "analysis", "continuity_depth", int, "3"),
+        _read(cfg, "analysis", "eps", Fraction, "1/4"),
+        _read(cfg, "analysis", "delta", Fraction, "1/2"),
     )
 
 
 def _suite_shadowing(tower, cfg, rng):
-    level = cfg.getint("analysis", "level", fallback=0)
-    yield transitivity_check(tower.table, tower.levels[level].partition())
+    partition = tower.levels[_level(tower, cfg)].partition()
+    yield transitivity_check(tower.table, partition)
     if tower.kind == "dumbbell":
-        eps = Fraction(cfg.get("analysis", "eps", fallback="1/4"))
-        delta = Fraction(cfg.get("analysis", "delta", fallback="1/2"))
-        resolution = cfg.getint("analysis", "grid_resolution", fallback=2)
-        grid = simplex_grid(tower.levels[level].partition(), resolution)
+        eps = _read(cfg, "analysis", "eps", Fraction, "1/4")
+        delta = _read(cfg, "analysis", "delta", Fraction, "1/2")
+        resolution = _read(cfg, "analysis", "grid_resolution", int, "2")
+        grid = simplex_grid(partition, resolution)
         yield weak_shadowing_refutation(tower, eps, delta, grid)
 
 
 def _suite_recurrence(tower, cfg, rng):
-    periods = _ints(cfg.get("analysis", "periods", fallback="1, 2"))
-    eps = Fraction(cfg.get("analysis", "eps", fallback="1/4"))
-    lam_list = _fractions(cfg.get("analysis", "lambda", fallback="1/4"))
+    periods = _read(cfg, "analysis", "periods", _ints, "1, 2")
+    if not periods:
+        raise ParameterError("[analysis] periods names no period")
+    eps = _read(cfg, "analysis", "eps", Fraction, "1/4")
+    lam_list = _read(cfg, "analysis", "lambda", _fractions, "1/4")
     for p in periods:
         choices = enumerate_admissible_choices(tower, period=p)
         measures = [periodic_measure(tower, c, level=len(c.components) - 1) for c in choices]
@@ -294,7 +327,7 @@ def cmd_analyze(args) -> int:
     if not map_path.exists():
         raise ParameterError(f"map file not found: {map_path} (run generate first)")
     tower = tower_from_dict(json.loads(map_path.read_text()))
-    seed = args.seed if args.seed is not None else cfg["run"].getint("seed", 0)
+    seed = args.seed if args.seed is not None else _read(cfg, "run", "seed", int, "0")
     if args.backend is not None:
         if not cfg.has_section("analysis"):
             cfg.add_section("analysis")
@@ -381,14 +414,14 @@ def main(argv=None) -> int:
     ana.add_argument("--suite", choices=SUITES, default="all")
     ana.add_argument("--out", default=".")
     ana.add_argument("--seed", type=int, default=None)
-    ana.add_argument("--backend", choices=("enumeration", "flow", "auto", "both"),
+    ana.add_argument("--backend", choices=BACKENDS,
                      default=None, help="select the distance solver of chain verification")
     ana.set_defaults(func=cmd_analyze)
 
     pro = sub.add_parser("prohorov", help="exact distance between measure files")
     pro.add_argument("mu")
     pro.add_argument("nu")
-    pro.add_argument("--backend", choices=("enumeration", "flow", "auto", "both"),
+    pro.add_argument("--backend", choices=BACKENDS,
                      default="both")
     pro.add_argument("--two-sided", action="store_true")
     pro.set_defaults(func=cmd_prohorov)
@@ -400,7 +433,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CantorDynError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CantorDynError, OSError, json.JSONDecodeError, KeyError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

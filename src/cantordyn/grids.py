@@ -29,10 +29,9 @@ from .cantor import CylinderPartition, representative
 from .errors import ParameterError
 from .maps import PrefixTableMap
 from .measures import AtomicMeasure, atomic_measure, dirac
-from .measures import _clamped_min, _interval_value, _masks, _thresholds
+from .measures import _interval_value, _masks, _thresholds
 from .orbits import (
     DEFAULT_BUDGET,
-    DistanceProfile,
     PairClass,
     _evolve_distance_sequence,
     _joint_record,
@@ -168,16 +167,13 @@ class CommonSupportScanner:
         self.rank = {v: r for r, v in enumerate(self.values)}
         self.invalid_rank = len(self.values)
 
-    def thresholds_at(self, n: int) -> list[int]:
-        return _thresholds(self.family.matrix_at(n))
-
-    def _classes(self, n: int, s: int) -> np.ndarray:
+    def _classes(self, matrix, s: int) -> np.ndarray:
         """(k, classes) 0/1 membership of the classes of "d <= 1/s" among the
-        tracked points at time n; in an ultrametric each class is one
-        distinct row mask of the closeness relation."""
+        tracked points with separation matrix ``matrix``; in an ultrametric
+        each class is one distinct row mask of the closeness relation."""
         import numpy as np
 
-        classes = dict.fromkeys(_masks(self.family.matrix_at(n), s))
+        classes = dict.fromkeys(_masks(matrix, s))
         return np.array([[m >> j & 1 for m in classes] for j in range(len(self.family.points))],
                         dtype=np.int64)
 
@@ -185,7 +181,8 @@ class CommonSupportScanner:
         """(R, R) uint16 matrix of ranked d(mu_i(n), mu_j(n)) for all pairs."""
         import numpy as np
 
-        thresholds = self.thresholds_at(n)
+        matrix = self.family.matrix_at(n)
+        thresholds = _thresholds(matrix)
         res = self.resolution
         nmeas = self.mass.shape[0]
         best = np.full((nmeas, nmeas), self.invalid_rank, dtype=np.uint16)
@@ -197,28 +194,13 @@ class CommonSupportScanner:
             lut = np.array([self.rank.get(_interval_value(g, res, s, s_next), self.invalid_rank)
                             for g in range(res + 1)], dtype=np.uint16)
             g_nums.fill(0)
-            for col in (self.mass @ self._classes(n, s)).T:
+            for col in (self.mass @ self._classes(matrix, s)).T:
                 np.subtract.outer(col, col, out=excess)
                 np.maximum(excess, 0, out=excess)
                 g_nums += excess
             np.minimum(best, lut[g_nums], out=best)
         assert int(best.max()) < self.invalid_rank
         return best
-
-    def distance(self, i: int, j: int, n: int) -> Fraction:
-        """Exact d(mu_i(n), mu_j(n)) for one pair, without the batch tables."""
-        import numpy as np
-
-        def g_at(s):
-            mu_b, nu_b = self.mass[[i, j]] @ self._classes(n, s)
-            return int(np.maximum(mu_b - nu_b, 0).sum()), None
-
-        return _clamped_min(self.thresholds_at(n), self.resolution, g_at)[0]
-
-    def pair_profile(self, i: int, j: int) -> DistanceProfile:
-        rho, tau = self.family.preperiod, self.family.period
-        values = tuple(self.distance(i, j, n) for n in range(rho + tau))
-        return DistanceProfile(values, rho, tau, "shared-trajectory")
 
 
 @dataclass

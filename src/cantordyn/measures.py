@@ -287,13 +287,12 @@ def _g_closed_form(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ..
 
 def _g_enumeration(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ...]]:
     """max over subsets X of mu's support of mu(X) - nu(neighborhood(X)),
-    by brute force over all subsets (an oracle for the closed form)."""
-    k = len(mu_int)
-    if k > ENUMERATION_LIMIT:
-        raise BackendSelectionError(
-            f"enumeration backend limited to {ENUMERATION_LIMIT} atoms, got {k}"
-        )
-    l = len(nu_int)
+    by brute force over all subsets (an oracle for the closed form).  Both
+    sides are bounded, because a table of 2^l subset masses of nu is built."""
+    k, l = len(mu_int), len(nu_int)
+    if max(k, l) > ENUMERATION_LIMIT:
+        raise BackendSelectionError(f"enumeration backend limited to {ENUMERATION_LIMIT} "
+                                    f"atoms per measure, got {k} and {l}")
     nu_sum = [0] * (1 << l)
     for mask in range(1, 1 << l):
         low = mask & -mask
@@ -313,94 +312,56 @@ def _g_enumeration(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ..
     return best, witness
 
 
-class _Dinic:
-    """Max flow with exact integer capacities on a tiny graph."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 62)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def source_side(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-
 def _g_flow(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ...]]:
-    """Same maximum as the enumeration backend, via min-cut duality.
+    """Same maximum as the enumeration backend, via max-flow/min-cut duality.
 
     The uncoupled mass of a maximum partial coupling supported on adjacent
-    pairs equals max_X [mu(X) - nu(neighborhood(X))] by max-flow/min-cut.
+    pairs equals max_X [mu(X) - nu(neighborhood(X))].  The coupling grows
+    along shortest augmenting paths: a breadth-first search starts at the
+    mu-atoms with mass left, goes forward to adjacent nu-atoms and back
+    along coupled mass, and stops at a nu-atom with mass left.  When no path
+    is left, the mu-atoms that the last search reached are the source side
+    of the least minimum cut, which every maximum flow leaves the same; they
+    are the least maximizing subset, so the witness does not depend on the
+    paths taken.  Masses stay integers over ``denom``, so every step is exact.
     """
-    k, l = len(mu_int), len(nu_int)
-    net = _Dinic(k + l + 2)
-    src, snk = k + l, k + l + 1
-    for i in range(k):
-        net.add_edge(src, i, mu_int[i])
-        mask = adj_masks[i]
-        for j in range(l):
-            if mask >> j & 1:
-                net.add_edge(i, k + j, denom)
-    for j in range(l):
-        net.add_edge(k + j, snk, nu_int[j])
-    flow = net.max_flow(src, snk)
-    cut = net.source_side(src)
-    witness = tuple(i for i in range(k) if i in cut)
-    return denom - flow, witness
+    supply, demand = list(mu_int), list(nu_int)
+    coupled = [{} for _ in nu_int]  # per nu-atom: mu-atom -> coupled mass
+    adjacent = [[j for j in range(len(nu_int)) if mask >> j & 1] for mask in adj_masks]
+    while True:
+        queue = [i for i, m in enumerate(supply) if m]
+        via = dict.fromkeys(queue)  # reached mu-atom -> the nu-atom it came back from
+        reached = {}  # reached nu-atom -> the mu-atom it came from
+        end = None
+        for i in queue:
+            for j in adjacent[i]:
+                if j not in reached:
+                    reached[j] = i
+                    if demand[j]:
+                        end = j
+                        break
+                    for b in coupled[j]:
+                        if b not in via:
+                            via[b] = j
+                            queue.append(b)
+            if end is not None:
+                break
+        if end is None:
+            return sum(supply), tuple(sorted(via))
+        path, j = [], end  # the forward (mu-atom, nu-atom) edges, from the end back
+        while j is not None:
+            path.append((reached[j], j))
+            j = via[reached[j]]
+        start = path[-1][0]
+        amount = min([supply[start], demand[end]] + [coupled[via[i]][i] for i, _ in path[:-1]])
+        supply[start] -= amount
+        demand[end] -= amount
+        for i, j in path:
+            coupled[j][i] = coupled[j].get(i, 0) + amount
+            if via[i] is not None:
+                coupled[via[i]][i] -= amount
+                if not coupled[via[i]][i]:
+                    del coupled[via[i]][i]
 
 
 def _interval_value(g: int, denom: int, s: int, s_next: int | None) -> Fraction | None:
@@ -460,9 +421,9 @@ def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Pro
 
     ``backend`` is "auto" (the ultrametric closed form, at every support
     size), one of the oracles "enumeration" (at most ``ENUMERATION_LIMIT``
-    atoms) and "flow", or "both" (closed form and flow, insisting on exact
-    agreement).  The result names the solver that ran: "closed_form" for
-    "auto".
+    atoms per measure) and "flow", or "both" (closed form and flow,
+    insisting on exact agreement).  The result names the solver that ran:
+    "closed_form" for "auto".
     """
     return _solved(mu, nu, backend)
 
@@ -514,8 +475,8 @@ def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "flo
 
     Kept as an independent oracle so the equality of the two formulations
     can be cross-checked on every input.  It has no closed form: ``backend``
-    is "flow" or "enumeration" (at most ``ENUMERATION_LIMIT`` atoms), and
-    any other name raises BackendSelectionError.
+    is "flow" or "enumeration" (at most ``ENUMERATION_LIMIT`` atoms per
+    measure), and any other name raises BackendSelectionError.
     """
     g_of = {"flow": _g_flow, "enumeration": _g_enumeration}.get(backend)
     if g_of is None:

@@ -223,6 +223,52 @@ def test_declined_suite_keeps_the_others(tmp_path):
             "loop_support_check"} <= operations
 
 
+_GRID_SUITES = {"suite_liyorke", "suite_entropy", "suite_chains", "suite_shadowing"}
+
+# each edit of the balloon config, and the suites that decline the run; None
+# marks a config-file or [map] error, on which the commands exit 3
+MALFORMED_CONFIGS = {
+    "level-above-the-levels": ("level = 0", "level = 5", "level", _GRID_SUITES),
+    "level-negative": ("level = 0", "level = -1", "level", _GRID_SUITES),
+    "eps-not-a-rational": ("eps = 1/4", "eps = abc", "eps",
+                           {"suite_chains", "suite_recurrence"}),
+    "delta-over-zero": ("delta = 1/2", "delta = 1/0", "delta", {"suite_chains"}),
+    "grid-resolution-a-word": ("grid_resolution = 2", "grid_resolution = two",
+                               "grid_resolution", {"suite_liyorke"}),
+    "periods-empty": ("periods = 1, 2", "periods =", "periods", {"suite_recurrence"}),
+    "backend-unknown": ("level = 0", "level = 0\nbackend = bogus", "backend", {"suite_chains"}),
+    "map-levels-not-a-number": ("levels = 3:2, 5:2", "levels = 3:x", "levels", None),
+    "no-section-header": ("\n[map]\n", "\n", "kind", None),
+    "repeated-key": ("eps = 1/4", "eps = 1/4\neps = 1/3", "eps", None),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_ends_without_a_traceback(tmp_path, capsys, fault):
+    old, new, key, declined = MALFORMED_CONFIGS[fault]
+    assert old in BALLOON_CONFIG
+    cfg = _write_config(tmp_path, BALLOON_CONFIG.replace(old, new, 1))
+    if declined is None:
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
+        assert not (tmp_path / "map.json").exists()
+        # analyze reads no [map] section, and no map was written
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        return
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", "all", "--out", str(tmp_path)]) == 2
+    certificates = json.loads((tmp_path / "report_all.json").read_text())["certificates"]
+    failed = [c for c in certificates if not c["passed"]]
+    assert {c["operation"] for c in failed} == declined
+    for c in failed:
+        assert c["verdict"] == "declined"
+        assert c["witnesses"]["error"].startswith(f"[analysis] {key} ")
+    # the other suites still ran and passed
+    assert len(certificates) > len(failed)
+
+
 def _readme_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     config = readme.split("Example config:\n\n```ini\n")[1].split("```")[0]

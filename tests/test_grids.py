@@ -66,21 +66,23 @@ def test_track_representatives_balloon_exact_cycle():
 
 
 def test_scanner_matches_reference_engine():
-    tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
-    partition = tower.levels[0].partition()
-    family = track_representatives(tower.table, partition)
-    grid = simplex_grid(partition, 2)
-    scanner = CommonSupportScanner(family, grid, 2)
+    # the production scan: every rank matrix entry and the scan's liminf and
+    # limsup of sampled pairs against the scalar orbit engine
     rng = random.Random(13)
-    for _ in range(15):
-        i, j = rng.randrange(len(grid)), rng.randrange(len(grid))
-        fast = scanner.pair_profile(i, j)
-        slow = distance_profile(tower.table, grid[i], grid[j])
-        horizon = max(len(fast.values), len(slow.values)) + 2
-        for n in range(horizon):
-            assert fast.value_at(n) == slow.value_at(n), (i, j, n)
-        assert fast.liminf == slow.liminf
-        assert fast.limsup == slow.limsup
+    for tower in (make_dumbbell_tower((4, 2), 2, bar_length=1),
+                  make_balloon_tower([(3, 2), (5, 2)], [1, 2])):
+        scan = li_yorke_scan(tower.table, tower.levels[0].partition(), 2)
+        scanner, grid, ranks = scan.scanner, scan.grid, {}
+        for _ in range(15):
+            i, j = rng.randrange(len(grid)), rng.randrange(len(grid))
+            slow = distance_profile(tower.table, grid[i], grid[j])
+            horizon = max(scan.family.preperiod + scan.family.period, len(slow.values)) + 2
+            for n in range(horizon):
+                if n not in ranks:
+                    ranks[n] = scanner.rank_matrix_at(n)
+                assert scanner.values[int(ranks[n][i, j])] == slow.value_at(n), (i, j, n)
+            assert scan.liminf(i, j) == slow.liminf
+            assert scan.limsup(i, j) == slow.limsup
 
 
 def test_rank_matrix_agrees_with_scalar_distance():
@@ -94,7 +96,9 @@ def test_rank_matrix_agrees_with_scalar_distance():
         ranks = scanner.rank_matrix_at(n)
         for _ in range(12):
             i, j = rng.randrange(len(grid)), rng.randrange(len(grid))
-            assert scanner.values[int(ranks[i, j])] == scanner.distance(i, j, n)
+            mu_n = pushforward_iter(tower.table, grid[i], n)
+            nu_n = pushforward_iter(tower.table, grid[j], n)
+            assert scanner.values[int(ranks[i, j])] == prohorov(mu_n, nu_n).value, (i, j, n)
     # 24 tracked points: sampled entries of every step against the flow oracle
     tower = make_balloon_tower([(5, 3), (7, 3)], [2, 4])
     partition = tower.levels[0].partition()

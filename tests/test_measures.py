@@ -23,7 +23,10 @@ from cantordyn.errors import BackendSelectionError, ParameterError
 from cantordyn.grids import random_atomic_measure, random_cell_measure
 from cantordyn.maps import PrefixTableMap
 from cantordyn.measures import (
+    ENUMERATION_LIMIT,
     AtomicMeasure,
+    _g_enumeration,
+    _g_flow,
     _pushed,
     _separation_matrix,
     _solved,
@@ -299,7 +302,8 @@ def test_backends_and_formulations_agree_on_random_pairs():
         value = enumerated.value
         closed = prohorov(mu, nu)
         assert (closed.value, closed.witness_set) == (value, enumerated.witness_set)
-        assert prohorov(mu, nu, backend="flow").value == value
+        flow = prohorov(mu, nu, backend="flow")
+        assert (flow.value, flow.witness_set) == (value, enumerated.witness_set)
         assert prohorov_two_sided(mu, nu, backend="enumeration") == value
         assert prohorov_two_sided(mu, nu, backend="flow") == value
         bracket = grid_oracle_bracket(mu, nu)
@@ -313,6 +317,38 @@ def test_enumeration_backend_size_guard():
     assert prohorov(big, big, backend="flow").value == 0
     assert prohorov(big, big, backend="both").value == 0  # closed form against flow
     assert prohorov(big, big).value == 0  # auto runs the closed form at every size
+
+
+def _random_masses(rng, n, denom):
+    """n positive integers that sum to ``denom``."""
+    cuts = sorted(rng.sample(range(1, denom), n - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+
+
+def test_flow_oracle_matches_enumeration_on_general_bipartite_masks():
+    # closeness masks that no ultrametric gives: the flow oracle finds the
+    # same maximum and the same least maximizing subset as brute force
+    rng = random.Random(29)
+    for trial in range(3000):
+        k, l = rng.randint(1, 8), rng.randint(1, 8)
+        denom = 2**20 if trial % 3 == 0 else rng.randint(8, 64)
+        mu, nu = _random_masses(rng, k, denom), _random_masses(rng, l, denom)
+        density = rng.random()
+        masks = [sum(1 << j for j in range(l) if rng.random() < density) for _ in range(k)]
+        assert _g_flow(mu, nu, masks, denom) == _g_enumeration(mu, nu, masks, denom), \
+            (mu, nu, masks, denom)
+
+
+def test_enumeration_backend_bounds_both_sides():
+    # one atom against more than the limit still asks for 2^l subset masses
+    wide = atomic_measure({format(i, "05b"): Fraction(1, 17) for i in range(17)})
+    assert len(wide) == ENUMERATION_LIMIT + 1
+    for mu, nu in ((dirac(""), wide), (wide, dirac(""))):
+        with pytest.raises(BackendSelectionError, match="per measure"):
+            prohorov(mu, nu, backend="enumeration")
+        with pytest.raises(BackendSelectionError, match="per measure"):
+            prohorov_two_sided(mu, nu, backend="enumeration")
+        assert prohorov(mu, nu, backend="flow").value == prohorov(mu, nu).value
 
 
 @pytest.mark.parametrize("backend", ["both", "bogus", "auto"])
