@@ -6,6 +6,11 @@ The metric is d(x, y) = 1/n where n is the first (1-based) coordinate at
 which the sequences differ, and 0 for equal points.  The integer n (0 for
 equal points) is their separation, the form every solver works in; a
 reported distance is a :class:`fractions.Fraction`.  Nothing touches floats.
+``separation`` keeps one table of word pairs per process, shared by the
+orbit engine's joint records, the solver's separation matrices,
+``cell_distance`` and the tracked families: a run meets a few hundred pairs
+hundreds of thousands of times.  The table is least-recently-used and
+bounded, because padded orbits make ever new words.
 
 A cylinder is the clopen set of all sequences extending a fixed finite word
 (its prefix).  A finite family of pairwise disjoint cylinders covering the
@@ -17,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import ParameterError
 
 _BITS = frozenset("01")
+_SEPARATION_TABLE_SIZE = 8192  # word pairs; an orbit engine run meets a few hundred
 
 
 def check_word(w: str) -> str:
@@ -55,6 +62,7 @@ def first_difference(u: str, v: str) -> int | None:
     return None if i < 0 else i
 
 
+@lru_cache(maxsize=_SEPARATION_TABLE_SIZE)
 def separation(u: str, v: str) -> int:
     """The integer form n of the distance d = 1/n, and 0 for the same point."""
     i = first_difference(u, v)
@@ -175,12 +183,6 @@ class CylinderPartition:
             if point_in_cylinder(point, c):
                 return c
         raise AssertionError("complete code must cover every point")
-
-    def refines(self, coarser: "CylinderPartition") -> bool:
-        """Every cell of self is contained in some cell of ``coarser``."""
-        return all(
-            any(cylinder_contains(b, a) for b in coarser.cells) for a in self.cells
-        )
 
     def strongly_refines(self, coarser: "CylinderPartition") -> bool:
         """Every cell of self is *properly* contained in a cell of ``coarser``."""

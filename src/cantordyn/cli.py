@@ -53,7 +53,6 @@ from .grids import li_yorke_scan, random_cell_measure, simplex_grid
 from .measures import (
     _memo_counts,
     measure_from_lines,
-    measure_to_lines,
     prohorov,
     prohorov_two_sided,
 )
@@ -391,10 +390,6 @@ def cmd_report(args) -> int:
     total, passed = data["summary"]["total"], data["summary"]["passed"]
     print(f"{passed}/{total} certificates passed")
     return 0 if passed == total else 2
-
-
-def write_measure(path: str, mu) -> None:
-    Path(path).write_text("\n".join(measure_to_lines(mu)) + "\n")
 
 
 def main(argv=None) -> int:

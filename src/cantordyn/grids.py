@@ -35,7 +35,6 @@ from .orbits import (
     PairClass,
     _evolve_distance_sequence,
     _joint_record,
-    _li_yorke_rule,
 )
 
 
@@ -224,9 +223,6 @@ class LiYorkeScan:
 
     def limsup(self, i: int, j: int) -> Fraction:
         return self.scanner.values[int(self.limsup_ranks[i, j])]
-
-    def classify(self, i: int, j: int) -> PairClass:
-        return _li_yorke_rule(self.liminf(i, j), self.limsup(i, j))
 
 
 def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: int) -> LiYorkeScan:

@@ -9,11 +9,22 @@ form a complete prefix code.
 Images and preimages of cylinders are computed symbolically as finite unions
 of cylinders, never by sampling, which makes transition digraphs over
 partitions exact.
+
+Images of points come from one image table per process, ``_rewritten``,
+keyed on (map, canonical word): it holds the image and the length of the
+fired rule's domain, which the orbit engine's pad test reads too.  An orbit
+meets the same few words again and again -- the weak-shadowing refutation
+asks for 36 pairs about 78,000 times -- so each is rewritten once.  The
+table is least-recently-used and bounded, because padded orbits make ever
+longer words.  A map caches the hash of its sorted rules, which every lookup
+hashes, and an unpickled map is rebuilt from its rules, because a string
+hash differs between processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cantor import (
     CylinderPartition,
@@ -25,6 +36,8 @@ from .cantor import (
     standard_partition,
 )
 from .errors import ParameterError
+
+_IMAGE_TABLE_SIZE = 4096  # (map, word) pairs; an orbit engine run meets a few dozen
 
 
 @dataclass(frozen=True)
@@ -46,6 +59,14 @@ class PrefixTableMap:
             by_len.setdefault(len(d), {})[d] = i
         object.__setattr__(self, "_by_len", by_len)
         object.__setattr__(self, "_lens", sorted(by_len))
+        object.__setattr__(self, "_hash", hash(rules))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: a string hash differs between processes
+        return PrefixTableMap, (self.rules,)
 
     def matching_rule(self, point: str) -> tuple[str, str]:
         """The unique rule whose domain prefixes the zero-extended point."""
@@ -65,14 +86,7 @@ class PrefixTableMap:
 
     def _image(self, point: str) -> str:
         """``apply`` for a point already in canonical form, unchecked."""
-        dom, img = self._match(point)
-        return (img + point[len(dom):]).rstrip("0")
-
-    def apply_iter(self, point: str, n: int) -> str:
-        x = canonical_point(point)
-        for _ in range(n):
-            x = self._image(x)
-        return x
+        return _rewritten(self, point)[0]
 
     def is_homeomorphism(self) -> bool:
         return is_complete_prefix_code([i for _, i in self.rules])
@@ -114,6 +128,14 @@ class PrefixTableMap:
                 step.extend(self.image_cylinders(p))
             current = normalize_cylinder_union(step)
         return current
+
+
+@lru_cache(maxsize=_IMAGE_TABLE_SIZE)
+def _rewritten(f: PrefixTableMap, point: str) -> tuple[str, int]:
+    """(image, length of the fired rule's domain) of a canonical point: the
+    image table.  Equal maps have equal rules, so a hit is a fresh rewrite."""
+    dom, img = f._match(point)
+    return (img + point[len(dom):]).rstrip("0"), len(dom)
 
 
 def _as_partition(partition_or_depth) -> CylinderPartition:

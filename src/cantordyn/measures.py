@@ -43,11 +43,12 @@ repeat without building its separation matrix, and behind that by the
 integer problem -- both weight tuples and denominators, the separation
 matrix and the backend (2,048 entries) -- which answers every pair with
 other words but the same masses and separations, such as a padded orbit's
-later states or a relabelled pair.  That memo keeps the witness as row
-indices, which each call maps back onto its own words.  A measure has one
-canonical form and a map is equal to another exactly when their rules
-are, so a hit returns what a fresh call would; the results are frozen, so
-a shared one cannot be changed.
+later states or a relabelled pair.  A miss of the first memo reads that
+matrix off the separation table of ``cantor``.  The integer memo keeps the
+witness as row indices, which each call maps back onto its own words.  A
+measure has one canonical form and a map is equal to another exactly when
+their rules are, so a hit returns what a fresh call would; the results are
+frozen, so a shared one cannot be changed.
 """
 
 from __future__ import annotations

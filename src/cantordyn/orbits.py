@@ -26,7 +26,10 @@ preperiod + period -- and its callers evaluate that window.  It builds a
 joint separation matrix (integers n with d = 1/n, one ``cantor.separation``
 per unordered pair; the padded check reads first differences off them
 directly) only for a step that may close a padded cycle, never for a state
-cycle.  Distance profiles and target distances solve each window state with
+cycle.  Every word fact it uses is computed once per process: separations
+come from the separation table of ``cantor``, and images and the domain
+length of the fired rule, which the pad test reads, from the image table of
+``maps``.  Distance profiles and target distances solve each window state with
 ``measures.prohorov``, whose memo is keyed on the integer problem -- the
 masses and the separations, not the words -- so a state whose problem
 recurs, in a padded window or across profiles, is solved once;
@@ -43,7 +46,7 @@ from fractions import Fraction
 
 from .cantor import separation
 from .errors import ParameterError, ResourceBudgetError
-from .maps import PrefixTableMap
+from .maps import PrefixTableMap, _rewritten
 from .measures import AtomicMeasure, prohorov, pushforward
 
 DEFAULT_BUDGET = 400  # the one step budget of every certified orbit
@@ -178,7 +181,7 @@ def _pad_inserts(f: PrefixTableMap, words_a, words_b) -> list[int] | None:
         c = 0
         while c < len(wa) and wa[c] == wb[c]:
             c += 1
-        if wb[c: c + g] != "0" * g or wb[c + g:] != wa[c:] or c < len(f._match(wa)[0]):
+        if wb[c: c + g] != "0" * g or wb[c + g:] != wa[c:] or c < _rewritten(f, wa)[1]:
             return None
         inserts.append(c)
     return inserts

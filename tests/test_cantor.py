@@ -12,6 +12,7 @@ from cantordyn.cantor import (
     canonical_point,
     cell_distance,
     cells_meeting,
+    cylinder_contains,
     cylinder_diameter,
     first_difference,
     is_complete_prefix_code,
@@ -56,14 +57,19 @@ def test_point_distance_zero_iff_same_point():
 
 
 def test_point_distance_matches_oracle_exhaustively():
-    # every word up to length 5, trailing zeros included, in both orders
+    # every word up to length 5, trailing zeros included, in both orders;
+    # each pair twice, so that a hit of the separation table is checked too
     ws = words_up_to(5)
+    separation.cache_clear()
     for u in ws:
         for v in ws:
             d = oracle_point_distance(u, v)
-            assert point_distance(u, v) == d
-            assert separation(u, v) == (d.denominator if d else 0)
+            for _ in range(2):
+                assert point_distance(u, v) == d
+                assert separation(u, v) == (d.denominator if d else 0)
             assert first_difference(u, v) == (d.denominator - 1 if d else None)
+    info = separation.cache_info()
+    assert info.misses == len(ws) ** 2 and info.hits == 3 * len(ws) ** 2
 
 
 def test_ultrametric_inequality_exhaustive_depth_6():
@@ -190,12 +196,17 @@ def test_balanced_code_is_complete(n):
     assert code[0] == "0" * len(code[0])  # leftmost cell holds the zero point
 
 
+def refines(fine: CylinderPartition, coarse: CylinderPartition) -> bool:
+    """Every cell of ``fine`` is contained in some cell of ``coarse``."""
+    return all(any(cylinder_contains(b, a) for b in coarse.cells) for a in fine.cells)
+
+
 def test_refinement_relations():
     p1 = standard_partition(1)
     p2 = standard_partition(2)
-    assert p2.refines(p1)
+    assert refines(p2, p1)
     assert p2.strongly_refines(p1)
-    assert not p1.refines(p2)
+    assert not refines(p1, p2)
     assert not p1.strongly_refines(p1)
 
 

@@ -11,8 +11,15 @@ import pytest
 
 import cantordyn
 from cantordyn import cli, measures
-from cantordyn.cli import main, write_measure
-from cantordyn.measures import _pushed, _solved, _solved_problem, atomic_measure, dirac
+from cantordyn.cli import main
+from cantordyn.measures import (
+    _pushed,
+    _solved,
+    _solved_problem,
+    atomic_measure,
+    dirac,
+    measure_to_lines,
+)
 from fractions import Fraction
 
 BALLOON_CONFIG = """
@@ -73,6 +80,11 @@ def _write_config(tmp_path, text):
     path = tmp_path / "config.ini"
     path.write_text(text)
     return str(path)
+
+
+def write_measure(path, mu) -> None:
+    """Write a measure file in the text form that ``cantordyn prohorov`` reads."""
+    path.write_text("\n".join(measure_to_lines(mu)) + "\n")
 
 
 def test_generate_and_analyze_balloon(tmp_path, capsys):

@@ -17,7 +17,7 @@ from cantordyn.grids import (
     track_representatives,
 )
 from cantordyn.measures import prohorov, pushforward_iter
-from cantordyn.orbits import distance_profile
+from cantordyn.orbits import PairClass, _li_yorke_rule, distance_profile
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
 
@@ -139,12 +139,17 @@ def test_scanner_rejects_off_grid_measures():
         )
 
 
+def classify(scan, i: int, j: int) -> PairClass:
+    """The Li-Yorke class of grid pair (i, j) from the scan's liminf and limsup."""
+    return _li_yorke_rule(scan.liminf(i, j), scan.limsup(i, j))
+
+
 def test_scan_classification_accessors():
     tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
     scan = li_yorke_scan(tower.table, tower.levels[0].partition(), 1)
     for i, j in combinations(range(min(6, len(scan.grid))), 2):
         liminf, limsup = scan.liminf(i, j), scan.limsup(i, j)
         assert 0 <= liminf <= limsup <= 1
-        cls = scan.classify(i, j)
+        cls = classify(scan, i, j)
         if liminf == 0 and limsup > 0:
             assert cls.value == "li_yorke_pair"

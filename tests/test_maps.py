@@ -1,13 +1,18 @@
 """Prefix-table maps: evaluation, symbolic images, digraphs, classification."""
 
+import os
+import pickle
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
-from cantordyn.cantor import canonical_point, standard_partition
+from cantordyn.cantor import canonical_point, representative, standard_partition
 from cantordyn.errors import ParameterError
 from cantordyn.maps import (
     PrefixTableMap,
+    _rewritten,
     classify_components,
     eventual_image,
     graph_of,
@@ -17,6 +22,8 @@ from cantordyn.maps import (
     preimage_cells,
     PartitionDigraph,
 )
+from cantordyn.measures import dirac, pushforward
+from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
 IDENTITY = PrefixTableMap((("", ""),))
 DOUBLE = PrefixTableMap((("0", "00"), ("1", "01")))
@@ -191,3 +198,55 @@ def test_map_serialization_roundtrip():
     again = map_from_dict(data)
     assert again == SHUFFLE
     assert map_to_dict(again) == data
+
+
+def test_unpickled_map_hashes_as_one_built_in_its_process():
+    # the hash is cached at construction; string hashes differ between
+    # processes, so a hash must not travel
+    f = make_dumbbell_tower((4, 2), 2, bar_length=1).table
+    reordered = PrefixTableMap(tuple(reversed(f.rules)))
+    assert reordered == f and hash(reordered) == hash(f)
+    points = ["", "1", "011", "0101", "1101", "00000001"]
+    images = [f.apply(p) for p in points]
+    again = pickle.loads(pickle.dumps(f))
+    assert again == f and hash(again) == hash(f)
+    assert [again.apply(p) for p in points] == images
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    check = ("import pickle, sys; from cantordyn.maps import PrefixTableMap; "
+             "f, points, images = pickle.loads(sys.stdin.buffer.read()); "
+             "assert hash(f) == hash(PrefixTableMap(f.rules)); "
+             "assert [f.apply(p) for p in points] == images")
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", check], input=pickle.dumps((f, points, images)),
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_image_table_matches_a_fresh_rewrite():
+    balloon = make_balloon_tower([(3, 2), (5, 2)], [2, 4]).table
+    tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
+    dumbbell = tower.table
+    # a balloon's cell images are proper subsets, so only the dumbbell inverts
+    assert not balloon.is_homeomorphism()
+    tables = [balloon, dumbbell, dumbbell.invert()]
+    words = {canonical_point("".join(bits)) for k in range(8) for bits in product("01", repeat=k)}
+    # padded words: the orbits of the cell representatives under h and h^-1,
+    # as the weak-shadowing refutation runs them
+    padded = set()
+    for h in tables[1:]:
+        for cell in tower.levels[0].partition().cells:
+            mu = dirac(representative(cell))
+            for _ in range(24):
+                mu = pushforward(h, mu)
+                padded.update(mu.support)
+    assert any(len(w) > 12 for w in padded)
+    _rewritten.cache_clear()
+    for f in tables:
+        for w in sorted(words | padded):
+            dom, img = f._match(w)
+            fresh = ((img + w[len(dom):]).rstrip("0"), len(dom))
+            for computed in (1, 0):  # a miss of the table, then a hit
+                misses = _rewritten.cache_info().misses
+                assert _rewritten(f, w) == fresh, (f.rules, w)
+                assert _rewritten.cache_info().misses == misses + computed
+            assert f._image(w) == fresh[0]

@@ -16,12 +16,13 @@ from cantordyn.cantor import (
     canonical_point,
     point_distance,
     point_in_cylinder,
+    separation,
     standard_partition,
 )
 from cantordyn.dynamics import chain_connect_map, chain_step_count
 from cantordyn.errors import BackendSelectionError, ParameterError
 from cantordyn.grids import random_atomic_measure, random_cell_measure
-from cantordyn.maps import PrefixTableMap
+from cantordyn.maps import PrefixTableMap, _rewritten
 from cantordyn.measures import (
     ENUMERATION_LIMIT,
     AtomicMeasure,
@@ -547,7 +548,9 @@ def test_pushforward_memo_keys_maps_by_rules():
 
 
 def test_memos_are_bounded():
-    for memo in (_solved, _solved_problem, _pushed):
+    # every process-wide table: the solve and pushforward memos, the
+    # separation table of word pairs and the image table of (map, word) pairs
+    for memo in (_solved, _solved_problem, _pushed, separation, _rewritten):
         assert memo.cache_info().maxsize is not None
 
 
@@ -592,9 +595,8 @@ def test_chain_steps_do_not_depend_on_the_memos():
         out = []
         for k in range(k0, k0 + 4):
             if clear:
-                _solved.cache_clear()
-                _solved_problem.cache_clear()
-                _pushed.cache_clear()
+                for memo in (_solved, _solved_problem, _pushed, separation, _rewritten):
+                    memo.cache_clear()
             out.append(chain_connect_map(tower.table, mu, nu, delta, k).step_distances)
         return out
 

@@ -149,7 +149,7 @@ def test_padded_cycle_rejects_a_target_the_orbit_passes_through():
     # only the joint-matrix comparison keeps that window from closing at (1, 2)
     tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
     x = representative(tower.levels[0].components[0].bar[0])
-    mu, target = dirac(x), dirac(tower.table.apply_iter(x, 2))
+    mu, target = dirac(x), dirac(tower.table.apply(tower.table.apply(x)))
     prof = orbit_distance_to_target(tower.table, mu, target)
     assert (prof.certificate, prof.preperiod, prof.period) == ("padded-cycle", 3, 2)
     for n in range(12):
