@@ -6,11 +6,17 @@ The metric is d(x, y) = 1/n where n is the first (1-based) coordinate at
 which the sequences differ, and 0 for equal points.  The integer n (0 for
 equal points) is their separation, the form every solver works in; a
 reported distance is a :class:`fractions.Fraction`.  Nothing touches floats.
-``separation`` keeps one table of word pairs per process, shared by the
-orbit engine's joint records, the solver's separation matrices,
-``cell_distance`` and the tracked families: a run meets a few hundred pairs
-hundreds of thousands of times.  The table is least-recently-used and
-bounded, because padded orbits make ever new words.
+
+Canonical words sorted as strings are in the lexicographic order of their
+points, and in that order the separation of any two words is the least
+nonzero separation of consecutive words between them (0 when all of those
+are 0: the same point).  So the m - 1 gaps of m sorted words (``_gaps``)
+hold the whole ultrametric; the solver, the orbit engine's joint records and
+the tracked families of the grid scans all work on that sorted form.
+``separation`` keeps one table of word pairs per process, which those gaps
+and ``cell_distance`` read: a run meets a few hundred pairs a hundred
+thousand times and more.  The table is least-recently-used and bounded, because
+padded orbits make ever new words.
 
 A cylinder is the clopen set of all sequences extending a fixed finite word
 (its prefix).  A finite family of pairwise disjoint cylinders covering the
@@ -67,6 +73,14 @@ def separation(u: str, v: str) -> int:
     """The integer form n of the distance d = 1/n, and 0 for the same point."""
     i = first_difference(u, v)
     return 0 if i is None else i + 1
+
+
+def _gaps(words) -> tuple[int, ...]:
+    """The separations of consecutive words.  For words in ascending order
+    the separation of any two is the least nonzero gap between them, and 0
+    when every gap between them is 0 (the same point), so the m - 1 gaps
+    hold the whole ultrametric of m words."""
+    return tuple(map(separation, words, words[1:]))
 
 
 def point_distance(u: str, v: str) -> Fraction:

@@ -21,9 +21,12 @@ All rationals cross this boundary as "p/q" strings; reports are
 deterministic given the config and seed.  The separate ``timings`` field
 holds, per suite, its wall time in ms, the integer Prohorov problems it
 solved and the pushforwards it computed (``solves``, ``pushforwards``; the
-solves include those of the distance profiles) and the calls of each that
-a per-process memo answered instead (``solve_hits``, ``pushforward_hits``).
-``solves`` plus ``solve_hits`` is the number of ``prohorov`` calls.
+solves include those of the distance profiles), the word separations and
+images it computed (``separations``, ``images``), and the calls of each that
+a per-process memo or table answered instead (``solve_hits``,
+``pushforward_hits``, ``separation_hits``, ``image_hits``).  Each count
+plus its hits is the number of calls: ``solves`` plus ``solve_hits`` is the
+number of ``prohorov`` calls.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from .cantor import separation
 from .certs import Certificate
 from .dynamics import (
     chain_connect_homeo,
@@ -50,6 +54,7 @@ from .dynamics import (
 )
 from .errors import CantorDynError, ParameterError, ResourceBudgetError
 from .grids import li_yorke_scan, random_cell_measure, simplex_grid
+from .maps import _rewritten
 from .measures import (
     _memo_counts,
     measure_from_lines,
@@ -280,6 +285,14 @@ def _suite_recurrence(tower, cfg, rng):
     yield cert
 
 
+def _work_counts() -> dict[str, int]:
+    """The memo counts of ``measures`` and the computed and looked-up
+    entries of the separation and image tables, so far in this process."""
+    seps, images = separation.cache_info(), _rewritten.cache_info()
+    return {**_memo_counts(), "separations": seps.misses, "separation_hits": seps.hits,
+            "images": images.misses, "image_hits": images.hits}
+
+
 def run_suite(tower, suite: str, cfg, rng):
     runners = {
         "liyorke": (_suite_liyorke,),
@@ -293,7 +306,7 @@ def run_suite(tower, suite: str, cfg, rng):
     certificates = []
     timings = []
     for runner in runners[suite]:
-        t0, memo0 = time.monotonic(), _memo_counts()
+        t0, memo0 = time.monotonic(), _work_counts()
         try:
             certificates.extend(runner(tower, cfg, rng))
         except (ResourceBudgetError, ParameterError) as exc:
@@ -309,7 +322,7 @@ def run_suite(tower, suite: str, cfg, rng):
                 )
             )
         ms = int(1000 * (time.monotonic() - t0))
-        memo = {key: n - memo0[key] for key, n in _memo_counts().items()}
+        memo = {key: n - memo0[key] for key, n in _work_counts().items()}
         timings.append({"stage": runner.__name__, "ms": ms, **memo})
     return certificates, timings
 

@@ -4,14 +4,15 @@ vectorized all-pairs scan of exact distance profiles.
 Grid measures place their mass on cell representatives (prefix plus zero
 tail).  For an all-pairs scan the atoms of every grid measure ride on the
 same tracked point family -- the orbits of the cell representatives -- so a
-single certified trajectory matrix serves every pair.  That family is
-certified by the one eventual-periodicity engine of ``orbits``, run on the
-unit masses of the representatives, and keeps its integer separation
-matrices.  Each pairwise Prohorov value then reduces, by the ultrametric
-closed form of ``measures``, to sums of positive class-mass differences over
-the common support, with the solver's thresholds (separations) and closeness
-masks; masses are small integers over one denominator, so the whole scan
-runs in numpy int arithmetic, at any number of tracked points.  Each
+single certified trajectory serves every pair.  That family is certified by
+the one eventual-periodicity engine of ``orbits``, run on the unit masses
+of the representatives, and keeps the engine's sorted form of each step:
+the sort order of the points and the separations of consecutive ones.  Each
+pairwise Prohorov value then reduces, by the ultrametric closed form of
+``measures``, to sums of positive class-mass differences over the common
+support, with the solver's thresholds (the distinct gaps) and its classes
+(the runs of gaps); masses are small integers over one denominator, so the
+whole scan runs in numpy int arithmetic, at any number of tracked points.  Each
 interval is clamped by the solver's own rule, ``measures._interval_value``,
 once per possible integer g, and the values rank into a short list of exact
 rationals.  No floats are involved anywhere.
@@ -29,7 +30,7 @@ from .cantor import CylinderPartition, representative
 from .errors import ParameterError
 from .maps import PrefixTableMap
 from .measures import AtomicMeasure, atomic_measure, dirac
-from .measures import _interval_value, _masks, _thresholds
+from .measures import _interval_value, _runs, _thresholds
 from .orbits import (
     DEFAULT_BUDGET,
     PairClass,
@@ -97,28 +98,29 @@ def random_atomic_measure(rng, max_atoms: int = 8, max_depth: int = 4) -> Atomic
 @dataclass(frozen=True)
 class TrajectoryFamily:
     """Orbits of a point family with a certified eventually periodic
-    separation matrix (d = 1/n, 0 for the same point):
-    matrix(n + period) == matrix(n) for n >= preperiod."""
+    sorted form: per step, the point indices by ascending word and the
+    separations of consecutive words (d = 1/n, 0 for the same point), and
+    form(n + period) == form(n) for n >= preperiod."""
 
     points: tuple[str, ...]
     preperiod: int
     period: int
-    matrices: tuple
+    forms: tuple
 
-    def matrix_at(self, n: int):
-        if n < len(self.matrices):
-            return self.matrices[n]
-        return self.matrices[self.preperiod + (n - self.preperiod) % self.period]
+    def form_at(self, n: int):
+        if n < len(self.forms):
+            return self.forms[n]
+        return self.forms[self.preperiod + (n - self.preperiod) % self.period]
 
 
 def track_representatives(f: PrefixTableMap, partition: CylinderPartition) -> TrajectoryFamily:
     """Evolve all cell representatives jointly and certify the eventual
-    periodicity of their pairwise separation matrix.
+    periodicity of their sorted form.
 
     Runs the measure-orbit engine on the Dirac masses of the representatives:
     their masses never change, so the engine's state-cycle and padded-cycle
-    certificates apply to the separation matrix of the words themselves, and
-    the family keeps the matrices of the states of the certified window.
+    certificates apply to the sorted form of the words themselves, and the
+    family keeps the forms of the states of the certified window.
     """
     start = tuple(representative(c) for c in partition.cells)
     states, rho, tau, _ = _evolve_distance_sequence(
@@ -160,28 +162,30 @@ class CommonSupportScanner:
                 self.mass[r, index[p]] = w * scale
         # global value list: every distance a scan can output
         vals = {Fraction(g, resolution) for g in range(resolution + 1)}
-        for mat in family.matrices:
-            vals.update(Fraction(1, s) for s in _thresholds(mat) if s)
+        for _, gaps in family.forms:
+            vals.update(Fraction(1, s) for s in _thresholds(gaps) if s)
         self.values: list[Fraction] = sorted(vals)
         self.rank = {v: r for r, v in enumerate(self.values)}
         self.invalid_rank = len(self.values)
 
-    def _classes(self, matrix, s: int) -> np.ndarray:
+    def _classes(self, form, s: int) -> np.ndarray:
         """(k, classes) 0/1 membership of the classes of "d <= 1/s" among the
-        tracked points with separation matrix ``matrix``; in an ultrametric
-        each class is one distinct row mask of the closeness relation."""
+        tracked points with sorted form ``form``: each class is one run of
+        the sorted points."""
         import numpy as np
 
-        classes = dict.fromkeys(_masks(matrix, s))
-        return np.array([[m >> j & 1 for m in classes] for j in range(len(self.family.points))],
-                        dtype=np.int64)
+        order, gaps = form
+        runs = _runs(gaps, s)
+        member = np.zeros((len(order), runs[-1] + 1), dtype=np.int64)
+        member[list(order), runs] = 1
+        return member
 
     def rank_matrix_at(self, n: int) -> np.ndarray:
         """(R, R) uint16 matrix of ranked d(mu_i(n), mu_j(n)) for all pairs."""
         import numpy as np
 
-        matrix = self.family.matrix_at(n)
-        thresholds = _thresholds(matrix)
+        form = self.family.form_at(n)
+        thresholds = _thresholds(form[1])
         res = self.resolution
         nmeas = self.mass.shape[0]
         best = np.full((nmeas, nmeas), self.invalid_rank, dtype=np.uint16)
@@ -193,7 +197,7 @@ class CommonSupportScanner:
             lut = np.array([self.rank.get(_interval_value(g, res, s, s_next), self.invalid_rank)
                             for g in range(res + 1)], dtype=np.uint16)
             g_nums.fill(0)
-            for col in (self.mass @ self._classes(matrix, s)).T:
+            for col in (self.mass @ self._classes(form, s)).T:
                 np.subtract.outer(col, col, out=excess)
                 np.maximum(excess, 0, out=excess)
                 g_nums += excess

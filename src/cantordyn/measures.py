@@ -24,28 +24,33 @@ subset enumeration and a min-cut / max-flow computation of a partial
 coupling are kept as independent oracles.  All three are exact over the
 integers after clearing denominators, and they must always agree.
 
-Distances are exact integers until reported: pairs of words are compared by
-their separation n (d = 1/n; ``_separation_matrix``, or the symmetric
-joint matrix of the orbit engine), the thresholds are separations,
-g is an integer numerator over the common denominator, and one rule,
-``_interval_value``, decides each interval in integers and builds the one
-Fraction of each returned value.  The solvers and the grid scanner share
-``_thresholds``, ``_masks`` and that rule.
+Every solver works on one sorted form of a pair (``_sorted_form``): the
+distinct words of both supports merged in ascending order, each measure's
+integer weight at every position, and the m - 1 separations n (d = 1/n) of
+consecutive words, which hold the whole metric (``cantor._gaps``).  The
+thresholds are the distinct gaps, the classes at a threshold are the runs
+of consecutive words whose gaps are within it (``_runs``), g is an integer
+numerator over the common denominator, and one rule, ``_interval_value``,
+decides each interval in integers and builds the one Fraction of each
+returned value.  The closed form sums the positive run excesses, the oracles
+read their closeness masks off the same runs, and the grid scanner shares
+``_thresholds``, ``_runs`` and that rule.  No solver builds a k x l matrix of
+separations.
 
 ``prohorov`` and ``pushforward`` are memoised per process, in
 least-recently-used memos: a chain of length k + 1 repeats the steps of the
 chain of length k, the same measures come back across pairs, and the
 distance profiles of a grid meet the same pairs of states again and again.
-A distance depends only on the integer masses and the separations between
-the words, so a solve is kept twice: by its pair of measures and backend
+A distance depends only on the integer masses and the gaps between the
+sorted words, so a solve is kept twice: by its pair of measures and backend
 (256 entries, as many as the pushforward memo), which answers an exact
-repeat without building its separation matrix, and behind that by the
-integer problem -- both weight tuples and denominators, the separation
-matrix and the backend (2,048 entries) -- which answers every pair with
-other words but the same masses and separations, such as a padded orbit's
-later states or a relabelled pair.  A miss of the first memo reads that
-matrix off the separation table of ``cantor``.  The integer memo keeps the
-witness as row indices, which each call maps back onto its own words.  A
+repeat without merging the supports, and behind that by the integer
+problem -- both per-position weight tuples and denominators, the gaps and
+the backend (2,048 entries) -- which answers every pair with other words
+but the same masses in the same order and the same gaps, such as a padded
+orbit's later states or a relabelled pair.  A miss of the first memo reads
+the gaps off the separation table of ``cantor``.  The integer memo keeps the
+witness as positions, which each call maps back onto its own words.  A
 measure has one canonical form and a map is equal to another exactly when
 their rules are, so a hit returns what a fresh call would; the results are
 frozen, so a shared one cannot be changed.
@@ -55,10 +60,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 
-from .cantor import CylinderPartition, canonical_point, point_in_cylinder, separation
+from .cantor import CylinderPartition, _gaps, canonical_point, point_in_cylinder
 from .errors import BackendSelectionError, CertificationError, ParameterError
 
 ENUMERATION_LIMIT = 16
@@ -251,39 +256,90 @@ def _scaled_masses(mu_w, mu_d: int, nu_w, nu_d: int) -> tuple[list[int], list[in
     return [w * a for w in mu_w], [w * b for w in nu_w], denom
 
 
-def _separation_matrix(rows, cols) -> tuple[tuple[int, ...], ...]:
-    """Separations n (d = 1/n, 0 for the same point) of every word pair."""
-    return tuple(tuple(separation(u, v) for v in cols) for u in rows)
+def _sorted_form(mu: AtomicMeasure, nu: AtomicMeasure):
+    """(words, mu weights, nu weights, gaps): the distinct words of both
+    supports merged in ascending order, each measure's weight at every
+    position (0 off its support), and the separations of consecutive words."""
+    xs, ys, xw, yw = mu.support, nu.support, mu.weights, nu.weights
+    k, l = len(xs), len(ys)
+    words, mu_w, nu_w = [], [], []
+    i = j = 0
+    while i < k or j < l:
+        if j == l or i < k and xs[i] < ys[j]:
+            word, a, b = xs[i], xw[i], 0
+            i += 1
+        elif i == k or ys[j] < xs[i]:
+            word, a, b = ys[j], 0, yw[j]
+            j += 1
+        else:
+            word, a, b = xs[i], xw[i], yw[j]
+            i, j = i + 1, j + 1
+        words.append(word)
+        mu_w.append(a)
+        nu_w.append(b)
+    return words, tuple(mu_w), tuple(nu_w), _gaps(words)
 
 
-def _thresholds(matrix) -> list[int]:
-    """The interval ends of a separation matrix as separations, ascending in
-    distance: 0 (distance 0) first, then the distinct n in descending order."""
-    return [0] + sorted({n for row in matrix for n in row if n}, reverse=True)
+def _thresholds(gaps) -> list[int]:
+    """The interval ends of a sorted form as separations, ascending in
+    distance: 0 (distance 0) first, then the distinct nonzero gaps in
+    descending order.  A gap between two words of one measure that no pair
+    across the measures has splits an interval in two on which the
+    neighbourhoods, g and its least witness stay those of the whole, so the
+    first feasible interval gives the same value and witness."""
+    return [0] + sorted({n for n in gaps if n}, reverse=True)
 
 
-def _masks(matrix, s: int) -> list[int]:
-    """Per row, the bitmask of the columns within distance 1/s (distance 0 at
-    s = 0): on separations "d <= 1/s" reads n == 0 or 0 < s <= n."""
-    return [sum(1 << j for j, n in enumerate(row) if n == 0 or 0 < s <= n) for row in matrix]
+def _runs(gaps, s: int) -> list[int]:
+    """The class of each position at threshold s: consecutive positions
+    share one while their gap is within 1/s ("d <= 1/s" reads n == 0 or
+    0 < s <= n), so the classes of the ultrametric are runs, and every
+    position is its own class at s = 0 unless its word repeats."""
+    c, runs = 0, [0]
+    for n in gaps:
+        if n and not 0 < s <= n:
+            c += 1
+        runs.append(c)
+    return runs
 
 
-def _g_closed_form(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ...]]:
+def _g_closed_form(mu_int, nu_int, gaps, s: int) -> tuple[int, tuple[int, ...]]:
     """max over subsets X of mu's support of mu(X) - nu(neighborhood(X)),
-    as a numerator over ``denom``, in closed form for an ultrametric.
+    as a numerator over the common denominator, at threshold s, with the
+    witness as positions, in closed form for an ultrametric.
 
-    "d <= c" is an equivalence relation, so mu-atoms with one neighbour mask
-    share a class B whose neighbourhood is the nu-atoms of B.  The maximum is
-    the sum of the positive class excesses mu(B) - nu(B), attained by the
-    mu-atoms of the positive classes (the least maximizing subset).
+    "d <= 1/s" is an equivalence relation whose classes B are runs of the
+    sorted words, and the neighbourhood of a mu-atom is the nu-atoms of its
+    class.  The maximum is the sum of the positive class excesses
+    mu(B) - nu(B), attained by the mu-atoms of the positive classes (the
+    least maximizing subset).
     """
-    excess = dict.fromkeys(adj_masks, 0)
-    for m, mask in zip(mu_int, adj_masks):
-        excess[mask] += m
-    for mask in excess:
-        excess[mask] -= sum(m for j, m in enumerate(nu_int) if mask >> j & 1)
-    witness = tuple(i for i, mask in enumerate(adj_masks) if excess[mask] > 0)
-    return sum(e for e in excess.values() if e > 0), witness
+    runs = _runs(gaps, s)
+    excess = [0] * (runs[-1] + 1)
+    for r, a, b in zip(runs, mu_int, nu_int):
+        excess[r] += a - b
+    witness = tuple(p for p, r in enumerate(runs) if mu_int[p] and excess[r] > 0)
+    return sum(e for e in excess if e > 0), witness
+
+
+def _oracle(g_of, mu_int, nu_int, gaps, denom: int):
+    """``g_at(s)`` of an oracle ``g_of`` on a sorted form: the rows are the
+    positions of mu's atoms, the columns those of nu's, and a row's mask at
+    threshold s holds the columns in its run.  The witness rows are mapped
+    back to positions."""
+    rows = [p for p, m in enumerate(mu_int) if m]
+    cols = [q for q, m in enumerate(nu_int) if m]
+    mu_rows, nu_cols = [mu_int[p] for p in rows], [nu_int[q] for q in cols]
+
+    def g_at(s):
+        runs = _runs(gaps, s)
+        in_run = [0] * (runs[-1] + 1)
+        for j, q in enumerate(cols):
+            in_run[runs[q]] |= 1 << j
+        g, witness = g_of(mu_rows, nu_cols, [in_run[runs[p]] for p in rows], denom)
+        return g, tuple(rows[i] for i in witness)
+
+    return g_at
 
 
 def _g_enumeration(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ...]]:
@@ -402,19 +458,19 @@ def _clamped_min(thresholds: list[int], denom: int, g_at) -> tuple[Fraction, obj
     raise AssertionError("unreachable: the last interval is always feasible")
 
 
-_G_OF = {"auto": _g_closed_form, "enumeration": _g_enumeration, "flow": _g_flow}
+_ORACLES = {"enumeration": _g_enumeration, "flow": _g_flow}
 
 
 def _one_sided_value(
-    mu_int, nu_int, denom: int, seps, backend: str
+    mu_int, nu_int, denom: int, gaps, backend: str
 ) -> tuple[Fraction, tuple[int, ...]]:
-    """The distance and the witness rows from scaled masses over ``denom``
-    and ``seps``, the separations of mu's words (rows) against nu's
-    (columns)."""
-    g_of = _G_OF[backend]
-    return _clamped_min(
-        _thresholds(seps), denom, lambda s: g_of(mu_int, nu_int, _masks(seps, s), denom)
-    )
+    """The distance and the witness positions from per-position scaled
+    masses over ``denom`` and the ``gaps`` of the sorted words."""
+    if backend == "auto":
+        g_at = partial(_g_closed_form, mu_int, nu_int, gaps)
+    else:
+        g_at = _oracle(_ORACLES[backend], mu_int, nu_int, gaps, denom)
+    return _clamped_min(_thresholds(gaps), denom, g_at)
 
 
 def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> ProhorovResult:
@@ -433,27 +489,27 @@ def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Pro
 def _solved(mu: AtomicMeasure, nu: AtomicMeasure, backend: str) -> ProhorovResult:
     """``prohorov``, memoised per backend: equal measures have one form, so
     equal arguments have one result, which is frozen; a raised error is not
-    kept.  A miss separates the words and solves the integer problem."""
-    seps = _separation_matrix(mu.support, nu.support)
-    value, rows, name = _solved_problem(mu.weights, mu.denom, nu.weights, nu.denom, seps, backend)
-    return ProhorovResult(value, tuple(mu.support[i] for i in rows), name)
+    kept.  A miss merges the supports and solves the integer problem."""
+    words, mu_w, nu_w, gaps = _sorted_form(mu, nu)
+    value, witness, name = _solved_problem(mu_w, mu.denom, nu_w, nu.denom, gaps, backend)
+    return ProhorovResult(value, tuple(words[p] for p in witness), name)
 
 
 @lru_cache(maxsize=_PROBLEM_MEMO_SIZE)
-def _solved_problem(mu_w, mu_d: int, nu_w, nu_d: int, seps, backend: str):
-    """(value, witness rows, backend name) of the integer problem that
+def _solved_problem(mu_w, mu_d: int, nu_w, nu_d: int, gaps, backend: str):
+    """(value, witness positions, backend name) of the integer problem that
     ``_solved`` reads off a pair of measures; the words never enter it."""
     mu_int, nu_int, denom = _scaled_masses(mu_w, mu_d, nu_w, nu_d)
     if backend == "both":
-        v1, w1 = _one_sided_value(mu_int, nu_int, denom, seps, "auto")
-        v2, _ = _one_sided_value(mu_int, nu_int, denom, seps, "flow")
+        v1, w1 = _one_sided_value(mu_int, nu_int, denom, gaps, "auto")
+        v2, _ = _one_sided_value(mu_int, nu_int, denom, gaps, "flow")
         if v1 != v2:
             raise CertificationError(f"backends disagree: {v1} vs {v2}")
         return v1, w1, "both"
-    if backend not in _G_OF:
+    if backend != "auto" and backend not in _ORACLES:
         raise BackendSelectionError(f"unknown backend {backend!r}")
-    value, rows = _one_sided_value(mu_int, nu_int, denom, seps, backend)
-    return value, rows, "closed_form" if backend == "auto" else backend
+    value, witness = _one_sided_value(mu_int, nu_int, denom, gaps, backend)
+    return value, witness, "closed_form" if backend == "auto" else backend
 
 
 def _memo_counts() -> dict[str, int]:
@@ -479,19 +535,16 @@ def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "flo
     is "flow" or "enumeration" (at most ``ENUMERATION_LIMIT`` atoms per
     measure), and any other name raises BackendSelectionError.
     """
-    g_of = {"flow": _g_flow, "enumeration": _g_enumeration}.get(backend)
+    g_of = _ORACLES.get(backend)
     if g_of is None:
         raise BackendSelectionError(f"unknown two-sided backend {backend!r}")
-    mu_int, nu_int, denom = _scaled_masses(mu.weights, mu.denom, nu.weights, nu.denom)
-    seps = _separation_matrix(mu.support, nu.support)
-    seps_T = tuple(zip(*seps))
-
-    def g_at(s):
-        g1, _ = g_of(mu_int, nu_int, _masks(seps, s), denom)
-        g2, _ = g_of(nu_int, mu_int, _masks(seps_T, s), denom)
-        return max(g1, g2), None
-
-    return _clamped_min(_thresholds(seps), denom, g_at)[0]
+    _, mu_w, nu_w, gaps = _sorted_form(mu, nu)
+    mu_int, nu_int, denom = _scaled_masses(mu_w, mu.denom, nu_w, nu.denom)
+    forward = _oracle(g_of, mu_int, nu_int, gaps, denom)
+    backward = _oracle(g_of, nu_int, mu_int, gaps, denom)
+    return _clamped_min(
+        _thresholds(gaps), denom, lambda s: (max(forward(s)[0], backward(s)[0]), None)
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ mechanisms certify eventual periodicity of a distance sequence:
   states never repeat literally.  If every atom of the later state equals
   the corresponding atom of the earlier state with a single zero-run
   extended, the insertion points lie beyond every fired rule domain and
-  beyond every pairwise first difference, and the masses and the full joint
-  separation matrix repeat across one whole period window, then the rule
-  firing pattern and hence the distance data repeat forever.  Distances of
-  measures depend only on masses and the pairwise separations, so the
-  distance sequence is eventually periodic even though the states are not.
+  beyond every pairwise first difference, and the masses and the joint
+  sorted form of the words repeat across one whole period window, then the
+  rule firing pattern and hence the distance data repeat forever.
+  Distances of measures depend only on masses and the pairwise separations,
+  so the distance sequence is eventually periodic even though the states
+  are not.
 
 Anything that fits neither mechanism within its budget raises
 ResourceBudgetError rather than returning an unproven answer.
@@ -23,19 +24,22 @@ ResourceBudgetError rather than returning an unproven answer.
 One engine, ``_evolve_distance_sequence``, implements both mechanisms.  It
 only certifies: it returns the certified window -- the states up to
 preperiod + period -- and its callers evaluate that window.  It builds a
-joint separation matrix (integers n with d = 1/n, one ``cantor.separation``
-per unordered pair; the padded check reads first differences off them
-directly) only for a step that may close a padded cycle, never for a state
-cycle.  Every word fact it uses is computed once per process: separations
-come from the separation table of ``cantor``, and images and the domain
-length of the fired rule, which the pad test reads, from the image table of
-``maps``.  Distance profiles and target distances solve each window state with
+joint record only for a step that may close a padded cycle, never for a
+state cycle.  The record keeps the sorted form of the words: their sort
+order and the separations of consecutive words (integers n with d = 1/n),
+which hold every pairwise separation and take one ``cantor.separation`` per
+word; the padded check reads the largest first difference off them.  Every
+word fact it uses is computed once per process: separations come from the
+separation table of ``cantor``, and images and the domain length of the
+fired rule, which the pad test reads, from the image table of ``maps``.
+Distance profiles and target distances solve each window state with
 ``measures.prohorov``, whose memo is keyed on the integer problem -- the
-masses and the separations, not the words -- so a state whose problem
-recurs, in a padded window or across profiles, is solved once;
+masses and the gaps between the sorted words, not the words -- so a state
+whose problem recurs, in a padded window or across profiles, is solved once;
 ``recurrence.approx_by_periodic`` reads its return time off the
 profile of an orbit against its start, and ``grids.track_representatives``
-keeps the ``_joint_record`` matrices of the tracked cell representatives.
+keeps the sorted forms of the ``_joint_record`` of the tracked cell
+representatives.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import separation
+from .cantor import _gaps
 from .errors import ParameterError, ResourceBudgetError
 from .maps import PrefixTableMap, _rewritten
 from .measures import AtomicMeasure, prohorov, pushforward
@@ -150,20 +154,16 @@ def _words(state: tuple[AtomicMeasure, ...]) -> list[str]:
 
 
 def _joint_record(state: tuple[AtomicMeasure, ...], frozen: tuple[str, ...]):
-    """(per-measure integer masses, words, joint separation matrix) of a state.
+    """(per-measure integer masses, words, (sort order, gaps)) of a state.
 
-    The matrix is symmetric with a zero diagonal, so each unordered pair of
-    words is separated once.
+    The order lists the word indices by ascending word, ties by index, and
+    the gaps are the separations of consecutive words in that order: the
+    whole joint ultrametric, from one ``cantor.separation`` per word.
     """
     words = _words(state)
     words.extend(frozen)
-    k = len(words)
-    rows = [[0] * k for _ in range(k)]
-    for i, u in enumerate(words):
-        row = rows[i]
-        for j in range(i + 1, k):
-            row[j] = rows[j][i] = separation(u, words[j])
-    return _masses(state), words, tuple(map(tuple, rows))
+    order = sorted(range(len(words)), key=words.__getitem__)
+    return _masses(state), words, (tuple(order), _gaps([words[i] for i in order]))
 
 
 def _pad_inserts(f: PrefixTableMap, words_a, words_b) -> list[int] | None:
@@ -192,23 +192,29 @@ def _verify_padded_window(f: PrefixTableMap, record, n_frozen: int, start: int, 
 
     ``record(k)`` is the joint record of state k, needed up to index
     start + 2*tau.  On success the joint distance data is periodic with
-    period tau from index start on.  Neither the masses nor the matrix
+    period tau from index start on.  Neither the masses nor the sorted form
     follow from the word pairing: atoms may trade masses while keeping their
     words, and a moving atom may sit on a frozen word and then pad away.
     The frozen words close every record, the same in each.
+
+    Inserts beyond every first difference keep each pair's first difference
+    and the bit there, so they keep the order of the words and every
+    separation: the check passes on exactly the windows on which a check of
+    every pairwise separation passes.
     """
     for j in range(start, start + tau + 1):
-        masses_a, words_a, matrix_a = record(j)
-        masses_b, words_b, matrix_b = record(j + tau)
+        masses_a, words_a, form_a = record(j)
+        masses_b, words_b, form_b = record(j + tau)
         # equal per-measure weights also pair the atoms by index
-        if masses_a != masses_b or matrix_a != matrix_b:
+        if masses_a != masses_b or form_a != form_b:
             return False
         n_moving = len(words_a) - n_frozen
         inserts = _pad_inserts(f, words_a[:n_moving], words_b[:n_moving])
         if inserts is None:
             return False
-        # a separation n is a first difference at index n - 1
-        if inserts and max(map(max, matrix_a)) > min(inserts):
+        # a separation n is a first difference at index n - 1, and the
+        # largest separation of the words is their largest gap
+        if inserts and max(form_a[1], default=0) > min(inserts):
             return False
     return True
 
@@ -227,20 +233,20 @@ def _evolve_distance_sequence(
     evaluated on the states: callers map their own value over the window.
 
     A state cycle needs no joint record.  A padded cycle (rho, n - rho) is a
-    candidate when steps rho and n have equal masses and equal joint
-    matrices, and its whole window is verified newest rho first.  While
+    candidate when steps rho and n have equal masses and equal sorted
+    forms, and its whole window is verified newest rho first.  While
     fewer than ``_PAD_SCAN`` earlier steps share the masses, a pair must
     first pass the pad test that opens the window check, and only then are
     its records built: the same candidates, since a pair that fails the test
     fails the check.  Past that, each step is recorded and looked up by its
-    matrix: the scan is quadratic in orbits that pad without settling, and
-    past 16 steps it saved under 0.5% of the records of random measures.
+    sorted form: the scan is quadratic in orbits that pad without settling,
+    and past 16 steps it saved under 0.5% of the records of random measures.
     """
     states: list[tuple[AtomicMeasure, ...]] = [initial]
     records: dict = {}  # joint records by step, built once
     exact_seen: dict = {initial: 0}
     mass_seen: dict = {_masses(initial): [0]}
-    sig_seen: dict = {}  # (masses, matrix) -> steps, for masses past the scan
+    sig_seen: dict = {}  # (masses, sorted form) -> steps, for masses past the scan
 
     def ensure(k: int) -> None:
         while len(states) <= k:

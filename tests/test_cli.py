@@ -11,7 +11,9 @@ import pytest
 
 import cantordyn
 from cantordyn import cli, measures
+from cantordyn.cantor import separation
 from cantordyn.cli import main
+from cantordyn.maps import _rewritten
 from cantordyn.measures import (
     _pushed,
     _solved,
@@ -339,10 +341,9 @@ def test_readme_example_config_suites(tmp_path, suite):
 def test_report_timings_count_the_memos(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, BALLOON_CONFIG)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    # the memos live as long as the process: start from empty ones
-    _solved.cache_clear()
-    _solved_problem.cache_clear()
-    _pushed.cache_clear()
+    # the memos and tables live as long as the process: start from empty ones
+    for memo in (_solved, _solved_problem, _pushed, separation, _rewritten):
+        memo.cache_clear()
     # count every prohorov call, under each name a module imported it by
     calls, prohorov = [], measures.prohorov
 
@@ -359,12 +360,19 @@ def test_report_timings_count_the_memos(tmp_path, monkeypatch):
     [stage] = json.loads((tmp_path / "report_chains.json").read_text())["timings"]
     assert stage["stage"] == "_suite_chains"
     assert set(stage) == {"stage", "ms", "solves", "solve_hits",
-                          "pushforwards", "pushforward_hits"}
+                          "pushforwards", "pushforward_hits", "separations",
+                          "separation_hits", "images", "image_hits"}
     # a chain of length k + 1 repeats the steps of the chain of length k
     assert stage["solves"] > 0 and stage["solve_hits"] > 0
     assert stage["pushforwards"] > 0 and stage["pushforward_hits"] > 0
     # each call is one integer problem solved or one memo hit
     assert stage["solves"] + stage["solve_hits"] == len(calls)
+    # every word pair and (map, word) pair is computed once, then looked up
+    for table, computed, hits in ((separation, "separations", "separation_hits"),
+                                  (_rewritten, "images", "image_hits")):
+        info = table.cache_info()
+        assert stage[computed] == info.misses == info.currsize > 0
+        assert stage[hits] == info.hits > 0
 
 
 def test_reports_are_deterministic(tmp_path):

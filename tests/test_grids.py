@@ -59,8 +59,8 @@ def test_track_representatives_balloon_exact_cycle():
     for tower, expected in cases:
         family = track_representatives(tower.table, tower.levels[0].partition())
         assert (family.preperiod, family.period) == expected
-        # matrices repeat exactly with the declared period
-        assert family.matrix_at(family.preperiod) == family.matrix_at(
+        # sorted forms repeat exactly with the declared period
+        assert family.form_at(family.preperiod) == family.form_at(
             family.preperiod + family.period
         )
 

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import ceil, gcd, lcm
 
 import pytest
@@ -29,9 +29,9 @@ from cantordyn.measures import (
     _g_enumeration,
     _g_flow,
     _pushed,
-    _separation_matrix,
     _solved,
     _solved_problem,
+    _sorted_form,
     atomic_measure,
     cell_masses,
     convex_combine,
@@ -340,6 +340,50 @@ def test_flow_oracle_matches_enumeration_on_general_bipartite_masks():
             (mu, nu, masks, denom)
 
 
+def _matrix_reference(mu, nu):
+    """(value, witness set) from the k x l separations of mu's words against
+    nu's: the thresholds are the distinct separations across the measures,
+    and each interval's g and least maximizing subset come from every
+    subset of mu's atoms, straight from the definition."""
+    seps = [[separation(u, v) for v in nu.support] for u in mu.support]
+    thresholds = [0] + sorted({n for row in seps for n in row if n}, reverse=True)
+    for s, s_next in zip(thresholds, thresholds[1:] + [None]):
+        close = [{j for j, n in enumerate(row) if n == 0 or 0 < s <= n} for row in seps]
+        scores = {}
+        for r in range(len(mu) + 1):
+            for xs in combinations(range(len(mu)), r):
+                near = set().union(*[close[i] for i in xs])
+                scores[xs] = (sum(mu.masses[i] for i in xs)
+                              - sum(nu.masses[j] for j in near))
+        g = max(scores.values())
+        if s_next is not None and g > Fraction(1, s_next):
+            continue
+        least = set(range(len(mu))).intersection(*[xs for xs, v in scores.items() if v == g])
+        value = max(g, Fraction(1, s)) if s else g
+        return value, tuple(mu.support[i] for i in sorted(least))
+
+
+def test_gaps_within_one_measure_keep_value_and_witness():
+    # the sorted form's thresholds include gaps between two words of one
+    # measure; such a gap splits an interval of the k x l form in two, and
+    # every backend still gives that form's value and least witness
+    rng = random.Random(43)
+    checked = 0
+    while checked < 300:
+        mu = random_atomic_measure(rng, max_atoms=5, max_depth=5)
+        nu = random_atomic_measure(rng, max_atoms=5, max_depth=5)
+        across = {separation(u, v) for u in mu.support for v in nu.support}
+        if not set(_sorted_form(mu, nu)[3]) - across:
+            continue
+        expected = _matrix_reference(mu, nu)
+        for backend in ("auto", "flow", "enumeration", "both"):
+            got = prohorov(mu, nu, backend)
+            assert (got.value, got.witness_set) == expected, (mu, nu, backend)
+        for backend in ("flow", "enumeration"):
+            assert prohorov_two_sided(mu, nu, backend) == expected[0]
+        checked += 1
+
+
 def test_enumeration_backend_bounds_both_sides():
     # one atom against more than the limit still asks for 2^l subset masses
     wide = atomic_measure({format(i, "05b"): Fraction(1, 17) for i in range(17)})
@@ -490,14 +534,17 @@ def test_memoised_solve_equals_a_fresh_one(backend):
 @pytest.mark.parametrize("backend", ["auto", "flow", "enumeration", "both"])
 def test_integer_problem_memo_serves_other_words(backend):
     # every first difference is at index 0 or 1, so inserting a 0 at index 2
-    # keeps the masses and the separations and changes the words
+    # keeps the order of the words, the masses and the gaps between the
+    # sorted words, and changes the words
     pair_a = (atomic_measure({"001": Fraction(1, 10), "111": Fraction(9, 10)}),
               atomic_measure({"011": Fraction(3, 10), "101": Fraction(7, 10)}))
     pair_b = (atomic_measure({"0001": Fraction(1, 10), "1101": Fraction(9, 10)}),
               atomic_measure({"0101": Fraction(3, 10), "1001": Fraction(7, 10)}))
     nu_c = atomic_measure({"0101": Fraction(7, 10), "1001": Fraction(3, 10)})
-    assert _separation_matrix(pair_a[0].support, pair_a[1].support) == \
-        _separation_matrix(pair_b[0].support, pair_b[1].support)
+    words_a, *key_a = _sorted_form(*pair_a)
+    words_b, *key_b = _sorted_form(*pair_b)
+    assert key_a == key_b == [(1, 0, 0, 9), (0, 3, 7, 0), (2, 1, 2)]
+    assert words_a != words_b
 
     def fresh(mu, nu):
         _solved.cache_clear()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cantordyn.cantor import representative
+from cantordyn.cantor import representative, separation
 from cantordyn.errors import ParameterError, ResourceBudgetError
 from cantordyn import orbits
 from cantordyn.grids import random_atomic_measure, random_cell_measure
@@ -146,7 +146,7 @@ def test_padded_cycle_profile_on_absorbing_orbit():
 
 def test_padded_cycle_rejects_a_target_the_orbit_passes_through():
     # the orbit meets the frozen target at n = 2 and then pads away from it;
-    # only the joint-matrix comparison keeps that window from closing at (1, 2)
+    # only the joint-record comparison keeps that window from closing at (1, 2)
     tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
     x = representative(tower.levels[0].components[0].bar[0])
     mu, target = dirac(x), dirac(tower.table.apply(tower.table.apply(x)))
@@ -159,11 +159,13 @@ def test_padded_cycle_rejects_a_target_the_orbit_passes_through():
 
 
 def test_padded_cycle_rejects_atoms_that_trade_masses():
-    # words and separations repeat after one step, the masses do not
+    # the words and their sorted form (order, gaps) repeat after one step,
+    # the masses do not
     mu = atomic_measure({"": Fraction(1, 3), "1": Fraction(2, 3)})
     states = [(mu,), (pushforward(SWAP, mu),), (mu,)]
     records = [orbits._joint_record(state, ()) for state in states]
-    assert records[0][1:] == records[1][1:]
+    assert records[0][1:] == records[1][1:] == (["", "1"], ((0, 1), (1,)))
+    assert records[0][0] != records[1][0]
     assert not orbits._verify_padded_window(SWAP, records.__getitem__, 0, 0, 1)
     assert prohorov_distance(states[0][0], dirac("")) != prohorov_distance(
         states[1][0], dirac("")
@@ -173,14 +175,19 @@ def test_padded_cycle_rejects_atoms_that_trade_masses():
 def test_padded_cycle_insert_bound_at_its_boundary():
     # "011" pads one zero in at index 2, then at index 3; every separation of
     # the moving atom is 1, and the only other separation is that of "1" and
-    # the third word.  This pins the current bound; it does not prove it tight.
+    # the third word: the words stay in their order, and that separation is
+    # the largest gap.  This pins the current bound; it does not prove it
+    # tight.
     def window(third):
         words = [("011", "1", third), ("0101", "1", third), ("01001", "1", third)]
         states = [(atomic_measure({w: Fraction(1, 3) for w in ws}),) for ws in words]
         records = [orbits._joint_record(state, ()) for state in states]
         assert records[0][0] == records[1][0] == records[2][0]
         assert records[0][2] == records[1][2] == records[2][2]
-        return records, max(map(max, records[0][2]))
+        order, gaps = records[0][2]
+        assert order == (0, 1, 2) and gaps[0] == 1 == separation("011", "1")
+        assert max(gaps) == max(separation(u, v) for u in words[0] for v in words[0])
+        return records, max(gaps)
 
     # largest separation == first insert index: accepted
     records, largest = window("11")
@@ -249,8 +256,16 @@ def test_state_cycles_build_no_joint_record(monkeypatch):
 
 
 # -- the eager engine that built a joint record for every step, kept as an
-# oracle: it keys each step on its full (masses, matrix) signature and runs
-# its own pad test, so it shares only _joint_record with the engine
+# oracle: it keys each step on its full (masses, matrix) signature, built
+# from a separation matrix of all words, and runs its own pad test, so it
+# shares no record or check with the engine
+
+
+def _eager_record(state, frozen):
+    """(per-measure masses, words, symmetric separation matrix) of a state."""
+    words = [p for mu in state for p in mu.support] + list(frozen)
+    matrix = tuple(tuple(separation(u, v) for v in words) for u in words)
+    return tuple((mu.weights, mu.denom) for mu in state), words, matrix
 
 
 def _eager_pad_descriptor(w_old, w_new):
@@ -305,7 +320,7 @@ def _eager_engine(f, initial, frozen, budget):
 
     def record(k):
         while len(records) <= k:
-            records.append(orbits._joint_record(states[len(records)], frozen))
+            records.append(_eager_record(states[len(records)], frozen))
         return records[k]
 
     def signature(k):
@@ -382,7 +397,7 @@ def _counting_rules(prefix, bits, last):
     # 32 counting steps, then a zero-run that grows by one each step
     ([("1", "1"), ("00", "000")] + _counting_rules("01", 5, "001"), "01", "1", (32, 1)),
     # each 32-step count inserts one zero past the counter: the cycle opens
-    # at a step recorded only when the matrix lookup took over
+    # at a step recorded only when the lookup by record took over
     ([("0", "0")] + _counting_rules("1", 5, "1000000"), "1000001", "01", (0, 32)),
 ])
 def test_orbits_past_the_pad_scan_certify_through_the_matrix_lookup(rules, start, other, window):
