@@ -11,8 +11,9 @@ Canonical words sorted as strings are in the lexicographic order of their
 points, and in that order the separation of any two words is the least
 nonzero separation of consecutive words between them (0 when all of those
 are 0: the same point).  So the m - 1 gaps of m sorted words (``_gaps``)
-hold the whole ultrametric; the solver, the orbit engine's joint records and
-the tracked families of the grid scans all work on that sorted form.
+hold the whole ultrametric.  The solver works on that sorted form, and the
+orbit engine and the tracked families of the grid scans build theirs with
+one routine, ``_sorted_form``: the sort order of the words and their gaps.
 ``separation`` keeps one table of word pairs per process, which those gaps
 and ``cell_distance`` read: a run meets a few hundred pairs a hundred
 thousand times and more.  The table is least-recently-used and bounded, because
@@ -81,6 +82,13 @@ def _gaps(words) -> tuple[int, ...]:
     when every gap between them is 0 (the same point), so the m - 1 gaps
     hold the whole ultrametric of m words."""
     return tuple(map(separation, words, words[1:]))
+
+
+def _sorted_form(words) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(order, gaps) of a sequence of words: the word indices by ascending
+    word, ties by index, and the ``_gaps`` of the words in that order."""
+    order = sorted(range(len(words)), key=words.__getitem__)
+    return tuple(order), _gaps([words[i] for i in order])
 
 
 def point_distance(u: str, v: str) -> Fraction:

@@ -56,7 +56,9 @@ from .errors import CantorDynError, ParameterError, ResourceBudgetError
 from .grids import li_yorke_scan, random_cell_measure, simplex_grid
 from .maps import _rewritten
 from .measures import (
-    _memo_counts,
+    _pushed,
+    _solved,
+    _solved_problem,
     measure_from_lines,
     prohorov,
     prohorov_two_sided,
@@ -74,7 +76,6 @@ from .recurrence import (
 )
 from .towers import make_balloon_tower, make_dumbbell_tower, tower_from_dict, tower_to_dict
 
-SUITES = ("liyorke", "entropy", "chains", "shadowing", "recurrence", "all")
 BACKENDS = ("enumeration", "flow", "auto", "both")
 
 
@@ -108,6 +109,14 @@ def _backend(raw: str) -> str:
 def _depth_q(raw: str) -> tuple[int, int]:
     depth, q = raw.split(":")
     return int(depth), int(q)
+
+
+def _shared(cfg, key: str):
+    """An [analysis] value that more than one suite reads, with its one
+    default: ``eps``, ``delta`` or ``grid_resolution``."""
+    parse, default = {"eps": (Fraction, "1/4"), "delta": (Fraction, "1/2"),
+                      "grid_resolution": (int, "2")}[key]
+    return _read(cfg, "analysis", key, parse, default)
 
 
 def _level(tower, cfg) -> int:
@@ -158,7 +167,7 @@ def cmd_generate(args) -> int:
 
 
 def _suite_liyorke(tower, cfg, rng):
-    resolution = _read(cfg, "analysis", "grid_resolution", int, "2")
+    resolution = _shared(cfg, "grid_resolution")
     level = _level(tower, cfg)
     scan = li_yorke_scan(tower.table, tower.levels[level].partition(), resolution)
     yield Certificate(
@@ -236,8 +245,8 @@ def _suite_chains(tower, cfg, rng):
     yield chain_continuity_test(
         tower.table,
         _read(cfg, "analysis", "continuity_depth", int, "3"),
-        _read(cfg, "analysis", "eps", Fraction, "1/4"),
-        _read(cfg, "analysis", "delta", Fraction, "1/2"),
+        _shared(cfg, "eps"),
+        _shared(cfg, "delta"),
     )
 
 
@@ -245,10 +254,8 @@ def _suite_shadowing(tower, cfg, rng):
     partition = tower.levels[_level(tower, cfg)].partition()
     yield transitivity_check(tower.table, partition)
     if tower.kind == "dumbbell":
-        eps = _read(cfg, "analysis", "eps", Fraction, "1/4")
-        delta = _read(cfg, "analysis", "delta", Fraction, "1/2")
-        resolution = _read(cfg, "analysis", "grid_resolution", int, "2")
-        grid = simplex_grid(partition, resolution)
+        eps, delta = _shared(cfg, "eps"), _shared(cfg, "delta")
+        grid = simplex_grid(partition, _shared(cfg, "grid_resolution"))
         yield weak_shadowing_refutation(tower, eps, delta, grid)
 
 
@@ -256,7 +263,7 @@ def _suite_recurrence(tower, cfg, rng):
     periods = _read(cfg, "analysis", "periods", _ints, "1, 2")
     if not periods:
         raise ParameterError("[analysis] periods names no period")
-    eps = _read(cfg, "analysis", "eps", Fraction, "1/4")
+    eps = _shared(cfg, "eps")
     lam_list = _read(cfg, "analysis", "lambda", _fractions, "1/4")
     for p in periods:
         choices = enumerate_admissible_choices(tower, period=p)
@@ -285,27 +292,33 @@ def _suite_recurrence(tower, cfg, rng):
     yield cert
 
 
+_RUNNERS = {
+    "liyorke": _suite_liyorke,
+    "entropy": _suite_entropy,
+    "chains": _suite_chains,
+    "shadowing": _suite_shadowing,
+    "recurrence": _suite_recurrence,
+}
+SUITES = (*_RUNNERS, "all")
+
+
 def _work_counts() -> dict[str, int]:
-    """The memo counts of ``measures`` and the computed and looked-up
-    entries of the separation and image tables, so far in this process."""
-    seps, images = separation.cache_info(), _rewritten.cache_info()
-    return {**_memo_counts(), "separations": seps.misses, "separation_hits": seps.hits,
+    """The work of the five per-process tables so far: the integer Prohorov
+    problems solved, the pushforwards, word separations and images
+    computed, and the calls of each that a memo or table answered instead
+    (``solves`` plus ``solve_hits`` is the number of ``prohorov`` calls)."""
+    front, problems = _solved.cache_info(), _solved_problem.cache_info()
+    pushed, seps, images = _pushed.cache_info(), separation.cache_info(), _rewritten.cache_info()
+    return {"solves": problems.misses, "solve_hits": front.hits + problems.hits,
+            "pushforwards": pushed.misses, "pushforward_hits": pushed.hits,
+            "separations": seps.misses, "separation_hits": seps.hits,
             "images": images.misses, "image_hits": images.hits}
 
 
 def run_suite(tower, suite: str, cfg, rng):
-    runners = {
-        "liyorke": (_suite_liyorke,),
-        "entropy": (_suite_entropy,),
-        "chains": (_suite_chains,),
-        "shadowing": (_suite_shadowing,),
-        "recurrence": (_suite_recurrence,),
-        "all": (_suite_liyorke, _suite_entropy, _suite_chains,
-                _suite_shadowing, _suite_recurrence),
-    }
     certificates = []
     timings = []
-    for runner in runners[suite]:
+    for runner in _RUNNERS.values() if suite == "all" else (_RUNNERS[suite],):
         t0, memo0 = time.monotonic(), _work_counts()
         try:
             certificates.extend(runner(tower, cfg, rng))

@@ -6,7 +6,8 @@ tail).  For an all-pairs scan the atoms of every grid measure ride on the
 same tracked point family -- the orbits of the cell representatives -- so a
 single certified trajectory serves every pair.  That family is certified by
 the one eventual-periodicity engine of ``orbits``, run on the unit masses
-of the representatives, and keeps the engine's sorted form of each step:
+of the representatives, and keeps the sorted form of each step of the
+certified window, built by the engine's own routine, ``cantor._sorted_form``:
 the sort order of the points and the separations of consecutive ones.  Each
 pairwise Prohorov value then reduces, by the ultrametric closed form of
 ``measures``, to sums of positive class-mass differences over the common
@@ -26,17 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import CylinderPartition, representative
+from .cantor import CylinderPartition, _sorted_form, representative
 from .errors import ParameterError
 from .maps import PrefixTableMap
 from .measures import AtomicMeasure, atomic_measure, dirac
 from .measures import _interval_value, _runs, _thresholds
-from .orbits import (
-    DEFAULT_BUDGET,
-    PairClass,
-    _evolve_distance_sequence,
-    _joint_record,
-)
+from .orbits import DEFAULT_BUDGET, PairClass, _evolve_distance_sequence
 
 
 def simplex_grid(partition: CylinderPartition, resolution: int) -> list[AtomicMeasure]:
@@ -126,7 +122,8 @@ def track_representatives(f: PrefixTableMap, partition: CylinderPartition) -> Tr
     states, rho, tau, _ = _evolve_distance_sequence(
         f, tuple(dirac(w) for w in start), (), DEFAULT_BUDGET
     )
-    return TrajectoryFamily(start, rho, tau, tuple(_joint_record(s, ())[2] for s in states))
+    forms = tuple(_sorted_form([mu.support[0] for mu in s]) for s in states)
+    return TrajectoryFamily(start, rho, tau, forms)
 
 
 # ---------------------------------------------------------------------------

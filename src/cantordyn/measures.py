@@ -322,7 +322,7 @@ def _g_closed_form(mu_int, nu_int, gaps, s: int) -> tuple[int, tuple[int, ...]]:
     return sum(e for e in excess if e > 0), witness
 
 
-def _oracle(g_of, mu_int, nu_int, gaps, denom: int):
+def _oracle(g_of, mu_int, nu_int, gaps):
     """``g_at(s)`` of an oracle ``g_of`` on a sorted form: the rows are the
     positions of mu's atoms, the columns those of nu's, and a row's mask at
     threshold s holds the columns in its run.  The witness rows are mapped
@@ -336,13 +336,13 @@ def _oracle(g_of, mu_int, nu_int, gaps, denom: int):
         in_run = [0] * (runs[-1] + 1)
         for j, q in enumerate(cols):
             in_run[runs[q]] |= 1 << j
-        g, witness = g_of(mu_rows, nu_cols, [in_run[runs[p]] for p in rows], denom)
+        g, witness = g_of(mu_rows, nu_cols, [in_run[runs[p]] for p in rows])
         return g, tuple(rows[i] for i in witness)
 
     return g_at
 
 
-def _g_enumeration(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ...]]:
+def _g_enumeration(mu_int, nu_int, adj_masks) -> tuple[int, tuple[int, ...]]:
     """max over subsets X of mu's support of mu(X) - nu(neighborhood(X)),
     by brute force over all subsets (an oracle for the closed form).  Both
     sides are bounded, because a table of 2^l subset masses of nu is built."""
@@ -369,7 +369,7 @@ def _g_enumeration(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ..
     return best, witness
 
 
-def _g_flow(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ...]]:
+def _g_flow(mu_int, nu_int, adj_masks) -> tuple[int, tuple[int, ...]]:
     """Same maximum as the enumeration backend, via max-flow/min-cut duality.
 
     The uncoupled mass of a maximum partial coupling supported on adjacent
@@ -380,7 +380,7 @@ def _g_flow(mu_int, nu_int, adj_masks, denom) -> tuple[int, tuple[int, ...]]:
     is left, the mu-atoms that the last search reached are the source side
     of the least minimum cut, which every maximum flow leaves the same; they
     are the least maximizing subset, so the witness does not depend on the
-    paths taken.  Masses stay integers over ``denom``, so every step is exact.
+    paths taken.  Masses stay integers, so every step is exact.
     """
     supply, demand = list(mu_int), list(nu_int)
     coupled = [{} for _ in nu_int]  # per nu-atom: mu-atom -> coupled mass
@@ -469,7 +469,7 @@ def _one_sided_value(
     if backend == "auto":
         g_at = partial(_g_closed_form, mu_int, nu_int, gaps)
     else:
-        g_at = _oracle(_ORACLES[backend], mu_int, nu_int, gaps, denom)
+        g_at = _oracle(_ORACLES[backend], mu_int, nu_int, gaps)
     return _clamped_min(_thresholds(gaps), denom, g_at)
 
 
@@ -512,16 +512,6 @@ def _solved_problem(mu_w, mu_d: int, nu_w, nu_d: int, gaps, backend: str):
     return value, witness, "closed_form" if backend == "auto" else backend
 
 
-def _memo_counts() -> dict[str, int]:
-    """Integer problems solved and pushforwards computed so far in this
-    process, and the calls that a memo answered instead: ``solves`` plus
-    ``solve_hits`` is the number of ``prohorov`` calls."""
-    front, problems = _solved.cache_info(), _solved_problem.cache_info()
-    pushed = _pushed.cache_info()
-    return {"solves": problems.misses, "solve_hits": front.hits + problems.hits,
-            "pushforwards": pushed.misses, "pushforward_hits": pushed.hits}
-
-
 def prohorov_distance(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Fraction:
     """The distance alone, without the witness payload."""
     return prohorov(mu, nu, backend).value
@@ -540,8 +530,8 @@ def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "flo
         raise BackendSelectionError(f"unknown two-sided backend {backend!r}")
     _, mu_w, nu_w, gaps = _sorted_form(mu, nu)
     mu_int, nu_int, denom = _scaled_masses(mu_w, mu.denom, nu_w, nu.denom)
-    forward = _oracle(g_of, mu_int, nu_int, gaps, denom)
-    backward = _oracle(g_of, nu_int, mu_int, gaps, denom)
+    forward = _oracle(g_of, mu_int, nu_int, gaps)
+    backward = _oracle(g_of, nu_int, mu_int, gaps)
     return _clamped_min(
         _thresholds(gaps), denom, lambda s: (max(forward(s)[0], backward(s)[0]), None)
     )[0]

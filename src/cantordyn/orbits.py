@@ -23,23 +23,28 @@ ResourceBudgetError rather than returning an unproven answer.
 
 One engine, ``_evolve_distance_sequence``, implements both mechanisms.  It
 only certifies: it returns the certified window -- the states up to
-preperiod + period -- and its callers evaluate that window.  It builds a
-joint record only for a step that may close a padded cycle, never for a
-state cycle.  The record keeps the sorted form of the words: their sort
-order and the separations of consecutive words (integers n with d = 1/n),
-which hold every pairwise separation and take one ``cantor.separation`` per
-word; the padded check reads the largest first difference off them.  Every
-word fact it uses is computed once per process: separations come from the
-separation table of ``cantor``, and images and the domain length of the
-fired rule, which the pad test reads, from the image table of ``maps``.
-Distance profiles and target distances solve each window state with
-``measures.prohorov``, whose memo is keyed on the integer problem -- the
-masses and the gaps between the sorted words, not the words -- so a state
-whose problem recurs, in a padded window or across profiles, is solved once;
-``recurrence.approx_by_periodic`` reads its return time off the
-profile of an orbit against its start, and ``grids.track_representatives``
-keeps the sorted forms of the ``_joint_record`` of the tracked cell
-representatives.
+preperiod + period -- and its callers evaluate that window.  Its step table
+holds each state's per-measure integer masses and moving words, computed
+once, when the state is pushed.  One window check,
+``_verify_padded_window``, tests every candidate cycle: the pad test first,
+then the sorted forms of the two steps -- the sort order of the words and
+the separations of consecutive words (integers n with d = 1/n), built by
+``cantor._sorted_form`` only for a step that a check or the lookup asks
+for, so a candidate that fails the pad test builds none.  They hold every
+pairwise separation, and the check reads the largest first difference off
+them.  Every word fact it uses is computed once per process: separations,
+which the sorted forms and the pad test's insert positions read, come from
+the separation table of ``cantor``, and images and the domain length of
+the fired rule, which the pad test reads, from the image table of
+``maps``.  Distance profiles and
+target distances solve each window state with ``measures.prohorov``, whose
+memo is keyed on the integer problem -- the masses and the gaps between
+the sorted words, not the words -- so a state whose problem recurs, in a
+padded window or across profiles, is solved once;
+``recurrence.approx_by_periodic`` reads its return time off the profile of
+an orbit against its start, and ``grids.track_representatives`` keeps the
+sorted forms of the tracked cell representatives, built by the same
+routine.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import _gaps
+from .cantor import _sorted_form, separation
 from .errors import ParameterError, ResourceBudgetError
 from .maps import PrefixTableMap, _rewritten
 from .measures import AtomicMeasure, prohorov, pushforward
@@ -144,33 +149,12 @@ def distributional_densities(
 # the padded-cycle engine
 
 
-def _masses(state: tuple[AtomicMeasure, ...]):
-    """Per-measure integer masses: equal ones pair two states' atoms by index."""
-    return tuple((mu.weights, mu.denom) for mu in state)
-
-
-def _words(state: tuple[AtomicMeasure, ...]) -> list[str]:
-    return [p for mu in state for p in mu.support]
-
-
-def _joint_record(state: tuple[AtomicMeasure, ...], frozen: tuple[str, ...]):
-    """(per-measure integer masses, words, (sort order, gaps)) of a state.
-
-    The order lists the word indices by ascending word, ties by index, and
-    the gaps are the separations of consecutive words in that order: the
-    whole joint ultrametric, from one ``cantor.separation`` per word.
-    """
-    words = _words(state)
-    words.extend(frozen)
-    order = sorted(range(len(words)), key=words.__getitem__)
-    return _masses(state), words, (tuple(order), _gaps([words[i] for i in order]))
-
-
 def _pad_inserts(f: PrefixTableMap, words_a, words_b) -> list[int] | None:
     """The pad test: the insert positions of the words of ``words_b`` that
     are their partners in ``words_a`` with one zero-run extended beyond the
     rule domain that fires on them, when every other word is unchanged;
-    None when some pair is neither."""
+    None when some pair is neither.  For distinct canonical words the
+    insert position is their first difference, separation - 1."""
     inserts = []
     for wa, wb in zip(words_a, words_b):
         if wb == wa:
@@ -178,24 +162,25 @@ def _pad_inserts(f: PrefixTableMap, words_a, words_b) -> list[int] | None:
         g = len(wb) - len(wa)
         if g <= 0:
             return None
-        c = 0
-        while c < len(wa) and wa[c] == wb[c]:
-            c += 1
+        c = separation(wa, wb) - 1
         if wb[c: c + g] != "0" * g or wb[c + g:] != wa[c:] or c < _rewritten(f, wa)[1]:
             return None
         inserts.append(c)
     return inserts
 
 
-def _verify_padded_window(f: PrefixTableMap, record, n_frozen: int, start: int, tau: int) -> bool:
+def _verify_padded_window(f: PrefixTableMap, step, form, start: int, tau: int) -> bool:
     """Check the padding certificate on the window [start, start+tau].
 
-    ``record(k)`` is the joint record of state k, needed up to index
+    ``step(k)`` is the step table's entry of state k -- its per-measure
+    integer masses and its moving words -- and ``form(k)`` the sorted form
+    of those words followed by the frozen words, both read up to index
     start + 2*tau.  On success the joint distance data is periodic with
     period tau from index start on.  Neither the masses nor the sorted form
     follow from the word pairing: atoms may trade masses while keeping their
     words, and a moving atom may sit on a frozen word and then pad away.
-    The frozen words close every record, the same in each.
+    The pad test runs before the sorted forms are compared, so a pair that
+    fails it builds no sorted form.
 
     Inserts beyond every first difference keep each pair's first difference
     and the bit there, so they keep the order of the words and every
@@ -203,18 +188,16 @@ def _verify_padded_window(f: PrefixTableMap, record, n_frozen: int, start: int, 
     every pairwise separation passes.
     """
     for j in range(start, start + tau + 1):
-        masses_a, words_a, form_a = record(j)
-        masses_b, words_b, form_b = record(j + tau)
+        (masses_a, words_a), (masses_b, words_b) = step(j), step(j + tau)
         # equal per-measure weights also pair the atoms by index
-        if masses_a != masses_b or form_a != form_b:
+        if masses_a != masses_b:
             return False
-        n_moving = len(words_a) - n_frozen
-        inserts = _pad_inserts(f, words_a[:n_moving], words_b[:n_moving])
-        if inserts is None:
+        inserts = _pad_inserts(f, words_a, words_b)
+        if inserts is None or form(j) != form(j + tau):
             return False
         # a separation n is a first difference at index n - 1, and the
         # largest separation of the words is their largest gap
-        if inserts and max(form_a[1], default=0) > min(inserts):
+        if inserts and max(form(j)[1], default=0) > min(inserts):
             return False
     return True
 
@@ -232,57 +215,56 @@ def _evolve_distance_sequence(
     with the preperiod, the period and the certificate kind.  Nothing is
     evaluated on the states: callers map their own value over the window.
 
-    A state cycle needs no joint record.  A padded cycle (rho, n - rho) is a
-    candidate when steps rho and n have equal masses and equal sorted
-    forms, and its whole window is verified newest rho first.  While
-    fewer than ``_PAD_SCAN`` earlier steps share the masses, a pair must
-    first pass the pad test that opens the window check, and only then are
-    its records built: the same candidates, since a pair that fails the test
-    fails the check.  Past that, each step is recorded and looked up by its
-    sorted form: the scan is quadratic in orbits that pad without settling,
-    and past 16 steps it saved under 0.5% of the records of random measures.
+    The step table holds each state's per-measure integer masses and moving
+    words, entered once, when the state is pushed; reading a step not
+    pushed yet pushes the orbit up to it.  A sorted form is built once, when
+    a window check or the lookup first asks for it.  A padded cycle (rho, n - rho) is a candidate when steps rho and n
+    have equal masses, and its whole window is checked newest rho first.
+    While fewer than ``_PAD_SCAN`` earlier steps share the masses, each of
+    them is a candidate.  Past that, candidates are looked up by (masses,
+    sorted form): the scan is quadratic in orbits that pad without
+    settling, and past 16 steps it saved under 0.5% of the sorted forms of
+    random measures.
     """
-    states: list[tuple[AtomicMeasure, ...]] = [initial]
-    records: dict = {}  # joint records by step, built once
-    exact_seen: dict = {initial: 0}
-    mass_seen: dict = {_masses(initial): [0]}
-    sig_seen: dict = {}  # (masses, sorted form) -> steps, for masses past the scan
+    states: list[tuple[AtomicMeasure, ...]] = []
+    steps: list = []  # (per-measure integer masses, moving words) by state
+    forms: dict = {}  # sorted forms by step
 
-    def ensure(k: int) -> None:
+    def step(k: int):
         while len(states) <= k:
-            states.append(tuple(pushforward(f, mu) for mu in states[-1]))
+            st = tuple([pushforward(f, mu) for mu in states[-1]]) if states else initial
+            states.append(st)
+            steps.append((tuple([(mu.weights, mu.denom) for mu in st]),
+                          tuple([p for mu in st for p in mu.support])))
+        return steps[k]
 
-    def record(k: int):
-        if k not in records:
-            records[k] = _joint_record(states[k], frozen)
-        return records[k]
+    def form(k: int):
+        if k not in forms:
+            forms[k] = _sorted_form(steps[k][1] + frozen)
+        return forms[k]
 
+    exact_seen: dict = {initial: 0}
+    mass_seen: dict = {step(0)[0]: [0]}
+    form_seen: dict = {}  # (masses, sorted form) -> steps, for masses past the scan
     for n in range(1, budget + 1):
-        ensure(n)
-        st = states[n]
-        rho = exact_seen.setdefault(st, n)
+        masses = step(n)[0]
+        rho = exact_seen.setdefault(states[n], n)
         if rho < n:
             return tuple(states[:n]), rho, n - rho, "state-cycle"
-        masses = _masses(st)
         group = mass_seen.setdefault(masses, [])
         if len(group) < _PAD_SCAN:
-            words = _words(st)
-            found = (rho for rho in reversed(group)
-                     if _pad_inserts(f, _words(states[rho]), words) is not None
-                     and record(rho)[2] == record(n)[2])
+            found = reversed(group)
         else:
             if len(group) == _PAD_SCAN:
                 for k in group:
-                    sig_seen.setdefault((masses, record(k)[2]), []).append(k)
-            found = reversed(sig_seen.setdefault((masses, record(n)[2]), []))
+                    form_seen.setdefault((masses, form(k)), []).append(k)
+            found = reversed(form_seen.setdefault((masses, form(n)), []))
         for rho in found:
             tau = n - rho
-            if rho + 2 * tau <= budget:
-                ensure(rho + 2 * tau)
-                if _verify_padded_window(f, record, len(frozen), rho, tau):
-                    return tuple(states[:n]), rho, tau, "padded-cycle"
+            if rho + 2 * tau <= budget and _verify_padded_window(f, step, form, rho, tau):
+                return tuple(states[:n]), rho, tau, "padded-cycle"
         if len(group) >= _PAD_SCAN:
-            sig_seen[masses, record(n)[2]].append(n)
+            form_seen[masses, form(n)].append(n)
         group.append(n)
     raise ResourceBudgetError(
         f"no certified eventual periodicity within {budget} steps"

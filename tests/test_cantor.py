@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from cantordyn.cantor import (
     CylinderPartition,
-    _gaps,
+    _sorted_form,
     balanced_code,
     canonical_point,
     cell_distance,
@@ -87,9 +87,10 @@ def test_ultrametric_inequality_exhaustive_depth_6():
 
 def test_sorted_gaps_rebuild_every_separation_exhaustively():
     # every tuple of up to 4 canonical words of length <= 4, repeats and all
-    # orders included: sorted as the orbit engine sorts them (ties by
-    # index), the separation of any two words is the least nonzero gap
-    # between them, and 0 when there is none (the same point)
+    # orders included: in the sorted form that ``_sorted_form`` builds for
+    # the orbit engine (ties by index), the separation of any two words is
+    # the least nonzero gap between them, and 0 when there is none (the
+    # same point)
     pts = sorted({canonical_point(w) for w in words_up_to(4)})
     assert len(pts) == 16
     sep = {}
@@ -99,8 +100,7 @@ def test_sorted_gaps_rebuild_every_separation_exhaustively():
             sep[u, v] = d.denominator if d else 0
     for size in range(1, 5):
         for ws in product(pts, repeat=size):
-            order = sorted(range(size), key=ws.__getitem__)
-            gaps = _gaps([ws[i] for i in order])
+            order, gaps = _sorted_form(ws)
             at = {i: p for p, i in enumerate(order)}
             for i in range(size):
                 for j in range(i + 1, size):

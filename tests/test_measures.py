@@ -336,7 +336,7 @@ def test_flow_oracle_matches_enumeration_on_general_bipartite_masks():
         mu, nu = _random_masses(rng, k, denom), _random_masses(rng, l, denom)
         density = rng.random()
         masks = [sum(1 << j for j in range(l) if rng.random() < density) for _ in range(k)]
-        assert _g_flow(mu, nu, masks, denom) == _g_enumeration(mu, nu, masks, denom), \
+        assert _g_flow(mu, nu, masks) == _g_enumeration(mu, nu, masks), \
             (mu, nu, masks, denom)
 
 

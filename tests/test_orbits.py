@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cantordyn.cantor import representative, separation
+from cantordyn.cantor import _sorted_form, canonical_point, representative, separation
 from cantordyn.errors import ParameterError, ResourceBudgetError
 from cantordyn import orbits
 from cantordyn.grids import random_atomic_measure, random_cell_measure
@@ -158,15 +158,25 @@ def test_padded_cycle_rejects_a_target_the_orbit_passes_through():
     assert prof.value_at(2) == 0 < prof.value_at(4)
 
 
+def _step_table(states):
+    """``step`` and ``form`` of given states, as the engine reads them: per
+    state, the per-measure integer masses and the words, and the sorted
+    form of the words."""
+    steps = [(tuple((mu.weights, mu.denom) for mu in st), tuple(p for mu in st for p in mu.support))
+             for st in states]
+    return steps.__getitem__, lambda k: _sorted_form(steps[k][1])
+
+
 def test_padded_cycle_rejects_atoms_that_trade_masses():
     # the words and their sorted form (order, gaps) repeat after one step,
     # the masses do not
     mu = atomic_measure({"": Fraction(1, 3), "1": Fraction(2, 3)})
     states = [(mu,), (pushforward(SWAP, mu),), (mu,)]
-    records = [orbits._joint_record(state, ()) for state in states]
-    assert records[0][1:] == records[1][1:] == (["", "1"], ((0, 1), (1,)))
-    assert records[0][0] != records[1][0]
-    assert not orbits._verify_padded_window(SWAP, records.__getitem__, 0, 0, 1)
+    step, form = _step_table(states)
+    assert step(0)[1] == step(1)[1] == ("", "1")
+    assert form(0) == form(1) == ((0, 1), (1,))
+    assert step(0)[0] != step(1)[0]
+    assert not orbits._verify_padded_window(SWAP, step, form, 0, 1)
     assert prohorov_distance(states[0][0], dirac("")) != prohorov_distance(
         states[1][0], dirac("")
     )
@@ -181,22 +191,58 @@ def test_padded_cycle_insert_bound_at_its_boundary():
     def window(third):
         words = [("011", "1", third), ("0101", "1", third), ("01001", "1", third)]
         states = [(atomic_measure({w: Fraction(1, 3) for w in ws}),) for ws in words]
-        records = [orbits._joint_record(state, ()) for state in states]
-        assert records[0][0] == records[1][0] == records[2][0]
-        assert records[0][2] == records[1][2] == records[2][2]
-        order, gaps = records[0][2]
+        step, form = _step_table(states)
+        assert step(0)[0] == step(1)[0] == step(2)[0]
+        assert form(0) == form(1) == form(2)
+        order, gaps = form(0)
         assert order == (0, 1, 2) and gaps[0] == 1 == separation("011", "1")
         assert max(gaps) == max(separation(u, v) for u in words[0] for v in words[0])
-        return records, max(gaps)
+        return step, form, max(gaps)
 
     # largest separation == first insert index: accepted
-    records, largest = window("11")
+    step, form, largest = window("11")
     assert largest == 2
-    assert orbits._verify_padded_window(SWAP, records.__getitem__, 0, 0, 1)
+    assert orbits._verify_padded_window(SWAP, step, form, 0, 1)
     # largest separation == first insert index + 1: rejected
-    records, largest = window("101")
+    step, form, largest = window("101")
     assert largest == 3
-    assert not orbits._verify_padded_window(SWAP, records.__getitem__, 0, 0, 1)
+    assert not orbits._verify_padded_window(SWAP, step, form, 0, 1)
+
+
+def _loop_insert(wa, wb):
+    """The insert position of ``wb`` as ``wa`` with one zero-run extended,
+    found by comparing characters; None when ``wb`` is not that."""
+    g = len(wb) - len(wa)
+    if g <= 0:
+        return None
+    c = 0
+    while c < len(wa) and wa[c] == wb[c]:
+        c += 1
+    if wb[c: c + g] == "0" * g and wb[c + g:] == wa[c:]:
+        return c
+    return None
+
+
+def test_pad_test_takes_its_insert_position_from_the_separation():
+    # every canonical word of at most 6 bits with 1-3 zeros inserted at
+    # every position before its last bit, and every other pair of those
+    # words: wherever the pad relation holds, the separation less one is the
+    # position the character loop finds, and the pad test of a map whose
+    # rule domain is empty returns exactly that position, and None wherever
+    # the relation fails
+    words = sorted({canonical_point(format(x, f"0{n}b")) for n in range(7) for x in range(2 ** n)})
+    inserted = {(wa, wa[:c] + "0" * g + wa[c:])
+                for wa in words for c in range(len(wa)) for g in (1, 2, 3)}
+    padded = set()
+    for wa, wb in inserted | {(wa, wb) for wa in words for wb in words if wb != wa}:
+        found = _loop_insert(wa, wb)
+        if found is None:
+            assert orbits._pad_inserts(IDENTITY, (wa,), (wb,)) is None, (wa, wb)
+            continue
+        padded.add((wa, wb))
+        assert separation(wa, wb) - 1 == found, (wa, wb)
+        assert orbits._pad_inserts(IDENTITY, (wa,), (wb,)) == [found], (wa, wb)
+    assert inserted <= padded
 
 
 def test_profiles_solve_only_the_certified_window(monkeypatch):
@@ -231,14 +277,15 @@ def test_profiles_solve_only_the_certified_window(monkeypatch):
 
 
 def test_state_cycles_build_no_joint_record(monkeypatch):
+    # the engine's sorted forms: none for a state cycle, some for a padded one
     calls = []
-    build = orbits._joint_record
+    build = orbits._sorted_form
 
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
+    def counting(words):
+        calls.append(words)
+        return build(words)
 
-    monkeypatch.setattr(orbits, "_joint_record", counting)
+    monkeypatch.setattr(orbits, "_sorted_form", counting)
     balloon = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
     cells = balloon.levels[0].partition().cells
     prof = distance_profile(
@@ -253,6 +300,35 @@ def test_state_cycles_build_no_joint_record(monkeypatch):
     )
     assert prof.certificate == "padded-cycle"
     assert calls
+
+
+def test_candidates_that_fail_the_pad_test_are_tested_once_and_build_no_form(monkeypatch):
+    # a Dirac on the path of a balloon component: every earlier step has its
+    # masses, no pair pads, and the state cycle closes before the lookup by
+    # sorted form takes over
+    tests, forms = [], []
+    pad, build = orbits._pad_inserts, orbits._sorted_form
+
+    def counting_pad(f, words_a, words_b):
+        result = pad(f, words_a, words_b)
+        tests.append((words_a, words_b, result))
+        return result
+
+    monkeypatch.setattr(orbits, "_pad_inserts", counting_pad)
+    monkeypatch.setattr(orbits, "_sorted_form", lambda words: forms.append(words) or build(words))
+    tower = make_balloon_tower([(5, 3)], [1])
+    comp = tower.levels[0].components[0]
+    states, rho, tau, kind = orbits._evolve_distance_sequence(
+        tower.table, (dirac(representative(comp.path[0])),), (), orbits.DEFAULT_BUDGET
+    )
+    assert (kind, rho, tau) == ("state-cycle", 6, 6)
+    assert rho + tau < orbits._PAD_SCAN
+    step_of = {st[0].support: k for k, st in enumerate(states)}
+    assert len(step_of) == rho + tau
+    pairs = [(step_of[a], step_of[b]) for a, b, _ in tests]
+    assert sorted(pairs) == sorted((r, n) for n in range(1, rho + tau) for r in range(n))
+    assert all(result is None for *_, result in tests)
+    assert forms == []
 
 
 # -- the eager engine that built a joint record for every step, kept as an
