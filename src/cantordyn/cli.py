@@ -187,7 +187,12 @@ def _suite_entropy(tower, cfg, rng):
     level = _level(tower, cfg)
     resolution = _read(cfg, "analysis", "entropy_resolution", int, "2")
     horizon = _read(cfg, "analysis", "entropy_horizon", int, "6")
+    if horizon < 2:
+        # the verdict compares the counts at the last two horizons
+        raise ParameterError(f"[analysis] entropy_horizon = {horizon} is below 2")
     eps_list = _read(cfg, "analysis", "entropy_eps", _fractions, "1/2, 1/4")
+    if not eps_list:
+        raise ParameterError("[analysis] entropy_eps names no eps")
     partition = tower.levels[level].partition()
     grid = simplex_grid(partition, resolution)
     table = entropy_estimate(tower.table, grid, eps_list, horizon)
@@ -212,6 +217,8 @@ def _suite_entropy(tower, cfg, rng):
 def _suite_chains(tower, cfg, rng):
     backend = _read(cfg, "analysis", "backend", _backend, "auto")
     deltas = _read(cfg, "analysis", "chain_deltas", _fractions, "3/4, 1/2")
+    if not deltas:
+        raise ParameterError("[analysis] chain_deltas names no delta")
     extra = _read(cfg, "analysis", "chain_lengths_extra", int, "2")
     partition = tower.levels[_level(tower, cfg)].partition()
     pair_count = _read(cfg, "analysis", "chain_pairs", int, "4")

@@ -294,7 +294,9 @@ def entropy_estimate(
     """Maximum sizes of (n, eps)-separated subsets of the grid, for n up to
     n_max; exact (branch and bound) for grids of at most ``EXACT_LIMIT``
     measures, a greedy lower bound beyond that.  Each pair's distances come
-    from one certified ``distance_profile``."""
+    from one certified ``distance_profile``; ``n_max`` must be at least 1."""
+    if n_max < 1:
+        raise ParameterError(f"n_max = {n_max} is below 1")
     eps_list = tuple(_exact("eps", e) for e in eps_list)
     ascending = sorted(set(eps_list))
     # joins[r][k]: the pairs whose distance first reaches ascending[r] at
@@ -347,9 +349,15 @@ def chain_continuity_test(
     toward one point and the verdict is chain continuous everywhere.
     Otherwise two verified delta-chains of equal length are produced from
     one starting measure whose endpoints are at least 2*eps apart, refuting
-    chain continuity at that point.
+    chain continuity at that point.  A depth below 1 or an eps that is not
+    positive would make either verdict hold vacuously, so both raise
+    ParameterError.
     """
     eps, delta = _exact("eps", eps), _exact("delta", delta)
+    if depth < 1:
+        raise ParameterError(f"depth = {depth} is below 1")
+    if eps <= 0:
+        raise ParameterError(f"eps = {eps} is not positive")
     survivors = {d: sorted(eventual_image(f, d)) for d in range(1, depth + 1)}
     singleton = all(len(s) == 1 for s in survivors.values())
     nested = all(
@@ -455,9 +463,12 @@ def weak_shadowing_refutation(
     dumbbells, then shows that no grid measure's full orbit (both time
     directions, exact eventual periodicity) comes within eps of both
     anchors.  The core chain, the anchor gap and the orbit minima all run
-    the closed form.
+    the closed form.  No minimum lies below an eps that is not positive, so
+    such an eps raises ParameterError instead of refuting vacuously.
     """
     eps, delta = _exact("eps", eps), _exact("delta", delta)
+    if eps <= 0:
+        raise ParameterError(f"eps = {eps} is not positive")
     if tower.kind != "dumbbell":
         raise ParameterError("weak-shadowing refutation needs a dumbbell tower")
     comps = tower.levels[0].components

@@ -25,26 +25,27 @@ One engine, ``_evolve_distance_sequence``, implements both mechanisms.  It
 only certifies: it returns the certified window -- the states up to
 preperiod + period -- and its callers evaluate that window.  Its step table
 holds each state's per-measure integer masses and moving words, computed
-once, when the state is pushed.  One window check,
-``_verify_padded_window``, tests every candidate cycle: the pad test first,
-then the sorted forms of the two steps -- the sort order of the words and
-the separations of consecutive words (integers n with d = 1/n), built by
-``cantor._sorted_form`` only for a step that a check or the lookup asks
-for, so a candidate that fails the pad test builds none.  They hold every
-pairwise separation, and the check reads the largest first difference off
-them.  Every word fact it uses is computed once per process: separations,
-which the sorted forms and the pad test's insert positions read, come from
-the separation table of ``cantor``, and images and the domain length of
-the fired rule, which the pad test reads, from the image table of
-``maps``.  Distance profiles and
-target distances solve each window state with ``measures.prohorov``, whose
-memo is keyed on the integer problem -- the masses and the gaps between
-the sorted words, not the words -- so a state whose problem recurs, in a
-padded window or across profiles, is solved once;
-``recurrence.approx_by_periodic`` reads its return time off the profile of
-an orbit against its start, and ``grids.track_representatives`` keeps the
-sorted forms of the tracked cell representatives, built by the same
-routine.
+once, when the state is pushed, and each step is keyed on its masses and
+the ones of each moving word.  Padding inserts zeros only, so a padded
+partner keeps the key, and the cycle closes only where the sorted forms of
+the two steps are equal: the sort order of the words and the separations of
+consecutive words (integers n with d = 1/n), built by
+``cantor._sorted_form``.  So the one candidate lookup is by (key, sorted
+form): a step with a new key builds no sorted form, and every candidate
+goes to the one window check, ``_verify_padded_window``: the pad test
+first, then the sorted forms, which hold every pairwise separation and give
+the largest first difference.  Every word fact it uses is computed once per
+process: separations, which the sorted forms and the pad test's insert
+positions read, come from the separation table of ``cantor``, and images
+and the domain length of the fired rule, which the pad test reads, from the
+image table of ``maps``.  Distance profiles and target distances solve each
+window state with ``measures.prohorov``, whose memo is keyed on the integer
+problem, the masses and the gaps between the sorted words and not the
+words, so a state whose problem recurs, in a padded window or across
+profiles, is solved once; ``recurrence.approx_by_periodic`` reads its
+return time off the profile of an orbit against its start, and
+``grids.track_representatives`` keeps the sorted forms of the tracked cell
+representatives, built by the same routine.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .maps import PrefixTableMap, _rewritten
 from .measures import AtomicMeasure, prohorov, pushforward
 
 DEFAULT_BUDGET = 400  # the one step budget of every certified orbit
-_PAD_SCAN = 16  # earlier steps of equal masses pad-tested one by one
 
 
 @dataclass(frozen=True)
@@ -216,15 +216,15 @@ def _evolve_distance_sequence(
     evaluated on the states: callers map their own value over the window.
 
     The step table holds each state's per-measure integer masses and moving
-    words, entered once, when the state is pushed; reading a step not
-    pushed yet pushes the orbit up to it.  A sorted form is built once, when
-    a window check or the lookup first asks for it.  A padded cycle (rho, n - rho) is a candidate when steps rho and n
-    have equal masses, and its whole window is checked newest rho first.
-    While fewer than ``_PAD_SCAN`` earlier steps share the masses, each of
-    them is a candidate.  Past that, candidates are looked up by (masses,
-    sorted form): the scan is quadratic in orbits that pad without
-    settling, and past 16 steps it saved under 0.5% of the sorted forms of
-    random measures.
+    words, entered once, when the state is pushed; reading a step not pushed
+    yet pushes the orbit up to it.  Each step the loop reaches is keyed on
+    its masses and the ones of each moving word.  Padding inserts zeros
+    only, so a window check passes at rho only if steps rho and n share
+    their key and their sorted form.  A step with a new key is only
+    recorded; once a later step shares it, both get their sorted forms, and
+    the candidates of step n are the earlier steps of its key and sorted
+    form, newest first -- every candidate that can pass, in the order of
+    all earlier steps.  State cycles are checked first and build no form.
     """
     states: list[tuple[AtomicMeasure, ...]] = []
     steps: list = []  # (per-measure integer masses, moving words) by state
@@ -243,29 +243,27 @@ def _evolve_distance_sequence(
             forms[k] = _sorted_form(steps[k][1] + frozen)
         return forms[k]
 
-    exact_seen: dict = {initial: 0}
-    mass_seen: dict = {step(0)[0]: [0]}
-    form_seen: dict = {}  # (masses, sorted form) -> steps, for masses past the scan
-    for n in range(1, budget + 1):
-        masses = step(n)[0]
+    exact_seen: dict = {}
+    first_seen: dict = {}  # key -> its one step so far, None once a second shares it
+    form_seen: dict = {}  # (key, sorted form) -> steps
+    for n in range(budget + 1):
+        masses, words = step(n)
         rho = exact_seen.setdefault(states[n], n)
         if rho < n:
             return tuple(states[:n]), rho, n - rho, "state-cycle"
-        group = mass_seen.setdefault(masses, [])
-        if len(group) < _PAD_SCAN:
-            found = reversed(group)
-        else:
-            if len(group) == _PAD_SCAN:
-                for k in group:
-                    form_seen.setdefault((masses, form(k)), []).append(k)
-            found = reversed(form_seen.setdefault((masses, form(n)), []))
-        for rho in found:
+        key = masses, tuple([w.count("1") for w in words])
+        first = first_seen.setdefault(key, n)
+        if first == n:
+            continue
+        if first is not None:
+            form_seen[key, form(first)] = [first]
+            first_seen[key] = None
+        found = form_seen.setdefault((key, form(n)), [])
+        for rho in reversed(found):
             tau = n - rho
             if rho + 2 * tau <= budget and _verify_padded_window(f, step, form, rho, tau):
                 return tuple(states[:n]), rho, tau, "padded-cycle"
-        if len(group) >= _PAD_SCAN:
-            form_seen[masses, form(n)].append(n)
-        group.append(n)
+        found.append(n)
     raise ResourceBudgetError(
         f"no certified eventual periodicity within {budget} steps"
     )

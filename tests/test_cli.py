@@ -250,6 +250,16 @@ MALFORMED_CONFIGS = {
     "grid-resolution-a-word": ("grid_resolution = 2", "grid_resolution = two",
                                "grid_resolution", {"suite_liyorke"}),
     "periods-empty": ("periods = 1, 2", "periods =", "periods", {"suite_recurrence"}),
+    # the entropy verdict compares the counts at the last two horizons
+    "entropy-horizon-negative": ("entropy_horizon = 4", "entropy_horizon = -1",
+                                 "entropy_horizon", {"suite_entropy"}),
+    "entropy-horizon-zero": ("entropy_horizon = 4", "entropy_horizon = 0",
+                             "entropy_horizon", {"suite_entropy"}),
+    "entropy-horizon-one": ("entropy_horizon = 4", "entropy_horizon = 1",
+                            "entropy_horizon", {"suite_entropy"}),
+    "entropy-eps-empty": ("entropy_eps = 1/2", "entropy_eps =", "entropy_eps", {"suite_entropy"}),
+    "chain-deltas-empty": ("chain_deltas = 3/4", "chain_deltas =", "chain_deltas",
+                           {"suite_chains"}),
     "backend-unknown": ("level = 0", "level = 0\nbackend = bogus", "backend", {"suite_chains"}),
     "map-levels-not-a-number": ("levels = 3:2, 5:2", "levels = 3:x", "levels", None),
     "no-section-header": ("\n[map]\n", "\n", "kind", None),
@@ -281,6 +291,29 @@ def test_malformed_config_ends_without_a_traceback(tmp_path, capsys, fault):
         assert c["witnesses"]["error"].startswith(f"[analysis] {key} ")
     # the other suites still ran and passed
     assert len(certificates) > len(failed)
+
+
+@pytest.mark.parametrize("config, old, new, suite, error", [
+    (BALLOON_CONFIG, "continuity_depth = 3", "continuity_depth = 0", "chains",
+     "depth = 0 is below 1"),
+    (BALLOON_CONFIG, "eps = 1/4", "eps = -1", "chains", "eps = -1 is not positive"),
+    (DUMBBELL_CONFIG, "eps = 1/3", "eps = 0", "shadowing", "eps = 0 is not positive"),
+    (DUMBBELL_CONFIG, "eps = 1/3", "eps = -1", "shadowing", "eps = -1 is not positive"),
+], ids=["continuity-depth-0", "continuity-eps-negative", "shadowing-eps-0",
+        "shadowing-eps-negative"])
+def test_degenerate_values_decline_instead_of_passing(tmp_path, config, old, new, suite, error):
+    # each value once made its verdict hold vacuously: the suite now
+    # declines with an error that names the value, and the run exits 2
+    assert old in config
+    cfg = _write_config(tmp_path, config.replace(old, new, 1))
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", suite, "--out", str(tmp_path)]) == 2
+    certificates = json.loads((tmp_path / f"report_{suite}.json").read_text())["certificates"]
+    failed = [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates
+              if not c["passed"]]
+    assert failed == [(f"suite_{suite}", "declined", {"error": error})]
+    assert not {"chain_continuity_test", "weak_shadowing_refutation"} & {
+        c["operation"] for c in certificates}
 
 
 def _readme_config(tmp_path):

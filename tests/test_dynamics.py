@@ -127,6 +127,28 @@ def test_entry_points_reject_floats(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: chain_continuity_test(_BALLOON.table, 0), "depth = 0 is below 1"),
+    (lambda: chain_continuity_test(_BALLOON.table, 3, eps=Fraction(0)), "eps = 0 is not positive"),
+    (lambda: chain_continuity_test(_BALLOON.table, 3, eps=Fraction(-1)),
+     "eps = -1 is not positive"),
+    (lambda: weak_shadowing_refutation(_DUMBBELL, Fraction(0), Fraction(1, 2), []),
+     "eps = 0 is not positive"),
+    (lambda: weak_shadowing_refutation(_DUMBBELL, Fraction(-1), Fraction(1, 2), []),
+     "eps = -1 is not positive"),
+    (lambda: entropy_estimate(SWAP, [dirac("")], [Fraction(1, 2)], 0), "n_max = 0 is below 1"),
+    (lambda: entropy_estimate(SWAP, [dirac("")], [Fraction(1, 2)], -1), "n_max = -1 is below 1"),
+], ids=["continuity-depth-0", "continuity-eps-0", "continuity-eps-negative", "shadowing-eps-0",
+        "shadowing-eps-negative", "entropy-horizon-0", "entropy-horizon-negative"])
+def test_degenerate_values_raise_instead_of_a_vacuous_verdict(call, message):
+    # depth 0 leaves no survivor set, so every level "survives as one cell";
+    # no distance lies below an eps <= 0, and every gap is >= 2 * eps; an
+    # entropy table up to n_max < 1 has no count at all
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("tower", [
     make_balloon_tower([(3, 2), (5, 2)], [2, 4]),
     make_dumbbell_tower((4, 2), 2, bar_length=1),

@@ -241,6 +241,8 @@ def test_pad_test_takes_its_insert_position_from_the_separation():
             continue
         padded.add((wa, wb))
         assert separation(wa, wb) - 1 == found, (wa, wb)
+        # padding inserts zeros only: the engine keys steps on these ones
+        assert wa.count("1") == wb.count("1"), (wa, wb)
         assert orbits._pad_inserts(IDENTITY, (wa,), (wb,)) == [found], (wa, wb)
     assert inserted <= padded
 
@@ -302,10 +304,12 @@ def test_state_cycles_build_no_joint_record(monkeypatch):
     assert calls
 
 
-def test_candidates_that_fail_the_pad_test_are_tested_once_and_build_no_form(monkeypatch):
-    # a Dirac on the path of a balloon component: every earlier step has its
-    # masses, no pair pads, and the state cycle closes before the lookup by
-    # sorted form takes over
+def test_pad_tests_need_a_shared_key_and_sorted_form(monkeypatch):
+    # a Dirac on the path of a balloon component: every step has the same
+    # masses and no pair pads, so the engine tests every candidate it finds
+    # and the state cycle closes.  A pair is pad-tested exactly when its two
+    # steps share their masses, the ones of each word and their sorted form,
+    # once; a step whose key no other step shares builds no sorted form.
     tests, forms = [], []
     pad, build = orbits._pad_inserts, orbits._sorted_form
 
@@ -322,13 +326,19 @@ def test_candidates_that_fail_the_pad_test_are_tested_once_and_build_no_form(mon
         tower.table, (dirac(representative(comp.path[0])),), (), orbits.DEFAULT_BUDGET
     )
     assert (kind, rho, tau) == ("state-cycle", 6, 6)
-    assert rho + tau < orbits._PAD_SCAN
     step_of = {st[0].support: k for k, st in enumerate(states)}
     assert len(step_of) == rho + tau
+    step, form = _step_table(states)
+    key = [(step(k)[0], tuple(w.count("1") for w in step(k)[1])) for k in range(rho + tau)]
+    sharing = [(r, n) for n in range(1, rho + tau) for r in range(n)
+               if key[r] == key[n] and form(r) == form(n)]
     pairs = [(step_of[a], step_of[b]) for a, b, _ in tests]
-    assert sorted(pairs) == sorted((r, n) for n in range(1, rho + tau) for r in range(n))
+    assert sorted(pairs) == sorted(sharing)
+    assert 0 < len(sharing) < (rho + tau) * (rho + tau - 1) // 2
     assert all(result is None for *_, result in tests)
-    assert forms == []
+    shared = {k for k in range(rho + tau) if key.count(key[k]) > 1}
+    assert len(shared) < rho + tau
+    assert sorted(step_of[words] for words in forms) == sorted(shared)
 
 
 # -- the eager engine that built a joint record for every step, kept as an
@@ -451,6 +461,18 @@ def test_engine_matches_the_eager_engine():
                     assert got == _outcome(_eager_engine, *args)
                     kinds.add("budget" if isinstance(got, str) else got[3])
     assert kinds == {"state-cycle", "padded-cycle", "budget"}
+    # 3-atom measures on the (3:2, 5:2) balloon tower at the real budget:
+    # some orbits pad without settling and run the budget out
+    f = make_balloon_tower([(3, 2), (5, 2)], [1, 2]).table
+    outcomes = []
+    for _ in range(12):
+        mu, nu = (random_atomic_measure(rng, 3, 6) for _ in "ab")
+        for initial, frozen in (((mu, nu), ()), ((mu,), nu.support)):
+            args = (f, initial, frozen, orbits.DEFAULT_BUDGET)
+            got = _outcome(orbits._evolve_distance_sequence, *args)
+            assert got == _outcome(_eager_engine, *args)
+            outcomes.append("budget" if isinstance(got, str) else got[3])
+    assert outcomes.count("budget") >= 8, outcomes
 
 
 def test_pad_test_rejects_an_insert_inside_the_rule_domain():
@@ -482,7 +504,10 @@ def test_orbits_past_the_pad_scan_certify_through_the_matrix_lookup(rules, start
         args = (f, initial, frozen, orbits.DEFAULT_BUDGET)
         got = orbits._evolve_distance_sequence(*args)
         assert got[1:] == (*window, "padded-cycle")
-        assert sum(window) > orbits._PAD_SCAN
+        # a literal, not an engine constant: the cycle closes more than 16
+        # steps of equal masses in, so an engine that searched only a
+        # bounded number of earlier steps, such as 16, would miss it
+        assert sum(window) > 16
         assert got == _eager_engine(*args)
 
 
