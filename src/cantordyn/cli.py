@@ -220,8 +220,12 @@ def _suite_chains(tower, cfg, rng):
     if not deltas:
         raise ParameterError("[analysis] chain_deltas names no delta")
     extra = _read(cfg, "analysis", "chain_lengths_extra", int, "2")
+    if extra < 0:
+        raise ParameterError(f"[analysis] chain_lengths_extra = {extra} is below 0")
     partition = tower.levels[_level(tower, cfg)].partition()
     pair_count = _read(cfg, "analysis", "chain_pairs", int, "4")
+    if pair_count < 1:
+        raise ParameterError(f"[analysis] chain_pairs = {pair_count} is below 1")
     pairs = [
         (random_cell_measure(partition, rng, 4), random_cell_measure(partition, rng, 4))
         for _ in range(pair_count)
@@ -272,6 +276,8 @@ def _suite_recurrence(tower, cfg, rng):
         raise ParameterError("[analysis] periods names no period")
     eps = _shared(cfg, "eps")
     lam_list = _read(cfg, "analysis", "lambda", _fractions, "1/4")
+    if not lam_list:
+        raise ParameterError("[analysis] lambda names no lambda")
     for p in periods:
         choices = enumerate_admissible_choices(tower, period=p)
         measures = [periodic_measure(tower, c, level=len(c.components) - 1) for c in choices]

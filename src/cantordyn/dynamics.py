@@ -20,7 +20,6 @@ from .measures import (
     AtomicMeasure,
     _combine,
     _exact,
-    convex_combine,
     dirac,
     prohorov_distance,
     pushforward,
@@ -179,7 +178,8 @@ def sample_modulus_pairs(
         mu = random_cell_measure(partition, rng, 8)
         eta = random_cell_measure(partition, rng, 8)
         alpha = delta * Fraction(rng.randint(1, 7), 8)
-        nu = convex_combine([(1 - alpha, mu), (alpha, eta)])
+        a, b = alpha.numerator, alpha.denominator
+        nu = _combine([(b - a, mu), (a, eta)], b)
         pairs.append((mu, nu))
     return pairs
 
@@ -294,10 +294,15 @@ def entropy_estimate(
     """Maximum sizes of (n, eps)-separated subsets of the grid, for n up to
     n_max; exact (branch and bound) for grids of at most ``EXACT_LIMIT``
     measures, a greedy lower bound beyond that.  Each pair's distances come
-    from one certified ``distance_profile``; ``n_max`` must be at least 1."""
+    from one certified ``distance_profile``; ``n_max`` must be at least 1.
+    Every pair is separated at an eps that is not positive, so such an eps
+    raises ParameterError instead of counting the whole grid."""
     if n_max < 1:
         raise ParameterError(f"n_max = {n_max} is below 1")
     eps_list = tuple(_exact("eps", e) for e in eps_list)
+    for eps in eps_list:
+        if eps <= 0:
+            raise ParameterError(f"eps = {eps} is not positive")
     ascending = sorted(set(eps_list))
     # joins[r][k]: the pairs whose distance first reaches ascending[r] at
     # step k, so that the running maximum over steps < n is >= that eps from
@@ -383,11 +388,10 @@ def chain_continuity_test(
     if far_pair is not None:
         a, b = far_pair
         k = chain_step_count(delta)
-        start = convex_combine(
-            [(Fraction(1, 2), dirac(representative(a))), (Fraction(1, 2), dirac(representative(b)))]
-        )
-        chain_a = chain_connect_map(f, start, dirac(representative(a)), delta, k)
-        chain_b = chain_connect_map(f, start, dirac(representative(b)), delta, k)
+        dirac_a, dirac_b = dirac(representative(a)), dirac(representative(b))
+        start = _combine([(1, dirac_a), (1, dirac_b)], 2)
+        chain_a = chain_connect_map(f, start, dirac_a, delta, k)
+        chain_b = chain_connect_map(f, start, dirac_b, delta, k)
         end_gap = prohorov_distance(chain_a.points[-1], chain_b.points[-1])
         if not end_gap >= 2 * eps:
             raise CertificationError(

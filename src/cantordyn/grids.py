@@ -30,8 +30,8 @@ from fractions import Fraction
 from .cantor import CylinderPartition, _sorted_form, representative
 from .errors import ParameterError
 from .maps import PrefixTableMap
-from .measures import AtomicMeasure, atomic_measure, dirac
-from .measures import _interval_value, _runs, _thresholds
+from .measures import AtomicMeasure, dirac
+from .measures import _from_weights, _interval_value, _runs, _thresholds
 from .orbits import DEFAULT_BUDGET, PairClass, _evolve_distance_sequence
 
 
@@ -57,15 +57,15 @@ def simplex_grid(partition: CylinderPartition, resolution: int) -> list[AtomicMe
 
 
 def _cell_measure(cells, counts, resolution) -> AtomicMeasure:
-    return atomic_measure(
-        {representative(c): Fraction(k, resolution) for c, k in zip(cells, counts) if k}
-    )
+    return _from_weights({representative(c): k for c, k in zip(cells, counts) if k}, resolution)
 
 
 def random_cell_measure(
     partition: CylinderPartition, rng, resolution: int = 16
 ) -> AtomicMeasure:
     """A random measure with denominator ``resolution`` on cell representatives."""
+    if resolution < 1:
+        raise ParameterError("resolution must be positive")
     counts = [0] * len(partition.cells)
     for _ in range(resolution):
         counts[rng.randrange(len(counts))] += 1
@@ -84,7 +84,7 @@ def random_atomic_measure(rng, max_atoms: int = 8, max_depth: int = 4) -> Atomic
     counts = [1] * len(points)
     for _ in range(64 - len(points)):
         counts[rng.randrange(len(counts))] += 1
-    return atomic_measure({p: Fraction(c, 64) for p, c in zip(sorted(points), counts)})
+    return _from_weights(dict(zip(sorted(points), counts)), 64)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 
 A measure is a finite set of atoms on canonical words (zero tails
 stripped) held in integer form: positive integer weights over one common
-denominator, in lowest terms.  Fractions appear only at the boundary -- the
-constructor converts (point, Fraction) atoms once, and the ``atoms`` and
-``masses`` views, ``cell_masses`` and ``mass_of_cylinders`` report them --
-so pushforwards, the one atom merge of convex combinations (``_combine``)
-and solver set-up run on ints.  The Prohorov distance
+denominator, in lowest terms.  The library builds every measure it makes
+from integer weights, with ``_from_weights`` (weights over a denominator)
+and ``_combine`` (the one atom merge of weighted measures): Dirac masses,
+grids, periodic measures, perturbations, chain interpolants and
+pushforwards.  Fractions appear only at the boundary: the rational
+constructors ``AtomicMeasure(atoms)``, ``atomic_measure`` and
+``convex_combine`` check exact rational masses for measure files, user
+code, tests and demos, and the ``atoms`` and ``masses`` views,
+``cell_masses`` and ``mass_of_cylinders`` report them.  The Prohorov distance
 
     d(mu, nu) = inf{ delta > 0 : mu(X) <= nu(X^delta) + delta for all X }
 
@@ -159,22 +163,27 @@ def _set_form(mu: AtomicMeasure, weights: dict[str, int], denom: int) -> None:
 
 def _from_weights(weights: dict[str, int], denom: int) -> AtomicMeasure:
     """The measure with canonical points and positive integer weights over
-    ``denom``, built without the rational checks of the constructor."""
+    ``denom``, built without the rational checks of the constructor: the
+    caller passes canonical words and positive weights, and ``_set_form``
+    still checks that the weights sum to ``denom``."""
     mu = object.__new__(AtomicMeasure)
     _set_form(mu, weights, denom)
     return mu
 
 
 def atomic_measure(pairs) -> AtomicMeasure:
-    """Build a measure from an iterable or dict of (point, mass) pairs."""
+    """Build a measure from an iterable or dict of (point, mass) pairs with
+    exact rational masses, checked by the constructor: the boundary for
+    measure files and user code, since the library builds its own measures
+    from integer weights."""
     if isinstance(pairs, dict):
         pairs = pairs.items()
     return AtomicMeasure(tuple(pairs))
 
 
 def dirac(point: str) -> AtomicMeasure:
-    """Unit mass concentrated at a point."""
-    return atomic_measure([(point, Fraction(1))])
+    """Unit mass concentrated at a point, built from the integer weight 1."""
+    return _from_weights({canonical_point(point): 1}, 1)
 
 
 def pushforward(f, mu: AtomicMeasure) -> AtomicMeasure:
@@ -204,7 +213,9 @@ def pushforward_iter(f, mu: AtomicMeasure, n: int) -> AtomicMeasure:
 
 
 def convex_combine(weighted: list[tuple[Fraction, AtomicMeasure]]) -> AtomicMeasure:
-    """Convex combination of measures; weights must be >= 0 and sum to 1."""
+    """Convex combination of measures; the exact rational weights must be
+    >= 0 and sum to 1.  The checked boundary for user code: the library
+    merges its own combinations from integer weights with ``_combine``."""
     weights = [_exact("weight", w) for w, _ in weighted]
     if any(w < 0 for w in weights):
         raise ParameterError("weights must be nonnegative")

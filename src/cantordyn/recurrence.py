@@ -22,10 +22,10 @@ from .certs import Certificate
 from .errors import ParameterError, ResourceBudgetError
 from .measures import (
     AtomicMeasure,
+    _combine,
     _exact,
-    atomic_measure,
+    _from_weights,
     cell_masses,
-    convex_combine,
     dirac,
     prohorov_distance,
     pushforward_iter,
@@ -83,13 +83,9 @@ def periodic_measure(tower: MapTower, choice: AdmissibleChoice, level: int) -> A
     if not 1 <= t <= m:
         raise ParameterError(f"offset {t} outside 1..{m}")
     comp = tower.levels[level].components[choice.components[level]]
-    loop = comp.loop_cells(choice.loop)
-    mu = atomic_measure(
-        {
-            representative(loop[(t - 1 + j * p) % m]): Fraction(p, m)
-            for j in range(m // p)
-        }
-    )
+    # p divides m, so the positions t, t + p, ... wrap onto one residue class mod p
+    cells = comp.loop_cells(choice.loop)[(t - 1) % p::p]
+    mu = _from_weights(dict.fromkeys(map(representative, cells), 1), m // p)
     push = pushforward_iter(tower.table, mu, p)
     if push != mu:
         raise ParameterError(
@@ -105,7 +101,10 @@ def periodic_measure(tower: MapTower, choice: AdmissibleChoice, level: int) -> A
 def enumerate_admissible_choices(tower: MapTower, period: int) -> list[AdmissibleChoice]:
     """All nested component chains through every certified level, each with
     every offset in 1..period, on the right loop; distinct choices yield
-    pairwise distinct periodic measures."""
+    pairwise distinct periodic measures.  A period below 1 has no choices,
+    so it raises ParameterError instead of listing none."""
+    if period < 1:
+        raise ParameterError(f"period = {period} is below 1")
     chains: list[tuple[int, ...]] = [(i,) for i in range(len(tower.levels[0].components))]
     for level in tower.levels[1:]:
         chains = [
@@ -245,7 +244,8 @@ def transient_perturbation(
     else:
         z = representative(transient[0])
         target_cell = transient[0]
-    mu_lam = convex_combine([(1 - lam, mu), (lam, dirac(z))])
+    a, b = lam.numerator, lam.denominator
+    mu_lam = _combine([(b - a, mu), (a, dirac(z))], b)
     dist = prohorov_distance(mu_lam, mu)
     support = loop_support_check(tower, mu_lam)
     bar_mass = mu_lam.mass_of_cylinders([target_cell])
@@ -311,7 +311,7 @@ def approx_by_periodic(
         raise ParameterError(f"return distance {return_dist} is not below the modulus {delta}")
 
     masses = cell_masses(mu, partition)
-    pieces: list[tuple[Fraction, AtomicMeasure]] = []
+    pieces: list[tuple[int, AtomicMeasure]] = []
     classes_out = []
     for ci, comp in enumerate(level_obj.components):
         for which in comp.LOOPS:
@@ -324,14 +324,12 @@ def approx_by_periodic(
                 total = sum((masses[c] for c in cls_cells), Fraction(0))
                 sums.append(total)
                 if total:
-                    uniform = atomic_measure(
-                        {representative(c): Fraction(1, k) for c in cls_cells}
-                    )
-                    pieces.append((total, uniform))
+                    uniform = _from_weights(dict.fromkeys(map(representative, cls_cells), 1), k)
+                    pieces.append((int(total * mu.denom), uniform))
             classes_out.append(
                 {"component": ci, "loop": which, "class_size": k, "class_sums": sums}
             )
-    mu_prime = convex_combine(pieces)
+    mu_prime = _combine(pieces, mu.denom)
     if pushforward_iter(f, mu_prime, p) != mu_prime:
         raise ParameterError("constructed measure is not exactly invariant")
     dist = prohorov_distance(mu_prime, mu)

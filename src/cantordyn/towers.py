@@ -146,6 +146,11 @@ def make_balloon_tower(levels: list[tuple[int, int]], counts: list[int]) -> MapT
     """
     if not levels or len(levels) != len(counts):
         raise ParameterError("levels and counts must be nonempty and equal length")
+    for depth, q in levels:
+        if depth < 0 or q < 0:
+            raise ParameterError(f"levels {depth}:{q}: depth and q must be at least 0")
+    if min(counts) < 1:
+        raise ParameterError(f"counts {counts}: every level needs at least one component")
     for (_, q0), (_, q1) in zip(levels, levels[1:]):
         if q1 < q0:
             raise ParameterError("loop parameters must be nondecreasing")
@@ -158,8 +163,6 @@ def make_balloon_tower(levels: list[tuple[int, int]], counts: list[int]) -> MapT
                 "component counts must grow by an integer factor of at least 2 "
                 "so that each cell splits properly"
             )
-    if counts[0] < 1:
-        raise ParameterError("need at least one component")
 
     ms = [factorial(q) for _, q in levels]
     for (depth, q), n, m in zip(levels, counts, ms):
@@ -246,6 +249,8 @@ def make_dumbbell_tower(
     stays bijective, and the right stay track is the right-loop witness.
     """
     depth, q = level
+    if depth < 0 or q < 0:
+        raise ParameterError(f"level {depth}:{q}: depth and q must be at least 0")
     if count < 1 or bar_length < 1:
         raise ParameterError("need at least one component and bar length >= 1")
     m = factorial(q)

@@ -135,12 +135,29 @@ REPORT_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
-def test_report_payloads_are_pinned(tmp_path, name):
+def test_report_payloads_are_pinned(tmp_path, monkeypatch, name):
     config, expected = REPORT_DIGESTS[name]
     cfg = _write_config(tmp_path, config)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    # the library builds every measure of a run from integer weights: the
+    # checked rational constructor and convex_combine serve the boundary only
+    calls = []
+    init, convex_combine = measures.AtomicMeasure.__init__, measures.convex_combine
+
+    def counted(label, function):
+        def call(*args):
+            calls.append(label)
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(measures.AtomicMeasure, "__init__", counted("__init__", init))
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("cantordyn") and \
+                getattr(module, "convex_combine", None) is convex_combine:
+            monkeypatch.setattr(module, "convex_combine", counted("convex_combine", convex_combine))
     assert main(["analyze", "--config", cfg, "--suite", "all",
                  "--out", str(tmp_path)]) == 0
+    assert calls == []
     report = json.loads((tmp_path / "report_all.json").read_text())
     report.pop("timings")
     payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
@@ -261,7 +278,19 @@ MALFORMED_CONFIGS = {
     "chain-deltas-empty": ("chain_deltas = 3/4", "chain_deltas =", "chain_deltas",
                            {"suite_chains"}),
     "backend-unknown": ("level = 0", "level = 0\nbackend = bogus", "backend", {"suite_chains"}),
+    # no pair or no length verifies no chain
+    "chain-pairs-zero": ("chain_pairs = 1", "chain_pairs = 0", "chain_pairs", {"suite_chains"}),
+    "chain-lengths-extra-negative": ("chain_lengths_extra = 1", "chain_lengths_extra = -1",
+                                     "chain_lengths_extra", {"suite_chains"}),
+    "lambda-empty": ("lambda = 1/4, 1/8", "lambda =", "lambda", {"suite_recurrence"}),
     "map-levels-not-a-number": ("levels = 3:2, 5:2", "levels = 3:x", "levels", None),
+    "map-counts-zero": ("counts = 2, 4", "counts = 0, 2", "counts", None),
+    "map-levels-negative-q": ("levels = 3:2, 5:2\ncounts = 2, 4", "levels = 3:-1\ncounts = 2",
+                              "levels", None),
+    "map-levels-negative-depth": ("levels = 3:2, 5:2\ncounts = 2, 4",
+                                  "levels = -1:2\ncounts = 2", "levels", None),
+    "map-dumbbell-negative-q": ("kind = balloon\nlevels = 3:2, 5:2",
+                                "kind = dumbbell\nlevel = 4:-1", "level", None),
     "no-section-header": ("\n[map]\n", "\n", "kind", None),
     "repeated-key": ("eps = 1/4", "eps = 1/4\neps = 1/3", "eps", None),
 }
@@ -299,8 +328,15 @@ def test_malformed_config_ends_without_a_traceback(tmp_path, capsys, fault):
     (BALLOON_CONFIG, "eps = 1/4", "eps = -1", "chains", "eps = -1 is not positive"),
     (DUMBBELL_CONFIG, "eps = 1/3", "eps = 0", "shadowing", "eps = 0 is not positive"),
     (DUMBBELL_CONFIG, "eps = 1/3", "eps = -1", "shadowing", "eps = -1 is not positive"),
+    (BALLOON_CONFIG, "entropy_eps = 1/2", "entropy_eps = 0", "entropy", "eps = 0 is not positive"),
+    (BALLOON_CONFIG, "entropy_eps = 1/2", "entropy_eps = -1/2, 1/2", "entropy",
+     "eps = -1/2 is not positive"),
+    (BALLOON_CONFIG, "periods = 1, 2", "periods = 2, 0", "recurrence", "period = 0 is below 1"),
+    (BALLOON_CONFIG, "periods = 1, 2", "periods = 1, -2", "recurrence",
+     "period = -2 is below 1"),
 ], ids=["continuity-depth-0", "continuity-eps-negative", "shadowing-eps-0",
-        "shadowing-eps-negative"])
+        "shadowing-eps-negative", "entropy-eps-0", "entropy-eps-negative", "periods-zero",
+        "periods-negative"])
 def test_degenerate_values_decline_instead_of_passing(tmp_path, config, old, new, suite, error):
     # each value once made its verdict hold vacuously: the suite now
     # declines with an error that names the value, and the run exits 2
@@ -312,13 +348,13 @@ def test_degenerate_values_decline_instead_of_passing(tmp_path, config, old, new
     failed = [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates
               if not c["passed"]]
     assert failed == [(f"suite_{suite}", "declined", {"error": error})]
-    assert not {"chain_continuity_test", "weak_shadowing_refutation"} & {
+    assert not {"chain_continuity_test", "weak_shadowing_refutation", "entropy_growth"} & {
         c["operation"] for c in certificates}
 
 
-def _readme_config(tmp_path):
+def _readme_config(tmp_path, name="Example"):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    config = readme.split("Example config:\n\n```ini\n")[1].split("```")[0]
+    config = readme.split(f"{name} config:\n\n```ini\n")[1].split("```")[0]
     return _write_config(tmp_path, config)
 
 
@@ -369,6 +405,16 @@ def test_readme_example_config_suites(tmp_path, suite):
     report = json.loads((tmp_path / f"report_{suite}.json").read_text())
     assert report["certificates"]
     assert all(c["passed"] for c in report["certificates"])
+
+
+def test_readme_dumbbell_config_passes_every_suite(tmp_path):
+    cfg = _readme_config(tmp_path, "Dumbbell")
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", "all", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_all.json").read_text())
+    assert report["summary"] == {"total": 15, "passed": 15}
+    assert {"weak_shadowing_refutation", "recurrence_certificate", "approx_by_periodic"} <= {
+        c["operation"] for c in report["certificates"]}
 
 
 def test_report_timings_count_the_memos(tmp_path, monkeypatch):

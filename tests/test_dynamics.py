@@ -138,12 +138,17 @@ def test_entry_points_reject_floats(call):
      "eps = -1 is not positive"),
     (lambda: entropy_estimate(SWAP, [dirac("")], [Fraction(1, 2)], 0), "n_max = 0 is below 1"),
     (lambda: entropy_estimate(SWAP, [dirac("")], [Fraction(1, 2)], -1), "n_max = -1 is below 1"),
+    (lambda: entropy_estimate(SWAP, [dirac("")], [Fraction(0)], 2), "eps = 0 is not positive"),
+    (lambda: entropy_estimate(SWAP, [dirac("")], [Fraction(-1, 2), Fraction(1, 2)], 2),
+     "eps = -1/2 is not positive"),
 ], ids=["continuity-depth-0", "continuity-eps-0", "continuity-eps-negative", "shadowing-eps-0",
-        "shadowing-eps-negative", "entropy-horizon-0", "entropy-horizon-negative"])
+        "shadowing-eps-negative", "entropy-horizon-0", "entropy-horizon-negative", "entropy-eps-0",
+        "entropy-eps-negative"])
 def test_degenerate_values_raise_instead_of_a_vacuous_verdict(call, message):
     # depth 0 leaves no survivor set, so every level "survives as one cell";
     # no distance lies below an eps <= 0, and every gap is >= 2 * eps; an
-    # entropy table up to n_max < 1 has no count at all
+    # entropy table up to n_max < 1 has no count at all, and at an eps <= 0
+    # every pair is separated from step 0 on
     with pytest.raises(ParameterError) as info:
         call()
     assert str(info.value) == message

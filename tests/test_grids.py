@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
+from cantordyn.cantor import representative
 from cantordyn.errors import ParameterError
 from cantordyn.grids import (
     CommonSupportScanner,
@@ -16,7 +17,7 @@ from cantordyn.grids import (
     simplex_grid,
     track_representatives,
 )
-from cantordyn.measures import prohorov, pushforward_iter
+from cantordyn.measures import atomic_measure, prohorov, pushforward_iter
 from cantordyn.orbits import PairClass, _li_yorke_rule, distance_profile
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
@@ -38,6 +39,38 @@ def test_random_cell_measure_lives_on_representatives():
     for _ in range(10):
         mu = random_cell_measure(partition, rng, 8)
         assert {p for p, _ in mu.atoms} <= reps
+
+
+def test_grid_builders_match_the_rational_constructor():
+    # the builders hand integer counts to the integer core, which skips the
+    # checks; the checked rational constructor must build the same measures
+    partition = make_balloon_tower([(2, 2)], [1]).levels[0].partition()
+    reps = [representative(c) for c in partition.cells]
+
+    def rational(counts, resolution):
+        return atomic_measure({r: Fraction(k, resolution) for r, k in zip(reps, counts)})
+
+    assert simplex_grid(partition, 3) == [
+        rational(counts, 3) for counts in product(range(4), repeat=len(reps)) if sum(counts) == 3
+    ]
+    rng, twin = random.Random(3), random.Random(3)
+    for resolution in (1, 5, 16):
+        counts = [0] * len(reps)
+        for _ in range(resolution):
+            counts[twin.randrange(len(counts))] += 1
+        assert random_cell_measure(partition, rng, resolution) == rational(counts, resolution)
+    for _ in range(20):
+        mu = random_atomic_measure(rng)
+        assert mu == atomic_measure(mu.atoms) and 64 % mu.denom == 0
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_grid_builders_reject_a_resolution_below_1(resolution):
+    partition = make_balloon_tower([(2, 2)], [1]).levels[0].partition()
+    with pytest.raises(ParameterError, match="resolution must be positive"):
+        random_cell_measure(partition, random.Random(0), resolution)
+    with pytest.raises(ParameterError, match="resolution must be positive"):
+        simplex_grid(partition, resolution)
 
 
 def test_random_atomic_measure_rejects_impossible_sizes():

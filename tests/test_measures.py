@@ -110,6 +110,11 @@ def test_dirac_examples():
     assert dirac("01").atoms == (("01", Fraction(1)),)
     assert dirac("0100") == dirac("01")  # equal as points
     assert dirac("0") == dirac("")
+    # built from the integer weight 1, in the form the checked constructor gives
+    for word in ("", "0", "01", "0100", "1011"):
+        assert dirac(word) == atomic_measure([(word, Fraction(1))])
+    with pytest.raises(ParameterError):
+        dirac("012")
 
 
 def test_measure_canonicalization():

@@ -17,6 +17,7 @@ from cantordyn.measures import (
 )
 from cantordyn.recurrence import (
     AdmissibleChoice,
+    _loop_classes,
     approx_by_periodic,
     consistency_check,
     enumerate_admissible_choices,
@@ -274,3 +275,57 @@ def test_approx_at_multiple_of_the_period(q3_tower):
     assert cert.passed
     assert pushforward_iter(q3_tower.table, mu_prime, 4) == mu_prime
     assert prohorov_distance(mu_prime, mu) < Fraction(1, 4)
+
+
+def _rational_average(tower, mu, level, p):
+    """The periodic approximation of mu at return time p, built as a convex
+    combination of uniform class measures with rational masses."""
+    level_obj = tower.levels[level]
+    masses = cell_masses(mu, level_obj.partition())
+    pieces = []
+    for comp in level_obj.components:
+        for which in comp.LOOPS:
+            cells = comp.loop_cells(which)
+            for cls in _loop_classes(cells, p):
+                total = sum(masses[cells[i]] for i in cls)
+                if total:
+                    uniform = {representative(cells[i]): Fraction(1, len(cls)) for i in cls}
+                    pieces.append((total, atomic_measure(uniform)))
+    return convex_combine(pieces)
+
+
+def test_recurrence_builders_match_the_rational_constructor(q3_tower, dumbbell_tower):
+    # periodic measures and class averages are built from integer weights,
+    # which skip the checks; the checked rational constructors must agree
+    for tower, eps in ((q3_tower, Fraction(1, 4)), (dumbbell_tower, Fraction(1, 3))):
+        for p in (1, 2):
+            for choice in enumerate_admissible_choices(tower, p):
+                level = len(choice.components) - 1
+                m = tower.levels[level].loop_length
+                loop = tower.levels[level].components[choice.components[-1]].loop_cells("right")
+                mu = periodic_measure(tower, choice, level)
+                assert mu == atomic_measure({
+                    representative(loop[(choice.offset - 1 + j * p) % m]): Fraction(p, m)
+                    for j in range(m // p)
+                })
+                mu_prime, cert = approx_by_periodic(tower, mu, eps)
+                assert mu_prime == _rational_average(
+                    tower, mu, cert.parameters["level"], cert.parameters["return_time"])
+    rng = random.Random(9)
+    level = q3_tower.level_with_mesh_below(Fraction(1, 4))
+    loop = q3_tower.levels[level].components[0].loop
+    for _ in range(5):
+        # a near-invariant measure: uneven masses on one loop
+        weights = [rng.randint(1_000, 1_001) for _ in loop]
+        mu = atomic_measure({representative(c): Fraction(w, sum(weights))
+                             for c, w in zip(loop, weights)})
+        mu_prime, cert = approx_by_periodic(q3_tower, mu, Fraction(1, 4))
+        assert mu_prime != mu
+        assert mu_prime == _rational_average(q3_tower, mu, level, cert.parameters["return_time"])
+
+
+def test_enumerate_admissible_choices_rejects_a_period_below_1(q3_tower):
+    # a period below 1 has no choice, so the periodic-measure verdict held vacuously
+    for period in (0, -2):
+        with pytest.raises(ParameterError, match=f"period = {period} is below 1"):
+            enumerate_admissible_choices(q3_tower, period)
