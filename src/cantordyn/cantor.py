@@ -17,7 +17,8 @@ one routine, ``_sorted_form``: the sort order of the words and their gaps.
 ``separation`` keeps one table of word pairs per process, which those gaps
 and ``cell_distance`` read: a run meets a few hundred pairs a hundred
 thousand times and more.  The table is least-recently-used and bounded, because
-padded orbits make ever new words.
+padded orbits make ever new words, and it is registered in ``tables``, which
+empties and counts it.
 
 A cylinder is the clopen set of all sequences extending a fixed finite word
 (its prefix).  A finite family of pairwise disjoint cylinders covering the
@@ -29,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import ParameterError
+from .tables import table
 
 _BITS = frozenset("01")
 _SEPARATION_TABLE_SIZE = 8192  # word pairs; an orbit engine run meets a few hundred
@@ -69,7 +70,7 @@ def first_difference(u: str, v: str) -> int | None:
     return None if i < 0 else i
 
 
-@lru_cache(maxsize=_SEPARATION_TABLE_SIZE)
+@table("separations", _SEPARATION_TABLE_SIZE)
 def separation(u: str, v: str) -> int:
     """The integer form n of the distance d = 1/n, and 0 for the same point."""
     i = first_difference(u, v)

@@ -26,7 +26,8 @@ images it computed (``separations``, ``images``), and the calls of each that
 a per-process memo or table answered instead (``solve_hits``,
 ``pushforward_hits``, ``separation_hits``, ``image_hits``).  Each count
 plus its hits is the number of calls: ``solves`` plus ``solve_hits`` is the
-number of ``prohorov`` calls.
+number of ``prohorov`` calls.  Each row is the change of ``tables.counts()``
+over the suite, the one registry of those memos and tables.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .cantor import separation
+from . import tables
 from .certs import Certificate
 from .dynamics import (
     chain_connect_homeo,
@@ -54,15 +55,7 @@ from .dynamics import (
 )
 from .errors import CantorDynError, ParameterError, ResourceBudgetError
 from .grids import li_yorke_scan, random_cell_measure, simplex_grid
-from .maps import _rewritten
-from .measures import (
-    _pushed,
-    _solved,
-    _solved_problem,
-    measure_from_lines,
-    prohorov,
-    prohorov_two_sided,
-)
+from .measures import measure_from_lines, prohorov, prohorov_two_sided
 from .orbits import PairClass
 from .recurrence import (
     AdmissibleChoice,
@@ -315,24 +308,11 @@ _RUNNERS = {
 SUITES = (*_RUNNERS, "all")
 
 
-def _work_counts() -> dict[str, int]:
-    """The work of the five per-process tables so far: the integer Prohorov
-    problems solved, the pushforwards, word separations and images
-    computed, and the calls of each that a memo or table answered instead
-    (``solves`` plus ``solve_hits`` is the number of ``prohorov`` calls)."""
-    front, problems = _solved.cache_info(), _solved_problem.cache_info()
-    pushed, seps, images = _pushed.cache_info(), separation.cache_info(), _rewritten.cache_info()
-    return {"solves": problems.misses, "solve_hits": front.hits + problems.hits,
-            "pushforwards": pushed.misses, "pushforward_hits": pushed.hits,
-            "separations": seps.misses, "separation_hits": seps.hits,
-            "images": images.misses, "image_hits": images.hits}
-
-
 def run_suite(tower, suite: str, cfg, rng):
     certificates = []
     timings = []
     for runner in _RUNNERS.values() if suite == "all" else (_RUNNERS[suite],):
-        t0, memo0 = time.monotonic(), _work_counts()
+        t0, memo0 = time.monotonic(), tables.counts()
         try:
             certificates.extend(runner(tower, cfg, rng))
         except (ResourceBudgetError, ParameterError) as exc:
@@ -348,7 +328,7 @@ def run_suite(tower, suite: str, cfg, rng):
                 )
             )
         ms = int(1000 * (time.monotonic() - t0))
-        memo = {key: n - memo0[key] for key, n in _work_counts().items()}
+        memo = {key: n - memo0[key] for key, n in tables.counts().items()}
         timings.append({"stage": runner.__name__, "ms": ms, **memo})
     return certificates, timings
 

@@ -194,11 +194,14 @@ def equicontinuity_certificate(
     The supremum over all n >= 0 is exact: each pair orbit is certified
     eventually periodic and the maximum is taken over one full cycle.
     Pairs must satisfy d(mu, nu) < delta, delta the partition modulus; this
-    is checked, not assumed.
+    is checked, not assumed.  An empty list would pass vacuously, so it
+    raises ParameterError.
     """
     if tower.kind != "balloon":
         raise ParameterError("equicontinuity certificate applies to balloon towers")
     eps = _exact("eps", eps)
+    if not pairs:
+        raise ParameterError("pairs is empty")
     level = tower.level_with_mesh_below(eps)
     partition = tower.levels[level].partition()
     delta = equicontinuity_modulus(partition)
@@ -467,12 +470,15 @@ def weak_shadowing_refutation(
     dumbbells, then shows that no grid measure's full orbit (both time
     directions, exact eventual periodicity) comes within eps of both
     anchors.  The core chain, the anchor gap and the orbit minima all run
-    the closed form.  No minimum lies below an eps that is not positive, so
-    such an eps raises ParameterError instead of refuting vacuously.
+    the closed form.  No minimum lies below an eps that is not positive, and
+    an empty grid has no minimum, so such an eps or grid raises
+    ParameterError instead of refuting vacuously.
     """
     eps, delta = _exact("eps", eps), _exact("delta", delta)
     if eps <= 0:
         raise ParameterError(f"eps = {eps} is not positive")
+    if not grid:
+        raise ParameterError("grid is empty")
     if tower.kind != "dumbbell":
         raise ParameterError("weak-shadowing refutation needs a dumbbell tower")
     comps = tower.levels[0].components

@@ -16,7 +16,8 @@ fired rule's domain, which the orbit engine's pad test reads too.  An orbit
 meets the same few words again and again -- the weak-shadowing refutation
 asks for 36 pairs about 78,000 times -- so each is rewritten once.  The
 table is least-recently-used and bounded, because padded orbits make ever
-longer words.  A map caches the hash of its sorted rules, which every lookup
+longer words, and it is registered in ``tables``, which empties and counts
+it.  A map caches the hash of its sorted rules, which every lookup
 hashes, and an unpickled map is rebuilt from its rules, because a string
 hash differs between processes.
 """
@@ -24,7 +25,6 @@ hash differs between processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cantor import (
     CylinderPartition,
@@ -36,6 +36,7 @@ from .cantor import (
     standard_partition,
 )
 from .errors import ParameterError
+from .tables import table
 
 _IMAGE_TABLE_SIZE = 4096  # (map, word) pairs; an orbit engine run meets a few dozen
 
@@ -130,7 +131,7 @@ class PrefixTableMap:
         return current
 
 
-@lru_cache(maxsize=_IMAGE_TABLE_SIZE)
+@table("images", _IMAGE_TABLE_SIZE)
 def _rewritten(f: PrefixTableMap, point: str) -> tuple[str, int]:
     """(image, length of the fired rule's domain) of a canonical point: the
     image table.  Equal maps have equal rules, so a hit is a fresh rewrite."""

@@ -57,18 +57,20 @@ the gaps off the separation table of ``cantor``.  The integer memo keeps the
 witness as positions, which each call maps back onto its own words.  A
 measure has one canonical form and a map is equal to another exactly when
 their rules are, so a hit returns what a fresh call would; the results are
-frozen, so a shared one cannot be changed.
+frozen, so a shared one cannot be changed.  The three memos are registered
+in ``tables``, which empties and counts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import gcd, lcm
 
 from .cantor import CylinderPartition, _gaps, canonical_point, point_in_cylinder
 from .errors import BackendSelectionError, CertificationError, ParameterError
+from .tables import table
 
 ENUMERATION_LIMIT = 16
 _MEASURE_MEMO_SIZE = 256  # pushforwards and solves by measure; larger only costs memory
@@ -191,7 +193,7 @@ def pushforward(f, mu: AtomicMeasure) -> AtomicMeasure:
     return _pushed(f, mu)
 
 
-@lru_cache(maxsize=_MEASURE_MEMO_SIZE)
+@table("pushforwards", _MEASURE_MEMO_SIZE)
 def _pushed(f, mu: AtomicMeasure) -> AtomicMeasure:
     """``pushforward``, memoised: equal maps have equal rules and equal
     measures one form, so equal arguments have one image.
@@ -496,7 +498,7 @@ def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Pro
     return _solved(mu, nu, backend)
 
 
-@lru_cache(maxsize=_MEASURE_MEMO_SIZE)
+@table("solves", _MEASURE_MEMO_SIZE)
 def _solved(mu: AtomicMeasure, nu: AtomicMeasure, backend: str) -> ProhorovResult:
     """``prohorov``, memoised per backend: equal measures have one form, so
     equal arguments have one result, which is frozen; a raised error is not
@@ -506,7 +508,7 @@ def _solved(mu: AtomicMeasure, nu: AtomicMeasure, backend: str) -> ProhorovResul
     return ProhorovResult(value, tuple(words[p] for p in witness), name)
 
 
-@lru_cache(maxsize=_PROBLEM_MEMO_SIZE)
+@table("solves", _PROBLEM_MEMO_SIZE)
 def _solved_problem(mu_w, mu_d: int, nu_w, nu_d: int, gaps, backend: str):
     """(value, witness positions, backend name) of the integer problem that
     ``_solved`` reads off a pair of measures; the words never enter it."""

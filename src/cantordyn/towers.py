@@ -251,8 +251,10 @@ def make_dumbbell_tower(
     depth, q = level
     if depth < 0 or q < 0:
         raise ParameterError(f"level {depth}:{q}: depth and q must be at least 0")
-    if count < 1 or bar_length < 1:
-        raise ParameterError("need at least one component and bar length >= 1")
+    if count < 1:
+        raise ParameterError(f"count {count}: need at least one component")
+    if bar_length < 1:
+        raise ParameterError(f"bar_length {bar_length}: every bar needs at least one cell")
     m = factorial(q)
     need = count * (2 * m + bar_length)
     if need > 2**depth:

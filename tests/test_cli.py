@@ -10,18 +10,11 @@ from pathlib import Path
 import pytest
 
 import cantordyn
-from cantordyn import cli, measures
+from cantordyn import cli, measures, tables
 from cantordyn.cantor import separation
 from cantordyn.cli import main
 from cantordyn.maps import _rewritten
-from cantordyn.measures import (
-    _pushed,
-    _solved,
-    _solved_problem,
-    atomic_measure,
-    dirac,
-    measure_to_lines,
-)
+from cantordyn.measures import atomic_measure, dirac, measure_to_lines
 from fractions import Fraction
 
 BALLOON_CONFIG = """
@@ -291,6 +284,10 @@ MALFORMED_CONFIGS = {
                                   "levels = -1:2\ncounts = 2", "levels", None),
     "map-dumbbell-negative-q": ("kind = balloon\nlevels = 3:2, 5:2",
                                 "kind = dumbbell\nlevel = 4:-1", "level", None),
+    "map-dumbbell-count-zero": ("kind = balloon\nlevels = 3:2, 5:2",
+                                "kind = dumbbell\nlevel = 4:2\ncount = 0", "count", None),
+    "map-dumbbell-bar-zero": ("kind = balloon\nlevels = 3:2, 5:2",
+                              "kind = dumbbell\nlevel = 4:2\nbar_length = 0", "bar_length", None),
     "no-section-header": ("\n[map]\n", "\n", "kind", None),
     "repeated-key": ("eps = 1/4", "eps = 1/4\neps = 1/3", "eps", None),
 }
@@ -421,8 +418,7 @@ def test_report_timings_count_the_memos(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, BALLOON_CONFIG)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
     # the memos and tables live as long as the process: start from empty ones
-    for memo in (_solved, _solved_problem, _pushed, separation, _rewritten):
-        memo.cache_clear()
+    tables.reset()
     # count every prohorov call, under each name a module imported it by
     calls, prohorov = [], measures.prohorov
 

@@ -141,14 +141,18 @@ def test_entry_points_reject_floats(call):
     (lambda: entropy_estimate(SWAP, [dirac("")], [Fraction(0)], 2), "eps = 0 is not positive"),
     (lambda: entropy_estimate(SWAP, [dirac("")], [Fraction(-1, 2), Fraction(1, 2)], 2),
      "eps = -1/2 is not positive"),
+    (lambda: weak_shadowing_refutation(_DUMBBELL, Fraction(1, 4), Fraction(1, 2), []),
+     "grid is empty"),
+    (lambda: equicontinuity_certificate(_BALLOON, Fraction(1, 4), []), "pairs is empty"),
 ], ids=["continuity-depth-0", "continuity-eps-0", "continuity-eps-negative", "shadowing-eps-0",
         "shadowing-eps-negative", "entropy-horizon-0", "entropy-horizon-negative", "entropy-eps-0",
-        "entropy-eps-negative"])
+        "entropy-eps-negative", "shadowing-grid-empty", "equicontinuity-pairs-empty"])
 def test_degenerate_values_raise_instead_of_a_vacuous_verdict(call, message):
     # depth 0 leaves no survivor set, so every level "survives as one cell";
     # no distance lies below an eps <= 0, and every gap is >= 2 * eps; an
     # entropy table up to n_max < 1 has no count at all, and at an eps <= 0
-    # every pair is separated from step 0 on
+    # every pair is separated from step 0 on; with no grid measure or no pair
+    # the refutation and the modulus hold over nothing
     with pytest.raises(ParameterError) as info:
         call()
     assert str(info.value) == message

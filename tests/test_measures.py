@@ -1,7 +1,11 @@
 """Atomic measures and the exact Prohorov solver, with independent oracles."""
 
+import functools
+import importlib
+import inspect
 import os
 import pickle
+import pkgutil
 import random
 import subprocess
 import sys
@@ -12,6 +16,8 @@ from math import ceil, gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cantordyn
+from cantordyn import tables
 from cantordyn.cantor import (
     canonical_point,
     point_distance,
@@ -22,7 +28,7 @@ from cantordyn.cantor import (
 from cantordyn.dynamics import chain_connect_map, chain_step_count
 from cantordyn.errors import BackendSelectionError, ParameterError
 from cantordyn.grids import random_atomic_measure, random_cell_measure
-from cantordyn.maps import PrefixTableMap, _rewritten
+from cantordyn.maps import PrefixTableMap
 from cantordyn.measures import (
     ENUMERATION_LIMIT,
     AtomicMeasure,
@@ -529,8 +535,7 @@ def test_memoised_solve_equals_a_fresh_one(backend):
         # equal measures built anew share the memo entry
         cached = prohorov(atomic_measure(mu.atoms), atomic_measure(nu.atoms), backend)
         assert _solved.cache_info().hits == hits + 1
-        _solved.cache_clear()
-        _solved_problem.cache_clear()
+        tables.reset()
         fresh = prohorov(mu, nu, backend)
         assert (cached.value, cached.witness_set, cached.backend) == (
             fresh.value, fresh.witness_set, fresh.backend)
@@ -552,8 +557,7 @@ def test_integer_problem_memo_serves_other_words(backend):
     assert words_a != words_b
 
     def fresh(mu, nu):
-        _solved.cache_clear()
-        _solved_problem.cache_clear()
+        tables.reset()
         return prohorov(mu, nu, backend)
 
     expected_b, expected_c = fresh(*pair_b), fresh(pair_b[0], nu_c)
@@ -562,6 +566,9 @@ def test_integer_problem_memo_serves_other_words(backend):
     info = _solved_problem.cache_info()
     got_b = prohorov(*pair_b, backend)
     assert _solved_problem.cache_info().hits == info.hits + 1
+    # the timings count one problem solved and one call the memos answered
+    counts = tables.counts()
+    assert (counts["solves"], counts["solve_hits"]) == (1, 1)
     # the witness is reported in pair b's own words
     assert set(got_b.witness_set) <= set(pair_b[0].support)
     assert got_b == expected_b
@@ -600,10 +607,30 @@ def test_pushforward_memo_keys_maps_by_rules():
 
 
 def test_memos_are_bounded():
-    # every process-wide table: the solve and pushforward memos, the
-    # separation table of word pairs and the image table of (map, word) pairs
-    for memo in (_solved, _solved_problem, _pushed, separation, _rewritten):
-        assert memo.cache_info().maxsize is not None
+    # every memo or table in a module or class namespace of the package is
+    # a registered lru_cache with a bound, and every registered one is found
+    found = {}
+    for info in pkgutil.iter_modules(cantordyn.__path__):
+        module = importlib.import_module(f"cantordyn.{info.name}")
+        for namespace in [vars(module)] + [vars(c) for c in vars(module).values()
+                                           if inspect.isclass(c)]:
+            found.update((id(obj), obj) for obj in namespace.values()
+                         if hasattr(obj, "cache_info"))
+    assert found.keys() == {id(cache) for _, cache in tables._TABLES}
+    for cache in found.values():
+        assert type(cache) is functools._lru_cache_wrapper
+        assert cache.cache_info().maxsize is not None
+
+
+def test_reset_zeroes_every_count():
+    tables.reset()
+    h = make_dumbbell_tower((4, 2), 2, 1).table
+    mu = random_atomic_measure(random.Random(7), max_atoms=6, max_depth=6)
+    prohorov(mu, pushforward(h, mu))
+    counts = tables.counts()
+    assert all(counts[counter] > 0 for counter, _ in tables._TABLES)
+    tables.reset()
+    assert set(tables.counts().values()) == {0}
 
 
 def test_equal_measures_hash_equal_however_built():
@@ -647,8 +674,7 @@ def test_chain_steps_do_not_depend_on_the_memos():
         out = []
         for k in range(k0, k0 + 4):
             if clear:
-                for memo in (_solved, _solved_problem, _pushed, separation, _rewritten):
-                    memo.cache_clear()
+                tables.reset()
             out.append(chain_connect_map(tower.table, mu, nu, delta, k).step_distances)
         return out
 
