@@ -76,10 +76,7 @@ from .orbits import (
     DistanceProfile,
     PairClass,
     distance_profile,
-    distributional_densities,
-    li_yorke_classify,
     orbit_distance_to_target,
-    upper_density,
 )
 from .recurrence import (
     AdmissibleChoice,

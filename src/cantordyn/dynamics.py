@@ -47,9 +47,14 @@ class Chain:
 
 
 def verify_chain(f: PrefixTableMap, points, delta: Fraction, backend: str = "auto") -> Chain:
-    """Independent step verification with the exact solver; raises on failure."""
+    """Independent step verification with the exact solver; raises on failure.
+
+    A chain of fewer than two points has no step to verify, so it raises
+    ParameterError instead of passing vacuously."""
     delta = _exact("delta", delta)
     pts = tuple(points)
+    if len(pts) < 2:
+        raise ParameterError(f"a chain needs at least two points, got {len(pts)}")
     dists = []
     for a, b in zip(pts, pts[1:]):
         d = prohorov_distance(pushforward(f, a), b, backend)
@@ -77,16 +82,10 @@ def default_gamma(delta: Fraction) -> Fraction:
     return Fraction(p, q)
 
 
-def chain_step_count(delta: Fraction, gamma: Fraction | None = None) -> int:
-    """The least k0 with (k0 - 1) * gamma < 1 <= k0 * gamma, for a mixing
-    step 0 < gamma < delta (ParameterError otherwise).
-
-    Depends only on delta once gamma is derived canonically from it.
-    """
-    delta = _exact("delta", delta)
-    gamma = default_gamma(delta) if gamma is None else _exact("gamma", gamma)
-    if not 0 < gamma < delta:
-        raise ParameterError("gamma must lie strictly between 0 and delta")
+def chain_step_count(delta: Fraction) -> int:
+    """The least k0 with (k0 - 1) * gamma < 1 <= k0 * gamma, for the mixing
+    step gamma = ``default_gamma(delta)``; it depends only on delta."""
+    gamma = default_gamma(delta)
     p, q = gamma.numerator, gamma.denominator
     k0 = -(-q // p)  # ceil(1/gamma)
     assert (k0 - 1) * p < q <= k0 * p
@@ -99,7 +98,6 @@ def chain_connect_map(
     nu: AtomicMeasure,
     delta: Fraction,
     k: int,
-    gamma: Fraction | None = None,
     backend: str = "auto",
 ) -> Chain:
     """A verified delta-chain of length k from mu that ends exactly at the
@@ -107,13 +105,13 @@ def chain_connect_map(
 
     Interpolates (1 - j*gamma) f~^j(mu) + j*gamma f~^j(nu) until the mixing
     weight reaches 1, jumps to the pure nu orbit, then follows it exactly.
-    With gamma = p/q the interpolant has the integer weights q - j*p and j*p
-    over q, both positive for j < k0, and is merged by the one combine core
-    of ``measures``.  gamma defaults to ``default_gamma(delta)``.
+    The mixing step is gamma = ``default_gamma(delta)`` = p/q, so the
+    interpolant has the integer weights q - j*p and j*p over q, both
+    positive for j < k0, and is merged by the one combine core of
+    ``measures``.
     """
-    delta = _exact("delta", delta)
-    gamma = default_gamma(delta) if gamma is None else _exact("gamma", gamma)
-    k0 = chain_step_count(delta, gamma)
+    gamma = default_gamma(delta)
+    k0 = chain_step_count(delta)
     if k < k0:
         raise ParameterError(f"chain length {k} is below the minimum {k0}")
     p, q = gamma.numerator, gamma.denominator
@@ -139,13 +137,12 @@ def chain_connect_homeo(
     nu: AtomicMeasure,
     delta: Fraction,
     k: int,
-    gamma: Fraction | None = None,
     backend: str = "auto",
 ) -> Chain:
     """A verified delta-chain from mu ending exactly at nu, for invertible h."""
     h_inv = h.invert()
     nu_pre = pushforward_iter(h_inv, nu, k)
-    chain = chain_connect_map(h, mu, nu_pre, delta, k, gamma, backend)
+    chain = chain_connect_map(h, mu, nu_pre, delta, k, backend)
     if chain.points[-1] != nu:
         raise CertificationError("homeomorphism chain endpoint is not exactly nu")
     return chain
@@ -299,10 +296,15 @@ def entropy_estimate(
     measures, a greedy lower bound beyond that.  Each pair's distances come
     from one certified ``distance_profile``; ``n_max`` must be at least 1.
     Every pair is separated at an eps that is not positive, so such an eps
-    raises ParameterError instead of counting the whole grid."""
+    raises ParameterError instead of counting the whole grid; an empty grid
+    or eps_list has nothing to count and raises it too."""
     if n_max < 1:
         raise ParameterError(f"n_max = {n_max} is below 1")
+    if not grid:
+        raise ParameterError("grid is empty")
     eps_list = tuple(_exact("eps", e) for e in eps_list)
+    if not eps_list:
+        raise ParameterError("eps_list is empty")
     for eps in eps_list:
         if eps <= 0:
             raise ParameterError(f"eps = {eps} is not positive")

@@ -69,10 +69,6 @@ class PrefixTableMap:
         # rebuilt, not copied: a string hash differs between processes
         return PrefixTableMap, (self.rules,)
 
-    def matching_rule(self, point: str) -> tuple[str, str]:
-        """The unique rule whose domain prefixes the zero-extended point."""
-        return self._match(check_word(point))
-
     def _match(self, point: str) -> tuple[str, str]:
         for length in self._lens:
             key = point[:length] if len(point) >= length else point.ljust(length, "0")
@@ -199,14 +195,6 @@ class ComponentShape:
     kind: str
     params: tuple[int, ...]
     cells: dict
-
-    @property
-    def initial_vertex(self) -> str:
-        if self.kind == "balloon":
-            return self.cells["path"][0]
-        if self.kind == "dumbbell":
-            return self.cells["left"][0]
-        raise ParameterError(f"{self.kind} component has no initial vertex")
 
 
 def _weak_components(vertices, edges) -> list[set[str]]:

@@ -556,11 +556,6 @@ def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "flo
 EMPTY_WORD_TOKEN = "e"
 
 
-def measure_to_lines(mu: AtomicMeasure) -> list[str]:
-    """Canonical text form: one "<point> <mass>" line per atom."""
-    return [f"{p or EMPTY_WORD_TOKEN} {m}" for p, m in mu.atoms]
-
-
 def measure_from_lines(lines) -> AtomicMeasure:
     atoms = []
     for lineno, raw in enumerate(lines, start=1):

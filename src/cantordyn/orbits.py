@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cantor import _sorted_form, separation
-from .errors import ParameterError, ResourceBudgetError
+from .errors import ResourceBudgetError
 from .maps import PrefixTableMap, _rewritten
 from .measures import AtomicMeasure, prohorov, pushforward
 
@@ -103,11 +103,6 @@ class PairClass(enum.Enum):
     LI_YORKE_PAIR = "li_yorke_pair"
 
 
-def li_yorke_classify(profile: DistanceProfile) -> PairClass:
-    """Classify a pair by the exact liminf/limsup of its distance sequence."""
-    return _li_yorke_rule(profile.liminf, profile.limsup)
-
-
 def _li_yorke_rule(liminf: Fraction, limsup: Fraction) -> PairClass:
     """The class of a pair whose distances have this liminf and limsup."""
     if limsup == 0:
@@ -115,34 +110,6 @@ def _li_yorke_rule(liminf: Fraction, limsup: Fraction) -> PairClass:
     if liminf > 0:
         return PairClass.SEPARATED_BELOW
     return PairClass.LI_YORKE_PAIR
-
-
-def upper_density(cycle_pattern) -> Fraction:
-    """Exact upper density of an eventually periodic subset of N.
-
-    The running averages of an eventually periodic indicator converge, so
-    the upper density (which is also the lower density) equals the fraction
-    of hits in the cycle; the preperiod never matters.
-    """
-    cycle = [bool(b) for b in cycle_pattern]
-    if not cycle:
-        raise ParameterError("cycle pattern must be nonempty")
-    return Fraction(sum(cycle), len(cycle))
-
-
-def distributional_densities(
-    profile: DistanceProfile, eps: Fraction, delta: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Upper densities of {n : d_n >= eps} and {n : d_n < delta}.
-
-    A pair is distributionally eps-chaotic when the first density is 1 and
-    the second is 1 for every positive delta.
-    """
-    cycle = profile.values[profile.preperiod:]
-    return (
-        upper_density([v >= eps for v in cycle]),
-        upper_density([v < delta for v in cycle]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -272,10 +272,7 @@ def _loop_classes(loop_cells: tuple[str, ...], p: int) -> list[tuple[int, ...]]:
 
 
 def approx_by_periodic(
-    tower: MapTower,
-    mu: AtomicMeasure,
-    eps: Fraction,
-    return_time: int | None = None,
+    tower: MapTower, mu: AtomicMeasure, eps: Fraction
 ) -> tuple[AtomicMeasure, Certificate]:
     """Build an exactly invariant measure within eps of a recurrent one.
 
@@ -296,19 +293,15 @@ def approx_by_periodic(
     delta = min(partition.min_gap(), partition.mesh() / (2 * m * len(partition)))
     f = tower.table
 
-    if return_time is None:
-        # 1 .. preperiod + period holds every value the profile takes at n >= 1
-        prof = orbit_distance_to_target(f, mu, mu)
-        return_time = next(
-            (p for p in range(1, prof.preperiod + prof.period + 1) if prof.value_at(p) < delta),
-            None,
-        )
-        if return_time is None:
-            raise ResourceBudgetError("no return time within the orbit budget")
-    p = return_time
-    return_dist = prohorov_distance(pushforward_iter(f, mu, p), mu)
-    if not return_dist < delta:
-        raise ParameterError(f"return distance {return_dist} is not below the modulus {delta}")
+    # 1 .. preperiod + period holds every value the profile takes at n >= 1
+    prof = orbit_distance_to_target(f, mu, mu)
+    p = next(
+        (p for p in range(1, prof.preperiod + prof.period + 1) if prof.value_at(p) < delta),
+        None,
+    )
+    if p is None:
+        raise ResourceBudgetError("no return time within the orbit budget")
+    return_dist = prof.value_at(p)
 
     masses = cell_masses(mu, partition)
     pieces: list[tuple[int, AtomicMeasure]] = []

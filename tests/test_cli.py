@@ -14,7 +14,7 @@ from cantordyn import cli, measures, tables
 from cantordyn.cantor import separation
 from cantordyn.cli import main
 from cantordyn.maps import _rewritten
-from cantordyn.measures import atomic_measure, dirac, measure_to_lines
+from cantordyn.measures import atomic_measure, dirac
 from fractions import Fraction
 
 BALLOON_CONFIG = """
@@ -79,7 +79,7 @@ def _write_config(tmp_path, text):
 
 def write_measure(path, mu) -> None:
     """Write a measure file in the text form that ``cantordyn prohorov`` reads."""
-    path.write_text("\n".join(measure_to_lines(mu)) + "\n")
+    path.write_text("".join(f"{p or 'e'} {m}\n" for p, m in mu.atoms))
 
 
 def test_generate_and_analyze_balloon(tmp_path, capsys):

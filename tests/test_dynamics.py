@@ -54,7 +54,6 @@ def test_gamma_and_k0():
         assert k0 == expected_k0
     # delta just above 1/2 admits a two-step chain
     assert chain_step_count(Fraction(51, 100)) == 2
-    assert chain_step_count(Fraction(51, 100), gamma=Fraction(1, 2)) == 2
 
 
 def _largest_fraction_below(delta, max_denominator):
@@ -81,24 +80,13 @@ def test_default_gamma_matches_brute_force_oracle():
 @pytest.mark.parametrize("call", [
     lambda: default_gamma(0.5),
     lambda: chain_step_count(0.5),
-    lambda: chain_step_count(Fraction(1, 2), gamma=0.25),
     lambda: chain_connect_map(SWAP, dirac(""), dirac("1"), 0.5, 3),
-    lambda: chain_connect_map(SWAP, dirac(""), dirac("1"), Fraction(1, 2), 3, gamma=0.25),
     lambda: chain_connect_homeo(SWAP, dirac(""), dirac("1"), 0.75, 2),
-    lambda: chain_connect_homeo(SWAP, dirac(""), dirac("1"), Fraction(3, 4), 2, gamma=0.5),
     lambda: verify_chain(SWAP, [dirac(""), dirac("1")], 0.5),
 ])
 def test_chain_functions_reject_floats(call):
     with pytest.raises(ParameterError, match="float"):
         call()
-
-
-@pytest.mark.parametrize("gamma", [Fraction(0), Fraction(-1, 4), Fraction(1, 2), Fraction(3, 2)],
-                         ids=["zero", "negative", "delta", "above-delta"])
-def test_chain_step_count_rejects_gamma_out_of_range(gamma):
-    # a mixing step must lie strictly between 0 and delta = 1/2
-    with pytest.raises(ParameterError, match="strictly between 0 and delta"):
-        chain_step_count(Fraction(1, 2), gamma)
 
 
 _BALLOON = make_balloon_tower([(3, 2), (5, 2)], [2, 4])
@@ -141,18 +129,27 @@ def test_entry_points_reject_floats(call):
     (lambda: entropy_estimate(SWAP, [dirac("")], [Fraction(0)], 2), "eps = 0 is not positive"),
     (lambda: entropy_estimate(SWAP, [dirac("")], [Fraction(-1, 2), Fraction(1, 2)], 2),
      "eps = -1/2 is not positive"),
+    (lambda: entropy_estimate(SWAP, [], [Fraction(1, 2)], 2), "grid is empty"),
+    (lambda: entropy_estimate(SWAP, [dirac("")], [], 2), "eps_list is empty"),
     (lambda: weak_shadowing_refutation(_DUMBBELL, Fraction(1, 4), Fraction(1, 2), []),
      "grid is empty"),
     (lambda: equicontinuity_certificate(_BALLOON, Fraction(1, 4), []), "pairs is empty"),
+    (lambda: verify_chain(SWAP, [dirac("")], Fraction(1, 2)),
+     "a chain needs at least two points, got 1"),
+    (lambda: verify_chain(SWAP, [], Fraction(1, 2)), "a chain needs at least two points, got 0"),
 ], ids=["continuity-depth-0", "continuity-eps-0", "continuity-eps-negative", "shadowing-eps-0",
         "shadowing-eps-negative", "entropy-horizon-0", "entropy-horizon-negative", "entropy-eps-0",
-        "entropy-eps-negative", "shadowing-grid-empty", "equicontinuity-pairs-empty"])
+        "entropy-eps-negative", "entropy-grid-empty", "entropy-eps-list-empty",
+        "shadowing-grid-empty", "equicontinuity-pairs-empty", "chain-one-point",
+        "chain-no-points"])
 def test_degenerate_values_raise_instead_of_a_vacuous_verdict(call, message):
     # depth 0 leaves no survivor set, so every level "survives as one cell";
     # no distance lies below an eps <= 0, and every gap is >= 2 * eps; an
     # entropy table up to n_max < 1 has no count at all, and at an eps <= 0
     # every pair is separated from step 0 on; with no grid measure or no pair
-    # the refutation and the modulus hold over nothing
+    # the refutation and the modulus hold over nothing, an entropy table over
+    # no measure or no eps counts nothing, and a chain of fewer than two
+    # points has no step to verify
     with pytest.raises(ParameterError) as info:
         call()
     assert str(info.value) == message
@@ -162,18 +159,18 @@ def test_degenerate_values_raise_instead_of_a_vacuous_verdict(call, message):
     make_balloon_tower([(3, 2), (5, 2)], [2, 4]),
     make_dumbbell_tower((4, 2), 2, bar_length=1),
 ], ids=["balloon", "dumbbell"])
-@pytest.mark.parametrize("gamma", [None, Fraction(1, 5)])
-def test_chain_interpolants_match_convex_combine(tower, gamma):
+# the mixing steps of these deltas are 1/3 and 1/5
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(1, 4)])
+def test_chain_interpolants_match_convex_combine(tower, delta):
     rng = random.Random(11)
     f = tower.table
     partition = tower.levels[0].partition()
-    delta = Fraction(1, 2)
-    step = default_gamma(delta) if gamma is None else gamma
-    k0 = chain_step_count(delta, step)
+    step = default_gamma(delta)
+    k0 = chain_step_count(delta)
     for _ in range(8):
         mu = random_cell_measure(partition, rng, 4)
         nu = random_cell_measure(partition, rng, 3)
-        chain = chain_connect_map(f, mu, nu, delta, k0 + 1, gamma)
+        chain = chain_connect_map(f, mu, nu, delta, k0 + 1)
         for j in range(1, k0):
             expected = convex_combine(
                 [(1 - j * step, pushforward_iter(f, mu, j)), (j * step, pushforward_iter(f, nu, j))]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cantordyn.cantor import _sorted_form, canonical_point, representative, separation
-from cantordyn.errors import ParameterError, ResourceBudgetError
+from cantordyn.errors import ResourceBudgetError
 from cantordyn import orbits
 from cantordyn.grids import random_atomic_measure, random_cell_measure
 from cantordyn.maps import PrefixTableMap
@@ -22,11 +22,9 @@ from cantordyn.measures import (
 from cantordyn.orbits import (
     PairClass,
     DistanceProfile,
+    _li_yorke_rule,
     distance_profile,
-    distributional_densities,
-    li_yorke_classify,
     orbit_distance_to_target,
-    upper_density,
 )
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
@@ -72,7 +70,7 @@ def test_distance_profile_examples():
     assert prof.liminf == prof.limsup == 0
     prof = distance_profile(SWAP, dirac(""), dirac("1"))
     assert prof.liminf == prof.limsup == 1
-    assert li_yorke_classify(prof) is PairClass.SEPARATED_BELOW
+    assert _li_yorke_rule(prof.liminf, prof.limsup) is PairClass.SEPARATED_BELOW
 
 
 def test_profile_lookup_and_extremes_against_unrolled_orbit():
@@ -103,35 +101,11 @@ def test_profile_lookup_and_extremes_against_unrolled_orbit():
 
 def test_classify_thresholds():
     prof = DistanceProfile((Fraction(0),), 0, 1, "state-cycle")
-    assert li_yorke_classify(prof) is PairClass.ASYMPTOTIC
+    assert _li_yorke_rule(prof.liminf, prof.limsup) is PairClass.ASYMPTOTIC
     prof = DistanceProfile((Fraction(1, 2), Fraction(1)), 0, 2, "state-cycle")
-    assert li_yorke_classify(prof) is PairClass.SEPARATED_BELOW
+    assert _li_yorke_rule(prof.liminf, prof.limsup) is PairClass.SEPARATED_BELOW
     prof = DistanceProfile((Fraction(0), Fraction(1, 2)), 0, 2, "state-cycle")
-    assert li_yorke_classify(prof) is PairClass.LI_YORKE_PAIR
-
-
-def test_upper_density_examples():
-    assert upper_density([1, 1, 1]) == 1
-    assert upper_density([0]) == 0
-    assert upper_density([1, 0]) == Fraction(1, 2)
-    with pytest.raises(ParameterError):
-        upper_density([])
-
-
-def test_density_complement():
-    cycle = [1, 0, 0, 1, 0]
-    complement = [1 - b for b in cycle]
-    assert upper_density(cycle) + upper_density(complement) == 1
-    assert upper_density(complement) == 1 - upper_density(cycle)
-
-
-def test_distributional_densities():
-    prof = DistanceProfile(
-        (Fraction(1), Fraction(0), Fraction(1), Fraction(0)), 0, 4, "state-cycle"
-    )
-    hi, lo = distributional_densities(prof, Fraction(1, 2), Fraction(1, 4))
-    assert hi == Fraction(1, 2)
-    assert lo == Fraction(1, 2)
+    assert _li_yorke_rule(prof.liminf, prof.limsup) is PairClass.LI_YORKE_PAIR
 
 
 def test_padded_cycle_profile_on_absorbing_orbit():
@@ -141,7 +115,7 @@ def test_padded_cycle_profile_on_absorbing_orbit():
     nu = dirac(representative(comp.left[0]))
     prof = distance_profile(tower.table, mu, nu)
     assert prof.certificate == "padded-cycle"
-    assert li_yorke_classify(prof) is not PairClass.LI_YORKE_PAIR
+    assert _li_yorke_rule(prof.liminf, prof.limsup) is not PairClass.LI_YORKE_PAIR
 
 
 def test_padded_cycle_rejects_a_target_the_orbit_passes_through():
@@ -386,7 +360,7 @@ def _eager_verify(f, record, n_frozen, start, tau):
                 return False
             c, g = desc
             if g > 0:
-                if c < len(f.matching_rule(wa)[0]):
+                if c < len(f._match(wa)[0]):
                     return False
                 inserts.append(c)
         if matrix_a != matrix_b:

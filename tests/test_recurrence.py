@@ -267,16 +267,6 @@ def test_loop_support_closed_under_pushforward(q3_tower):
         assert loop_support_check(q3_tower, image).passed
 
 
-def test_approx_at_multiple_of_the_period(q3_tower):
-    # a period-2 measure approximated at return time 4: classes close under
-    # 4 steps, the result invariant under 4 pushforwards and within eps
-    mu = periodic_measure(q3_tower, AdmissibleChoice((0,), period=2), level=0)
-    mu_prime, cert = approx_by_periodic(q3_tower, mu, Fraction(1, 4), return_time=4)
-    assert cert.passed
-    assert pushforward_iter(q3_tower.table, mu_prime, 4) == mu_prime
-    assert prohorov_distance(mu_prime, mu) < Fraction(1, 4)
-
-
 def _rational_average(tower, mu, level, p):
     """The periodic approximation of mu at return time p, built as a convex
     combination of uniform class measures with rational masses."""

@@ -1,0 +1,67 @@
+"""Source checks: every exported name has a use outside the tests, and no
+library module imports a name it never uses."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cantordyn"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _used_names(tree) -> set[str]:
+    """Every name read in the tree, as a bare name or an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _exports() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names]
+
+
+def _reached() -> set[str]:
+    """Names reached outside the tests: from module-level code of src/, a
+    demo or a word of README.md, and then from every top-level definition
+    of src/ that is reached, so a name that only an unreached definition
+    uses is not reached either."""
+    uses: dict[str, set[str]] = {}
+    reached = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                uses.setdefault(stmt.name, set()).update(_used_names(stmt))
+            else:
+                reached |= _used_names(stmt)
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        reached |= _used_names(ast.parse(path.read_text()))
+    frontier = reached
+    while frontier:
+        frontier = set().union(*(uses.get(name, ()) for name in frontier)) - reached
+        reached |= frontier
+    return reached
+
+
+def test_every_export_is_reached_outside_the_tests():
+    reached = _reached()
+    unreached = [name for name in _exports() if name not in reached]
+    assert not unreached, f"exported but reached by no module, demo or README: {unreached}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert not unused, f"imported but never used: {unused}"
