@@ -80,11 +80,16 @@ def test_default_gamma_matches_brute_force_oracle():
 @pytest.mark.parametrize("call", [
     lambda: default_gamma(0.5),
     lambda: chain_step_count(0.5),
+    lambda: chain_step_count(1.5),
     lambda: chain_connect_map(SWAP, dirac(""), dirac("1"), 0.5, 3),
+    lambda: chain_connect_map(SWAP, dirac(""), dirac("1"), 0.5, 1),
     lambda: chain_connect_homeo(SWAP, dirac(""), dirac("1"), 0.75, 2),
+    lambda: chain_connect_homeo(SWAP, dirac(""), dirac("1"), 0.75, 0),
     lambda: verify_chain(SWAP, [dirac(""), dirac("1")], 0.5),
 ])
 def test_chain_functions_reject_floats(call):
+    # A float is reported as such before any range or length check: the
+    # cases with delta 1.5, k = 1 or k = 0 would fail those checks too.
     with pytest.raises(ParameterError, match="float"):
         call()
 
