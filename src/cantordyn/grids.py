@@ -13,10 +13,16 @@ pairwise Prohorov value then reduces, by the ultrametric closed form of
 ``measures``, to sums of positive class-mass differences over the common
 support, with the solver's thresholds (the distinct gaps) and its classes
 (the runs of gaps); masses are small integers over one denominator, so the
-whole scan runs in numpy int arithmetic, at any number of tracked points.  Each
-interval is clamped by the solver's own rule, ``measures._interval_value``,
-once per possible integer g, and the values rank into a short list of exact
-rationals.  No floats are involved anywhere.
+whole scan runs in numpy int arithmetic, at any number of tracked points.
+Every measure's class masses sum to the resolution res, so that sum is
+g = sum_B max(mu(B), nu(B)) - res, and the scan sums class maxima in the
+narrowest unsigned type that holds 2 res (uint8 up to res 127, uint16 up
+to 32,767).  Each interval is clamped by the solver's own rule,
+``measures._interval_value``, once per possible integer g, the values rank
+into a short list of exact rationals, and a step stops at the first
+threshold where every pair is feasible, because, as in
+``measures._clamped_min``, a pair's first feasible interval attains its
+least value.  No floats are involved anywhere.
 
 numpy is imported inside the scanner's methods and ``li_yorke_scan`` only,
 so building grids, maps and measures (``cantordyn generate``) never loads it.
@@ -140,7 +146,8 @@ class CommonSupportScanner:
     matrix in integer arithmetic, then clamped per interval exactly as the
     scalar solver does.  Distances are ranked into a short sorted list of
     exact rationals so that whole-grid minima and maxima stay in small
-    integers.
+    integers: uint16 ranks, with the invalid rank one past the last, so a
+    resolution whose values do not fit is declined.
     """
 
     def __init__(self, family: TrajectoryFamily, measures: list[AtomicMeasure], resolution: int):
@@ -164,6 +171,10 @@ class CommonSupportScanner:
         self.values: list[Fraction] = sorted(vals)
         self.rank = {v: r for r, v in enumerate(self.values)}
         self.invalid_rank = len(self.values)
+        if self.invalid_rank > np.iinfo(np.uint16).max:
+            raise ParameterError(
+                f"resolution {resolution} is too fine for the scanner: its {len(self.values)}"
+                " distances and the invalid rank do not fit in uint16 ranks")
 
     def _classes(self, form, s: int) -> np.ndarray:
         """(k, classes) 0/1 membership of the classes of "d <= 1/s" among the
@@ -178,7 +189,18 @@ class CommonSupportScanner:
         return member
 
     def rank_matrix_at(self, n: int) -> np.ndarray:
-        """(R, R) uint16 matrix of ranked d(mu_i(n), mu_j(n)) for all pairs."""
+        """(R, R) uint16 matrix of ranked d(mu_i(n), mu_j(n)) for all pairs.
+
+        Every row's class masses sum to the resolution res, so the positive
+        excesses sum to g = sum_B max(mu(B), nu(B)) - res: one
+        ``np.maximum.outer`` and one add per class, into an (R, R)
+        accumulator of ``np.min_scalar_type(2 * res)``, the narrowest
+        unsigned type that holds the sum, and the lookup table is read at
+        res + g (its first res entries are never read).  The matrix is
+        symmetric because max is.  The thresholds stop at the first one
+        where every entry is feasible: as in ``measures._clamped_min``, each
+        pair's first feasible interval attains its least value.
+        """
         import numpy as np
 
         form = self.family.form_at(n)
@@ -186,20 +208,25 @@ class CommonSupportScanner:
         res = self.resolution
         nmeas = self.mass.shape[0]
         best = np.full((nmeas, nmeas), self.invalid_rank, dtype=np.uint16)
-        g_nums = np.empty((nmeas, nmeas), dtype=np.int64)
-        excess = np.empty_like(g_nums)
+        total = np.empty((nmeas, nmeas), dtype=np.min_scalar_type(2 * res))
+        top = np.empty_like(total)
+        lut = np.full(2 * res + 1, self.invalid_rank, dtype=np.uint16)
         for s, s_next in zip(thresholds, thresholds[1:] + [None]):
-            # rank of the clamped value per possible integer g in [0, res];
-            # an infeasible interval (value None) gets the invalid rank
-            lut = np.array([self.rank.get(_interval_value(g, res, s, s_next), self.invalid_rank)
-                            for g in range(res + 1)], dtype=np.uint16)
-            g_nums.fill(0)
-            for col in (self.mass @ self._classes(form, s)).T:
-                np.subtract.outer(col, col, out=excess)
-                np.maximum(excess, 0, out=excess)
-                g_nums += excess
-            np.minimum(best, lut[g_nums], out=best)
-        assert int(best.max()) < self.invalid_rank
+            # rank of the clamped value at res + g per possible integer g in
+            # [0, res]; an infeasible interval (value None) gets the invalid rank
+            lut[res:] = [self.rank.get(_interval_value(g, res, s, s_next), self.invalid_rank)
+                         for g in range(res + 1)]
+            # one contiguous row per class keeps ``maximum.outer`` vectorised
+            masses = (self.mass @ self._classes(form, s)).T.astype(total.dtype, order="C")
+            np.maximum.outer(masses[0], masses[0], out=total)
+            for col in masses[1:]:
+                np.maximum.outer(col, col, out=top)
+                total += top
+            np.minimum(best, lut.take(total), out=best)
+            feasible = int(best.max()) < self.invalid_rank
+            if feasible:
+                break
+        assert feasible
         return best
 
 
@@ -230,7 +257,9 @@ def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: i
     """Classify every unordered pair of simplex-grid measures exactly.
 
     liminf and limsup of each pair's distance sequence are taken over one
-    certified period of the shared trajectory family.
+    certified period of the shared trajectory family.  Both rank matrices
+    are symmetric, so each class is counted over the whole matrix, less its
+    diagonal, and halved.
     """
     import numpy as np
 
@@ -249,11 +278,15 @@ def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: i
             np.minimum(liminf_ranks, ranks, out=liminf_ranks)
             np.maximum(limsup_ranks, ranks, out=limsup_ranks)
     zero = scanner.rank[Fraction(0)]
-    iu = np.triu_indices(len(grid), k=1)
-    li, ls = liminf_ranks[iu], limsup_ranks[iu]
+    li, ls = liminf_ranks, limsup_ranks
+
+    def pairs(hit: np.ndarray) -> int:
+        # both rank matrices are symmetric: count each unordered pair once
+        return (int(hit.sum()) - int(hit.diagonal().sum())) // 2
+
     counts = {
-        PairClass.ASYMPTOTIC.value: int((ls == zero).sum()),
-        PairClass.SEPARATED_BELOW.value: int((li > zero).sum()),
-        PairClass.LI_YORKE_PAIR.value: int(((li == zero) & (ls > zero)).sum()),
+        PairClass.ASYMPTOTIC.value: pairs(ls == zero),
+        PairClass.SEPARATED_BELOW.value: pairs(li > zero),
+        PairClass.LI_YORKE_PAIR.value: pairs((li == zero) & (ls > zero)),
     }
     return LiYorkeScan(grid, family, scanner, counts, liminf_ranks, limsup_ranks)

@@ -29,7 +29,6 @@ from cantordyn.measures import (
     atomic_measure,
     convex_combine,
     dirac,
-    prohorov_distance,
     pushforward_iter,
 )
 from cantordyn.recurrence import (

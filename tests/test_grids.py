@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
 import pytest
 
 from cantordyn.cantor import representative
@@ -147,6 +148,62 @@ def test_rank_matrix_agrees_with_scalar_distance():
             nu_n = pushforward_iter(tower.table, grid[j], n)
             expected = prohorov(mu_n, nu_n, backend="flow").value
             assert scanner.values[int(ranks[i, j])] == expected, (i, j, n)
+
+
+TOWERS = {
+    "dumbbell": lambda: make_dumbbell_tower((4, 2), 2, bar_length=1),
+    "balloon": lambda: make_balloon_tower([(3, 2), (5, 2)], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("resolution", [127, 128, 255, 32767, 32768])
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+def test_rank_matrix_at_accumulator_type_boundaries(kind, resolution):
+    # class-maxima sums reach 2 * resolution: uint8 holds them up to 127,
+    # uint16 up to 32,767.  A sum wrapped past 2 * resolution lands below
+    # resolution, where the lookup reads infeasible, so at 128 and 32,768 a
+    # too narrow type still gives the right values; at 255 it does not.
+    # Every entry of every window step against the solver
+    tower = TOWERS[kind]()
+    partition = tower.levels[0].partition()
+    family = track_representatives(tower.table, partition)
+    rng = random.Random(resolution)
+    measures = [random_cell_measure(partition, rng, resolution) for _ in range(12)]
+    scanner = CommonSupportScanner(family, measures, resolution)
+    for n in range(family.preperiod + family.period):
+        ranks = scanner.rank_matrix_at(n)
+        moved = [pushforward_iter(tower.table, mu, n) for mu in measures]
+        for (i, mu_n), (j, nu_n) in product(enumerate(moved), repeat=2):
+            assert scanner.values[int(ranks[i, j])] == prohorov(mu_n, nu_n).value, (i, j, n)
+
+
+def test_scanner_rejects_a_resolution_without_room_for_ranks():
+    # the 70,001 multiples of 1/70,000 alone overflow the uint16 ranks
+    tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
+    partition = tower.levels[0].partition()
+    family = track_representatives(tower.table, partition)
+    measures = [random_cell_measure(partition, random.Random(k), 70000) for k in range(3)]
+    with pytest.raises(ParameterError, match="resolution 70000"):
+        CommonSupportScanner(family, measures, 70000)
+
+
+@pytest.mark.parametrize("kind", sorted(TOWERS))
+def test_scan_ranks_are_symmetric_and_counts_match_the_triangle(kind):
+    tower = TOWERS[kind]()
+    scan = li_yorke_scan(tower.table, tower.levels[0].partition(), 3)
+    zero = scan.scanner.rank[Fraction(0)]
+    for n in range(scan.family.preperiod + scan.family.period):
+        ranks = scan.scanner.rank_matrix_at(n)
+        assert (ranks == ranks.T).all() and (ranks.diagonal() == zero).all()
+    # the per-pair formula over the strict upper triangle is the oracle
+    iu = np.triu_indices(len(scan.grid), k=1)
+    li, ls = scan.liminf_ranks[iu], scan.limsup_ranks[iu]
+    assert scan.counts == {
+        PairClass.ASYMPTOTIC.value: int((ls == zero).sum()),
+        PairClass.SEPARATED_BELOW.value: int((li > zero).sum()),
+        PairClass.LI_YORKE_PAIR.value: int(((li == zero) & (ls > zero)).sum()),
+    }
+    assert sum(scan.counts.values()) == scan.pair_count
 
 
 def test_li_yorke_scan_no_pairs_on_dumbbell():

@@ -1,5 +1,5 @@
 """Source checks: every exported name has a use outside the tests, and no
-library module imports a name it never uses."""
+library module, test or demo imports a name it never uses."""
 
 import ast
 import re
@@ -8,6 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cantordyn"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _used_names(tree) -> set[str]:
@@ -53,7 +54,7 @@ def test_every_export_is_reached_outside_the_tests():
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
-    for path in MODULES:
+    for path in MODULES + SCRIPTS:
         tree = ast.parse(path.read_text())
         used = _used_names(tree)
         for node in ast.walk(tree):
@@ -63,5 +64,5 @@ def test_no_module_imports_a_name_it_never_uses():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
-                        unused.append(f"{path.name}: {name}")
+                        unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert not unused, f"imported but never used: {unused}"

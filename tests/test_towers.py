@@ -2,7 +2,6 @@
 
 import json
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
