@@ -55,26 +55,17 @@ def canonical_point(w: str) -> str:
     return check_word(w).rstrip("0")
 
 
-def first_difference(u: str, v: str) -> int | None:
-    """0-based index of the first coordinate where the points differ.
-
-    Returns None when ``u`` and ``v`` denote the same point.  Past the
-    shorter word the other one differs at its first "1".
-    """
+@table("separations", _SEPARATION_TABLE_SIZE)
+def separation(u: str, v: str) -> int:
+    """The integer form n of the distance d = 1/n, and 0 for the same point:
+    n - 1 is the 0-based index of the first coordinate where the points
+    differ, and past the shorter word the other one differs at its first "1"."""
     if len(u) > len(v):
         u, v = v, u
     for i, a in enumerate(u):
         if a != v[i]:
-            return i
-    i = v.find("1", len(u))
-    return None if i < 0 else i
-
-
-@table("separations", _SEPARATION_TABLE_SIZE)
-def separation(u: str, v: str) -> int:
-    """The integer form n of the distance d = 1/n, and 0 for the same point."""
-    i = first_difference(u, v)
-    return 0 if i is None else i + 1
+            return i + 1
+    return v.find("1", len(u)) + 1  # find's -1 becomes 0: the same point
 
 
 def _gaps(words) -> tuple[int, ...]:

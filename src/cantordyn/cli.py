@@ -143,12 +143,17 @@ def build_tower_from_config(cfg: configparser.ConfigParser):
     raise ParameterError(f"unknown map kind {kind!r}")
 
 
+def _map_path(cfg, out_dir: Path) -> Path:
+    """The map file in ``out_dir``: [run] map_file, map.json by default."""
+    return out_dir / _read(cfg, "run", "map_file", str, "map.json")
+
+
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
     tower = build_tower_from_config(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / cfg["run"].get("map_file", "map.json")
+    path = _map_path(cfg, out_dir)
     path.write_text(json.dumps(tower_to_dict(tower), indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}: {tower.kind} tower, {len(tower.levels)} level(s), "
           f"{len(tower.table.rules)} rules")
@@ -341,7 +346,7 @@ def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    map_path = out_dir / cfg["run"].get("map_file", "map.json")
+    map_path = _map_path(cfg, out_dir)
     if not map_path.exists():
         raise ParameterError(f"map file not found: {map_path} (run generate first)")
     tower = tower_from_dict(json.loads(map_path.read_text()))

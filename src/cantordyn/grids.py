@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .cantor import CylinderPartition, _sorted_form, representative
 from .errors import ParameterError
@@ -44,22 +45,18 @@ from .orbits import DEFAULT_BUDGET, PairClass, _evolve_distance_sequence
 def simplex_grid(partition: CylinderPartition, resolution: int) -> list[AtomicMeasure]:
     """All measures with masses in {0, 1/m, ..., 1} on the cell representatives.
 
-    ``resolution`` is m; the grid has C(m + k - 1, k - 1) points for k cells.
+    ``resolution`` is m; the grid has C(m + k - 1, k - 1) points for k cells,
+    in ascending lexicographic order of their cell-count vectors.
     """
     if resolution < 1:
         raise ParameterError("resolution must be positive")
     cells = partition.cells
-    out: list[AtomicMeasure] = []
-
-    def rec(i: int, left: int, acc: list[int]):
-        if i == len(cells) - 1:
-            out.append(_cell_measure(cells, acc + [left], resolution))
-            return
-        for c in range(left + 1):
-            rec(i + 1, left - c, acc + [c])
-
-    rec(0, resolution, [])
-    return out
+    # stars and bars: k - 1 bars among m + k - 1 slots, in ascending
+    # lexicographic order, so the count vectors come out in that order too
+    slots = resolution + len(cells) - 1
+    edges = ((-1, *bars, slots) for bars in combinations(range(slots), len(cells) - 1))
+    return [_cell_measure(cells, [b - a - 1 for a, b in zip(e, e[1:])], resolution)
+            for e in edges]
 
 
 def _cell_measure(cells, counts, resolution) -> AtomicMeasure:
@@ -176,18 +173,6 @@ class CommonSupportScanner:
                 f"resolution {resolution} is too fine for the scanner: its {len(self.values)}"
                 " distances and the invalid rank do not fit in uint16 ranks")
 
-    def _classes(self, form, s: int) -> np.ndarray:
-        """(k, classes) 0/1 membership of the classes of "d <= 1/s" among the
-        tracked points with sorted form ``form``: each class is one run of
-        the sorted points."""
-        import numpy as np
-
-        order, gaps = form
-        runs = _runs(gaps, s)
-        member = np.zeros((len(order), runs[-1] + 1), dtype=np.int64)
-        member[list(order), runs] = 1
-        return member
-
     def rank_matrix_at(self, n: int) -> np.ndarray:
         """(R, R) uint16 matrix of ranked d(mu_i(n), mu_j(n)) for all pairs.
 
@@ -203,8 +188,10 @@ class CommonSupportScanner:
         """
         import numpy as np
 
-        form = self.family.form_at(n)
-        thresholds = _thresholds(form[1])
+        order, gaps = self.family.form_at(n)
+        thresholds = _thresholds(gaps)
+        # one mass row per tracked point, in sorted order: each class is a run of rows
+        rows = self.mass.T[list(order)]
         res = self.resolution
         nmeas = self.mass.shape[0]
         best = np.full((nmeas, nmeas), self.invalid_rank, dtype=np.uint16)
@@ -217,7 +204,9 @@ class CommonSupportScanner:
             lut[res:] = [self.rank.get(_interval_value(g, res, s, s_next), self.invalid_rank)
                          for g in range(res + 1)]
             # one contiguous row per class keeps ``maximum.outer`` vectorised
-            masses = (self.mass @ self._classes(form, s)).T.astype(total.dtype, order="C")
+            runs = _runs(gaps, s)  # nondecreasing: each class starts at its first row
+            starts = np.searchsorted(runs, range(runs[-1] + 1))
+            masses = np.add.reduceat(rows, starts, axis=0).astype(total.dtype, order="C")
             np.maximum.outer(masses[0], masses[0], out=total)
             for col in masses[1:]:
                 np.maximum.outer(col, col, out=top)
@@ -267,16 +256,12 @@ def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: i
     grid = simplex_grid(partition, resolution)
     scanner = CommonSupportScanner(family, grid, resolution)
     rho, tau = family.preperiod, family.period
-    liminf_ranks = None
-    limsup_ranks = None
-    for n in range(rho, rho + tau):
+    liminf_ranks = scanner.rank_matrix_at(rho)
+    limsup_ranks = liminf_ranks.copy()
+    for n in range(rho + 1, rho + tau):
         ranks = scanner.rank_matrix_at(n)
-        if liminf_ranks is None:
-            liminf_ranks = ranks.copy()
-            limsup_ranks = ranks.copy()
-        else:
-            np.minimum(liminf_ranks, ranks, out=liminf_ranks)
-            np.maximum(limsup_ranks, ranks, out=limsup_ranks)
+        np.minimum(liminf_ranks, ranks, out=liminf_ranks)
+        np.maximum(limsup_ranks, ranks, out=limsup_ranks)
     zero = scanner.rank[Fraction(0)]
     li, ls = liminf_ranks, limsup_ranks
 

@@ -31,6 +31,7 @@ from .cantor import (
     canonical_point,
     cells_meeting,
     check_word,
+    cylinders_comparable,
     is_complete_prefix_code,
     normalize_cylinder_union,
     standard_partition,
@@ -96,25 +97,11 @@ class PrefixTableMap:
 
     def image_cylinders(self, prefix: str) -> tuple[str, ...]:
         """f(Cylinder(prefix)) as a normalized finite union of cylinders."""
-        prefix = check_word(prefix)
-        pieces = []
-        for d, i in self.rules:
-            if d.startswith(prefix):
-                pieces.append(i)
-            elif prefix.startswith(d):
-                pieces.append(i + prefix[len(d):])
-        return normalize_cylinder_union(pieces)
+        return _rewrite(self.rules, prefix)
 
     def preimage_cylinders(self, prefix: str) -> tuple[str, ...]:
         """f^{-1}(Cylinder(prefix)) as a normalized finite union of cylinders."""
-        prefix = check_word(prefix)
-        pieces = []
-        for d, i in self.rules:
-            if i.startswith(prefix):
-                pieces.append(d)
-            elif prefix.startswith(i):
-                pieces.append(d + prefix[len(i):])
-        return normalize_cylinder_union(pieces)
+        return _rewrite(((i, d) for d, i in self.rules), prefix)
 
     def iterated_image_cylinders(self, prefixes, n: int) -> tuple[str, ...]:
         """Image of a union of cylinders under f^n, symbolically."""
@@ -125,6 +112,16 @@ class PrefixTableMap:
                 step.extend(self.image_cylinders(p))
             current = normalize_cylinder_union(step)
         return current
+
+
+def _rewrite(pairs, prefix: str) -> tuple[str, ...]:
+    """Cylinder(prefix) read through the rules (a -> b) of ``pairs``, as a
+    normalized finite union of cylinders: each a that meets it sends it to
+    b followed by the rest of ``prefix`` past a, which is empty when a
+    extends ``prefix``."""
+    prefix = check_word(prefix)
+    return normalize_cylinder_union(
+        b + prefix[len(a):] for a, b in pairs if cylinders_comparable(a, prefix))
 
 
 @table("images", _IMAGE_TABLE_SIZE)
@@ -148,10 +145,7 @@ def image_cells(f: PrefixTableMap, prefix: str, partition_or_depth) -> set[str]:
 
 def preimage_cells(f: PrefixTableMap, prefix: str, partition_or_depth) -> set[str]:
     """Cells of the partition meeting f^{-1}(Cylinder(prefix)); may be empty."""
-    pre = f.preimage_cylinders(prefix)
-    if not pre:
-        return set()
-    return cells_meeting(pre, _as_partition(partition_or_depth))
+    return cells_meeting(f.preimage_cylinders(prefix), _as_partition(partition_or_depth))
 
 
 @dataclass(frozen=True)

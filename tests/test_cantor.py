@@ -15,7 +15,6 @@ from cantordyn.cantor import (
     cells_meeting,
     cylinder_contains,
     cylinder_diameter,
-    first_difference,
     is_complete_prefix_code,
     normalize_cylinder_union,
     partition_stats,
@@ -68,7 +67,6 @@ def test_point_distance_matches_oracle_exhaustively():
             for _ in range(2):
                 assert point_distance(u, v) == d
                 assert separation(u, v) == (d.denominator if d else 0)
-            assert first_difference(u, v) == (d.denominator - 1 if d else None)
     info = separation.cache_info()
     assert info.misses == len(ws) ** 2 and info.hits == 3 * len(ws) ** 2
 

@@ -478,6 +478,17 @@ def test_analyze_without_map_exits_3(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+def test_config_without_run_section_uses_the_defaults(tmp_path):
+    # every [run] key has a default, map_file included
+    cfg = _write_config(tmp_path, DUMBBELL_CONFIG.split("[run]")[0])
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "map.json").exists()
+    assert main(["analyze", "--config", cfg, "--suite", "recurrence",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_recurrence.json").read_text())
+    assert "run" not in report["config"] and report["seed"] == 0
+
+
 def test_missing_config_exits_3(tmp_path):
     assert main(["generate", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)]) == 3

@@ -32,6 +32,21 @@ def test_simplex_grid_count_and_masses():
         assert all(m.denominator in (1, 3) for _, m in mu.atoms)
 
 
+@pytest.mark.parametrize("tower", [
+    make_balloon_tower([(2, 2)], [1]),
+    make_dumbbell_tower((4, 2), 1, bar_length=1),
+], ids=["balloon", "dumbbell"])
+@pytest.mark.parametrize("resolution", [1, 2, 3])
+def test_simplex_grid_is_in_lexicographic_order_of_cell_counts(tower, resolution):
+    # the grid index of each measure is part of the reports: it must not move
+    partition = tower.levels[0].partition()
+    reps = [representative(c) for c in partition.cells]
+    grid = simplex_grid(partition, resolution)
+    counts = [tuple(int(dict(mu.atoms).get(r, 0) * resolution) for r in reps) for mu in grid]
+    assert counts == sorted(
+        c for c in product(range(resolution + 1), repeat=len(reps)) if sum(c) == resolution)
+
+
 def test_random_cell_measure_lives_on_representatives():
     tower = make_balloon_tower([(2, 2)], [1])
     partition = tower.levels[0].partition()

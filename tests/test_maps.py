@@ -8,7 +8,12 @@ from itertools import product
 
 import pytest
 
-from cantordyn.cantor import canonical_point, representative, standard_partition
+from cantordyn.cantor import (
+    canonical_point,
+    point_in_cylinder,
+    representative,
+    standard_partition,
+)
 from cantordyn.errors import ParameterError
 from cantordyn.maps import (
     PrefixTableMap,
@@ -89,6 +94,25 @@ def exhaustive_adjointness(f, depth):
 def test_image_preimage_adjointness(f):
     exhaustive_adjointness(f, 2)
     exhaustive_adjointness(f, 3)
+
+
+@pytest.mark.parametrize("tower", [
+    make_balloon_tower([(3, 2), (5, 2)], [2, 4]),  # not injective
+    make_dumbbell_tower((4, 2), 2, bar_length=1),  # a homeomorphism
+], ids=["balloon", "dumbbell"])
+def test_preimage_cylinders_hold_exactly_the_points_mapped_into_the_cylinder(tower):
+    f = tower.table
+    assert f.is_homeomorphism() == (tower.kind == "dumbbell")
+    prefixes = ["".join(bits) for k in range(4) for bits in product("01", repeat=k)]
+    points = {canonical_point("".join(bits)) for k in range(7)
+              for bits in product("01", repeat=k)}
+    for prefix in prefixes:
+        pre = f.preimage_cylinders(prefix)
+        for x in points:
+            inside = any(point_in_cylinder(x, p) for p in pre)
+            assert inside == point_in_cylinder(f.apply(x), prefix), (prefix, x)
+        if f.is_homeomorphism():
+            assert pre == f.invert().image_cylinders(prefix)
 
 
 def test_graph_of_examples():
