@@ -22,12 +22,14 @@ deterministic given the config and seed.  The separate ``timings`` field
 holds, per suite, its wall time in ms, the integer Prohorov problems it
 solved and the pushforwards it computed (``solves``, ``pushforwards``; the
 solves include those of the distance profiles), the word separations and
-images it computed (``separations``, ``images``), and the calls of each that
-a per-process memo or table answered instead (``solve_hits``,
-``pushforward_hits``, ``separation_hits``, ``image_hits``).  Each count
-plus its hits is the number of calls: ``solves`` plus ``solve_hits`` is the
-number of ``prohorov`` calls.  Each row is the change of ``tables.counts()``
-over the suite, the one registry of those memos and tables.
+images it computed (``separations``, ``images``), the chain records it
+started (``chains``), and the calls of each that a per-process memo or
+table answered instead (``solve_hits``, ``pushforward_hits``,
+``separation_hits``, ``image_hits``, ``chain_hits``: a chain call read off
+an earlier record).  Each count plus its hits is the number of calls:
+``solves`` plus ``solve_hits`` is the number of ``prohorov`` calls.  Each
+row is the change of ``tables.counts()`` over the suite, the one registry
+of those memos and tables.
 """
 
 from __future__ import annotations
@@ -217,6 +219,8 @@ def _suite_chains(tower, cfg, rng):
     deltas = _read(cfg, "analysis", "chain_deltas", _fractions, "3/4, 1/2")
     if not deltas:
         raise ParameterError("[analysis] chain_deltas names no delta")
+    # every delta's k0 before the first certificate: an invalid delta declines the suite
+    k0s = [chain_step_count(delta) for delta in deltas]
     extra = _read(cfg, "analysis", "chain_lengths_extra", int, "2")
     if extra < 0:
         raise ParameterError(f"[analysis] chain_lengths_extra = {extra} is below 0")
@@ -229,8 +233,7 @@ def _suite_chains(tower, cfg, rng):
         for _ in range(pair_count)
     ]
     homeo = tower.table.is_homeomorphism()
-    for delta in deltas:
-        k0 = chain_step_count(delta)
+    for delta, k0 in zip(deltas, k0s):
         failures = []
         for idx, (mu, nu) in enumerate(pairs):
             for k in range(k0, k0 + extra + 1):
@@ -276,8 +279,13 @@ def _suite_recurrence(tower, cfg, rng):
     lam_list = _read(cfg, "analysis", "lambda", _fractions, "1/4")
     if not lam_list:
         raise ParameterError("[analysis] lambda names no lambda")
-    for p in periods:
-        choices = enumerate_admissible_choices(tower, period=p)
+    # every period and lambda before the first certificate, so that an
+    # invalid one declines the suite instead of ending it midway
+    for lam in lam_list:
+        if not 0 < lam < 1:
+            raise ParameterError(f"[analysis] lambda = {lam} is not strictly between 0 and 1")
+    choices_by_period = [(p, enumerate_admissible_choices(tower, period=p)) for p in periods]
+    for p, choices in choices_by_period:
         measures = [periodic_measure(tower, c, level=len(c.components) - 1) for c in choices]
         distinct = len(set(measures))
         yield Certificate(

@@ -3,12 +3,16 @@
 Every check here returns a :class:`~cantordyn.certs.Certificate` whose
 payload carries exact rationals only.  Chains are verified step by step
 with the exact Prohorov solver, never assumed from the construction that
-produced them.
+produced them.  The chains of one (map, mu, nu, delta, backend) are
+prefixes of one another, so ``chain_connect_map`` keeps one record of that
+chain per process, registered in ``tables``: a call builds and verifies
+only the steps past the verified prefix, and a recorded failing step fails
+every longer chain with the same error text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,7 +30,10 @@ from .measures import (
     pushforward_iter,
 )
 from .orbits import distance_profile, orbit_distance_to_target
+from .tables import table
 from .towers import MapTower
+
+_CHAIN_RECORD_SIZE = 4  # callers ask for the lengths of one chain back to back
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +81,7 @@ def default_gamma(delta: Fraction) -> Fraction:
     delta = _exact("delta", delta)
     a, b = delta.numerator, delta.denominator
     if not 0 < a < b:
-        raise ParameterError("delta must lie strictly between 0 and 1")
+        raise ParameterError(f"delta = {delta} must lie strictly between 0 and 1")
     q = pow(a, -1, b)
     q += (2 * b - q) // b * b
     p = (a * q - 1) // b
@@ -82,14 +89,51 @@ def default_gamma(delta: Fraction) -> Fraction:
     return Fraction(p, q)
 
 
-def chain_step_count(delta: Fraction) -> int:
-    """The least k0 with (k0 - 1) * gamma < 1 <= k0 * gamma, for the mixing
-    step gamma = ``default_gamma(delta)``; it depends only on delta."""
-    gamma = default_gamma(delta)
+def _step_count(gamma: Fraction) -> int:
+    """The least k0 with (k0 - 1) * gamma < 1 <= k0 * gamma."""
     p, q = gamma.numerator, gamma.denominator
     k0 = -(-q // p)  # ceil(1/gamma)
     assert (k0 - 1) * p < q <= k0 * p
     return k0
+
+
+def chain_step_count(delta: Fraction) -> int:
+    """The least k0 with (k0 - 1) * gamma < 1 <= k0 * gamma, for the mixing
+    step gamma = ``default_gamma(delta)``: the least length of
+    ``chain_connect_map``.  It depends only on delta."""
+    return _step_count(default_gamma(delta))
+
+
+@dataclass
+class _ChainRecord:
+    """The chain of one (map, mu, nu, delta, backend) as far as any call has
+    asked for it: its points, the distances of its verified steps, and once
+    a step fails, that step's index and error text."""
+
+    k0: int
+    points: list[AtomicMeasure]
+    distances: list[Fraction] = field(default_factory=list)
+    failure: tuple[int, str] | None = None
+
+
+@table("chains", _CHAIN_RECORD_SIZE)
+def _chain_record(f, mu, nu, delta: Fraction, backend: str) -> _ChainRecord:
+    """A new record holding the chain of the least length k0, unverified.
+
+    Its interpolants are (1 - j*gamma) f~^j(mu) + j*gamma f~^j(nu) for
+    j < k0, with gamma = ``default_gamma(delta)`` = p/q: the integer weights
+    q - j*p and j*p over q are both positive, and the one combine core of
+    ``measures`` merges them.  Point k0 is f~^k0(nu)."""
+    gamma = default_gamma(delta)
+    p, q = gamma.numerator, gamma.denominator
+    k0 = _step_count(gamma)
+    points = [mu]
+    mu_j, nu_j = mu, nu
+    for j in range(1, k0):
+        mu_j, nu_j = pushforward(f, mu_j), pushforward(f, nu_j)
+        points.append(_combine([(q - j * p, mu_j), (j * p, nu_j)], q))
+    points.append(pushforward(f, nu_j))
+    return _ChainRecord(k0, points)
 
 
 def chain_connect_map(
@@ -104,28 +148,32 @@ def chain_connect_map(
     k-th pushforward of nu.
 
     Interpolates (1 - j*gamma) f~^j(mu) + j*gamma f~^j(nu) until the mixing
-    weight reaches 1, jumps to the pure nu orbit, then follows it exactly.
-    The mixing step is gamma = ``default_gamma(delta)`` = p/q, so the
-    interpolant has the integer weights q - j*p and j*p over q, both
-    positive for j < k0, and is merged by the one combine core of
-    ``measures``.
+    weight reaches 1 at step k0 = ``chain_step_count(delta)``, jumps to the
+    pure nu orbit, then follows it exactly.  The chain of length k is the
+    first k steps of every longer one, so the call reads it off the
+    per-process record of (f, mu, nu, delta, backend) and verifies, through
+    ``verify_chain``, only the steps past the record's verified prefix.  A
+    step that failed fails every chain that contains it with its recorded
+    error text, so each result and each error is what a call on empty
+    tables gives.
     """
-    gamma = default_gamma(delta)
-    k0 = chain_step_count(delta)
-    if k < k0:
-        raise ParameterError(f"chain length {k} is below the minimum {k0}")
-    p, q = gamma.numerator, gamma.denominator
-    points = [mu]
-    mu_j, nu_j = mu, nu
-    for j in range(1, k0):
-        mu_j, nu_j = pushforward(f, mu_j), pushforward(f, nu_j)
-        points.append(_combine([(q - j * p, mu_j), (j * p, nu_j)], q))
-    nu_j = pushforward(f, nu_j)
-    points.append(nu_j)
-    for _ in range(k0 + 1, k + 1):
-        nu_j = pushforward(f, nu_j)
-        points.append(nu_j)
-    chain = verify_chain(f, points, delta, backend)
+    delta = _exact("delta", delta)  # before the lookup: 0.5 == Fraction(1, 2)
+    rec = _chain_record(f, mu, nu, delta, backend)
+    if k < rec.k0:
+        raise ParameterError(f"chain length {k} is below the minimum {rec.k0}")
+    while len(rec.points) <= k:
+        rec.points.append(pushforward(f, rec.points[-1]))
+    if rec.failure is None:
+        for i in range(len(rec.distances), k):
+            try:
+                step = verify_chain(f, rec.points[i:i + 2], delta, backend)
+            except CertificationError as exc:
+                rec.failure = (i, str(exc))
+                break
+            rec.distances.extend(step.step_distances)
+    if rec.failure is not None and rec.failure[0] < k:
+        raise CertificationError(rec.failure[1])
+    chain = Chain(tuple(rec.points[:k + 1]), delta, tuple(rec.distances[:k]))
     if chain.points[-1] != pushforward_iter(f, nu, k):
         raise CertificationError("chain endpoint is not the exact image of nu")
     return chain

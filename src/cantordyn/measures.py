@@ -42,9 +42,9 @@ read their closeness masks off the same runs, and the grid scanner shares
 separations.
 
 ``prohorov`` and ``pushforward`` are memoised per process, in
-least-recently-used memos: a chain of length k + 1 repeats the steps of the
-chain of length k, the same measures come back across pairs, and the
-distance profiles of a grid meet the same pairs of states again and again.
+least-recently-used memos: the same measures come back across pairs, and
+the distance profiles of a grid meet the same pairs of states again and
+again.
 A distance depends only on the integer masses and the gaps between the
 sorted words, so a solve is kept twice: by its pair of measures and backend
 (256 entries, as many as the pushforward memo), which answers an exact

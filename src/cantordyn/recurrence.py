@@ -229,7 +229,7 @@ def transient_perturbation(
     """
     lam = _exact("lambda", lam)
     if not 0 < lam < 1:
-        raise ParameterError("lambda must lie strictly between 0 and 1")
+        raise ParameterError(f"lambda = {lam} must lie strictly between 0 and 1")
     comp = tower.levels[0].components[0]
     transient = comp.transient
     if tower.kind == "balloon":

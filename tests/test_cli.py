@@ -349,6 +349,24 @@ def test_degenerate_values_decline_instead_of_passing(tmp_path, config, old, new
         c["operation"] for c in certificates}
 
 
+@pytest.mark.parametrize("old, new, suite, error", [
+    ("chain_deltas = 3/4", "chain_deltas = 1/2, 3/2", "chains",
+     "delta = 3/2 must lie strictly between 0 and 1"),
+    ("lambda = 1/4, 1/8", "lambda = 1/4, 2", "recurrence",
+     "[analysis] lambda = 2 is not strictly between 0 and 1"),
+    ("periods = 1, 2", "periods = 2, 0", "recurrence", "period = 0 is below 1"),
+], ids=["chain-delta-above-1", "lambda-above-1", "period-0-after-a-valid-one"])
+def test_out_of_range_value_declines_before_the_first_certificate(tmp_path, old, new, suite,
+                                                                 error):
+    # a valid value before the bad one once emitted its certificates first
+    cfg = _write_config(tmp_path, BALLOON_CONFIG.replace(old, new, 1))
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", suite, "--out", str(tmp_path)]) == 2
+    certificates = json.loads((tmp_path / f"report_{suite}.json").read_text())["certificates"]
+    assert [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates] == [
+        (f"suite_{suite}", "declined", {"error": error})]
+
+
 def _readme_config(tmp_path, name="Example"):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     config = readme.split(f"{name} config:\n\n```ini\n")[1].split("```")[0]
@@ -436,9 +454,10 @@ def test_report_timings_count_the_memos(tmp_path, monkeypatch):
     assert stage["stage"] == "_suite_chains"
     assert set(stage) == {"stage", "ms", "solves", "solve_hits",
                           "pushforwards", "pushforward_hits", "separations",
-                          "separation_hits", "images", "image_hits"}
-    # a chain of length k + 1 repeats the steps of the chain of length k
-    assert stage["solves"] > 0 and stage["solve_hits"] > 0
+                          "separation_hits", "images", "image_hits", "chains",
+                          "chain_hits"}
+    # the chain of length k + 1 extends the record of the chain of length k
+    assert stage["solves"] > 0 and stage["chain_hits"] > 0
     assert stage["pushforwards"] > 0 and stage["pushforward_hits"] > 0
     # each call is one integer problem solved or one memo hit
     assert stage["solves"] + stage["solve_hits"] == len(calls)

@@ -6,9 +6,11 @@ from math import gcd
 
 import pytest
 
+from cantordyn import dynamics, measures, tables
 from cantordyn.cantor import representative, standard_partition
 from cantordyn.certs import Certificate, to_jsonable
 from cantordyn.dynamics import (
+    Chain,
     chain_connect_homeo,
     chain_connect_map,
     chain_continuity_test,
@@ -29,6 +31,7 @@ from cantordyn.measures import (
     atomic_measure,
     convex_combine,
     dirac,
+    pushforward,
     pushforward_iter,
 )
 from cantordyn.recurrence import (
@@ -222,6 +225,114 @@ def test_chain_identical_measures_is_exact_orbit():
 def test_chain_length_below_minimum_rejected():
     with pytest.raises(ParameterError):
         chain_connect_map(SWAP, dirac(""), dirac("1"), Fraction(1, 2), 2)
+
+
+def _outcome(connect, *args):
+    """The chain a call returns, or the text of the CertificationError it raises."""
+    try:
+        return connect(*args)
+    except CertificationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("connect, tower", [
+    (chain_connect_map, _BALLOON),
+    (chain_connect_map, _DUMBBELL),
+    (chain_connect_homeo, _DUMBBELL),
+], ids=["balloon-map", "dumbbell-map", "dumbbell-homeo"])
+@pytest.mark.parametrize("delta", [Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)])
+def test_chain_record_gives_each_length_as_a_fresh_call(connect, tower, delta):
+    # lengths k0..k0+3 in ascending order, in descending order, and each on
+    # empty tables: the record must not make a chain depend on the order
+    f = tower.table
+    partition = tower.levels[0].partition()
+    rng = random.Random(17)
+    k0 = chain_step_count(delta)
+    lengths = list(range(k0, k0 + 4))
+    for _ in range(3):
+        mu = random_cell_measure(partition, rng, 4)
+        nu = random_cell_measure(partition, rng, 4)
+
+        def build(order, fresh):
+            tables.reset()
+            out = {}
+            for k in order:
+                if fresh:
+                    tables.reset()
+                out[k] = _outcome(connect, f, mu, nu, delta, k)
+            return out
+
+        ascending = build(lengths, fresh=False)
+        if connect is chain_connect_map:
+            # one record, read by every longer length
+            assert tables.counts()["chains"] == 1 and tables.counts()["chain_hits"] == 3
+        assert build(lengths[::-1], fresh=False) == ascending
+        assert build(lengths, fresh=True) == ascending
+        for k, chain in ascending.items():
+            assert isinstance(chain, Chain) and chain.length == k
+
+
+@pytest.mark.parametrize("failing_step", range(6))
+def test_a_failed_step_fails_exactly_the_chains_that_hold_it(monkeypatch, failing_step):
+    f, delta = _BALLOON.table, Fraction(1, 2)
+    k0 = chain_step_count(delta)
+    lengths = list(range(k0, k0 + 4))
+    rng = random.Random(23)
+    partition = _BALLOON.levels[0].partition()
+    mu = random_cell_measure(partition, rng, 4)
+    nu = random_cell_measure(partition, rng, 4)
+    tables.reset()
+    full = chain_connect_map(f, mu, nu, delta, lengths[-1])
+    steps = [(pushforward(f, a), b) for a, b in zip(full.points, full.points[1:])]
+    # the solve of this step returns delta itself; an equal step earlier in
+    # the chain fails first
+    failing = steps[failing_step]
+    first = steps.index(failing)
+    solve = dynamics.prohorov_distance
+
+    def solve_failing(a, b, backend="auto"):
+        return delta if (a, b) == failing else solve(a, b, backend)
+
+    monkeypatch.setattr(dynamics, "prohorov_distance", solve_failing)
+    error = f"chain step distance {delta} is not below {delta}"
+    expected = {k: error if k > first else
+                Chain(full.points[:k + 1], delta, full.step_distances[:k]) for k in lengths}
+    for order, fresh in ((lengths, False), (lengths[::-1], False),
+                         ([k0 + 2, k0, k0 + 3, k0 + 1], False), (lengths, True)):
+        tables.reset()
+        for k in order:
+            if fresh:
+                tables.reset()
+            assert _outcome(chain_connect_map, f, mu, nu, delta, k) == expected[k], (order, k)
+        # asking again changes nothing, and the failed step was never verified
+        for k in order:
+            assert _outcome(chain_connect_map, f, mu, nu, delta, k) == expected[k], (order, k)
+        record = dynamics._chain_record(f, mu, nu, delta, "auto")
+        assert len(record.distances) == first
+        assert record.failure == (first, error)
+
+
+def test_chain_record_is_kept_per_backend(monkeypatch):
+    # a "both" chain runs the flow oracle even after an "auto" chain of the
+    # same inputs filled its record
+    tables.reset()
+    flow_calls = []
+    flow = measures._ORACLES["flow"]
+
+    def counted(*args):
+        flow_calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setitem(measures._ORACLES, "flow", counted)
+    partition = _BALLOON.levels[0].partition()
+    rng = random.Random(29)
+    mu = random_cell_measure(partition, rng, 4)
+    nu = random_cell_measure(partition, rng, 4)
+    delta = Fraction(1, 2)
+    auto = chain_connect_map(_BALLOON.table, mu, nu, delta, 4)
+    assert not flow_calls
+    assert chain_connect_map(_BALLOON.table, mu, nu, delta, 4, backend="both") == auto
+    assert flow_calls
 
 
 def test_chain_connect_homeo_examples():

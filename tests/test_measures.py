@@ -25,7 +25,7 @@ from cantordyn.cantor import (
     separation,
     standard_partition,
 )
-from cantordyn.dynamics import chain_connect_map, chain_step_count
+from cantordyn.dynamics import _chain_record, chain_connect_map, chain_step_count
 from cantordyn.errors import BackendSelectionError, ParameterError
 from cantordyn.grids import random_atomic_measure, random_cell_measure
 from cantordyn.maps import PrefixTableMap
@@ -626,6 +626,7 @@ def test_reset_zeroes_every_count():
     h = make_dumbbell_tower((4, 2), 2, 1).table
     mu = random_atomic_measure(random.Random(7), max_atoms=6, max_depth=6)
     prohorov(mu, pushforward(h, mu))
+    chain_connect_map(h, mu, mu, Fraction(1, 2), 3)
     counts = tables.counts()
     assert all(counts[counter] > 0 for counter, _ in tables._TABLES)
     tables.reset()
@@ -678,9 +679,10 @@ def test_chain_steps_do_not_depend_on_the_memos():
         return out
 
     fresh = step_distances(clear=True)
-    hits = _solved.cache_info().hits
+    hits = _chain_record.cache_info().hits
     assert step_distances(clear=False) == fresh
-    assert _solved.cache_info().hits > hits
+    # every length of the second pass is read off the one chain record
+    assert _chain_record.cache_info().hits == hits + 4
 
 
 # -- serialization ----------------------------------------------------------
