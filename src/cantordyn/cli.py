@@ -11,11 +11,11 @@ prohorov   exact distance between two measure files
 report     print the pass/fail table of an existing report
 
 Exit codes: 0 all certificates pass, 2 some certificate failed,
-3 configuration or usage error (a config file that does not parse, or a
-malformed [map] or [run] value).  A suite that exceeds a budget or declines
-its inputs (a ParameterError while it runs, such as a malformed [analysis]
-value it reads) is recorded as a failed certificate, so the other suites'
-certificates are kept.
+3 configuration or usage error (a config file that does not parse, a
+malformed [map] or [run] value, or an [analysis] key not in ``_ANALYSIS``).
+A suite that exceeds a budget or declines its inputs (a ParameterError,
+such as a bad value of a key it reads, found before its first certificate)
+is recorded as one failed certificate, so the other suites' are kept.
 
 All rationals cross this boundary as "p/q" strings; reports are
 deterministic given the config and seed.  The separate ``timings`` field
@@ -74,14 +74,6 @@ from .towers import make_balloon_tower, make_dumbbell_tower, tower_from_dict, to
 BACKENDS = ("enumeration", "flow", "auto", "both")
 
 
-def _fractions(raw: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in raw.split(",") if part.strip()]
-
-
-def _ints(raw: str) -> list[int]:
-    return [int(part.strip()) for part in raw.split(",") if part.strip()]
-
-
 def _read(cfg, section: str, key: str, parse, fallback=None):
     """``parse`` of the value of ``key`` in ``section``: a missing key
     without a fallback, or a value that ``parse`` cannot read, raises
@@ -95,10 +87,14 @@ def _read(cfg, section: str, key: str, parse, fallback=None):
         raise ParameterError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def _backend(raw: str) -> str:
-    if raw not in BACKENDS:
-        raise ValueError(f"not one of {', '.join(BACKENDS)}")
-    return raw
+def _list(item):
+    """The parser of a comma-separated, nonempty list of ``item`` values."""
+    def parse(raw: str) -> list:
+        values = [item(part.strip()) for part in raw.split(",") if part.strip()]
+        if not values:
+            raise ValueError("names no value")
+        return values
+    return parse
 
 
 def _depth_q(raw: str) -> tuple[int, int]:
@@ -106,21 +102,52 @@ def _depth_q(raw: str) -> tuple[int, int]:
     return int(depth), int(q)
 
 
-def _shared(cfg, key: str):
-    """An [analysis] value that more than one suite reads, with its one
-    default: ``eps``, ``delta`` or ``grid_resolution``."""
-    parse, default = {"eps": (Fraction, "1/4"), "delta": (Fraction, "1/2"),
-                      "grid_resolution": (int, "2")}[key]
-    return _read(cfg, "analysis", key, parse, default)
+def _at_least(low: int):
+    return lambda value, tower: None if value >= low else f"is below {low}"
 
 
-def _level(tower, cfg) -> int:
-    """The configured certified level, 0 .. len(tower.levels) - 1."""
-    level = _read(cfg, "analysis", "level", int, "0")
-    if not 0 <= level < len(tower.levels):
-        raise ParameterError(f"[analysis] level = {level} is not a certified level "
-                             f"(0..{len(tower.levels) - 1})")
-    return level
+def _positive(value, tower):
+    return None if value > 0 else "is not positive"
+
+
+def _unit(value, tower):
+    return None if 0 < value < 1 else "is not strictly between 0 and 1"
+
+
+# every [analysis] key: its parser, its default and its check, which is
+# applied to each value the key names and returns why it is refused, or None
+_ANALYSIS = {
+    "level": (int, "0", lambda level, tower: None if 0 <= level < len(tower.levels)
+              else f"is not a certified level (0..{len(tower.levels) - 1})"),
+    "eps": (Fraction, "1/4", _positive),
+    "delta": (Fraction, "1/2", _unit),
+    "grid_resolution": (int, "2", _at_least(1)),
+    "entropy_resolution": (int, "2", _at_least(1)),
+    # the entropy verdict compares the counts at the last two horizons
+    "entropy_horizon": (int, "6", _at_least(2)),
+    "entropy_eps": (_list(Fraction), "1/2, 1/4", _positive),
+    "chain_deltas": (_list(Fraction), "3/4, 1/2", _unit),
+    # no pair or no length verifies no chain
+    "chain_pairs": (int, "4", _at_least(1)),
+    "chain_lengths_extra": (int, "2", _at_least(0)),
+    "continuity_depth": (int, "3", _at_least(1)),
+    "backend": (str, "auto", lambda name, tower: None if name in BACKENDS
+                else f"is not one of {', '.join(BACKENDS)}"),
+    "periods": (_list(int), "1, 2", _at_least(1)),
+    "lambda": (_list(Fraction), "1/4", _unit),
+}
+
+
+def _analysis(cfg, key: str, tower):
+    """The value of [analysis] ``key``, or its default: a value that the
+    key's parser or check refuses raises ParameterError naming the key."""
+    parse, default, check = _ANALYSIS[key]
+    value = _read(cfg, "analysis", key, parse, default)
+    for item in value if isinstance(value, list) else (value,):
+        reason = check(item, tower)
+        if reason is not None:
+            raise ParameterError(f"[analysis] {key} = {item} {reason}")
+    return value
 
 
 def load_config(path: str) -> configparser.ConfigParser:
@@ -134,8 +161,8 @@ def load_config(path: str) -> configparser.ConfigParser:
 def build_tower_from_config(cfg: configparser.ConfigParser):
     kind = cfg.get("map", "kind", fallback="balloon")
     if kind == "balloon":
-        levels = _read(cfg, "map", "levels", lambda raw: [_depth_q(p) for p in raw.split(",")])
-        return make_balloon_tower(levels, _read(cfg, "map", "counts", _ints))
+        levels = _read(cfg, "map", "levels", _list(_depth_q))
+        return make_balloon_tower(levels, _read(cfg, "map", "counts", _list(int)))
     if kind == "dumbbell":
         return make_dumbbell_tower(
             _read(cfg, "map", "level", _depth_q),
@@ -166,16 +193,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _suite_liyorke(tower, cfg, rng):
-    resolution = _shared(cfg, "grid_resolution")
-    level = _level(tower, cfg)
+def _suite_liyorke(tower, values, rng):
+    resolution, level = values["grid_resolution"], values["level"]
     scan = li_yorke_scan(tower.table, tower.levels[level].partition(), resolution)
+    none = scan.counts[PairClass.LI_YORKE_PAIR.value] == 0
     yield Certificate(
         operation="li_yorke_scan",
-        passed=scan.counts[PairClass.LI_YORKE_PAIR.value] == 0,
-        verdict="no_li_yorke_pairs"
-        if scan.counts[PairClass.LI_YORKE_PAIR.value] == 0
-        else "li_yorke_pair_found",
+        passed=none,
+        verdict="no_li_yorke_pairs" if none else "li_yorke_pair_found",
         parameters={"resolution": resolution, "level": level,
                     "grid_size": len(scan.grid), "pairs": scan.pair_count},
         witnesses={"counts": scan.counts},
@@ -183,18 +208,10 @@ def _suite_liyorke(tower, cfg, rng):
     )
 
 
-def _suite_entropy(tower, cfg, rng):
-    level = _level(tower, cfg)
-    resolution = _read(cfg, "analysis", "entropy_resolution", int, "2")
-    horizon = _read(cfg, "analysis", "entropy_horizon", int, "6")
-    if horizon < 2:
-        # the verdict compares the counts at the last two horizons
-        raise ParameterError(f"[analysis] entropy_horizon = {horizon} is below 2")
-    eps_list = _read(cfg, "analysis", "entropy_eps", _fractions, "1/2, 1/4")
-    if not eps_list:
-        raise ParameterError("[analysis] entropy_eps names no eps")
-    partition = tower.levels[level].partition()
-    grid = simplex_grid(partition, resolution)
+def _suite_entropy(tower, values, rng):
+    horizon, eps_list = values["entropy_horizon"], values["entropy_eps"]
+    partition = tower.levels[values["level"]].partition()
+    grid = simplex_grid(partition, values["entropy_resolution"])
     table = entropy_estimate(tower.table, grid, eps_list, horizon)
     for eps in eps_list:
         counts = {n: table.counts[(n, eps)] for n in table.horizons}
@@ -214,34 +231,22 @@ def _suite_entropy(tower, cfg, rng):
         )
 
 
-def _suite_chains(tower, cfg, rng):
-    backend = _read(cfg, "analysis", "backend", _backend, "auto")
-    deltas = _read(cfg, "analysis", "chain_deltas", _fractions, "3/4, 1/2")
-    if not deltas:
-        raise ParameterError("[analysis] chain_deltas names no delta")
-    # every delta's k0 before the first certificate: an invalid delta declines the suite
-    k0s = [chain_step_count(delta) for delta in deltas]
-    extra = _read(cfg, "analysis", "chain_lengths_extra", int, "2")
-    if extra < 0:
-        raise ParameterError(f"[analysis] chain_lengths_extra = {extra} is below 0")
-    partition = tower.levels[_level(tower, cfg)].partition()
-    pair_count = _read(cfg, "analysis", "chain_pairs", int, "4")
-    if pair_count < 1:
-        raise ParameterError(f"[analysis] chain_pairs = {pair_count} is below 1")
+def _suite_chains(tower, values, rng):
+    extra, pair_count = values["chain_lengths_extra"], values["chain_pairs"]
+    partition = tower.levels[values["level"]].partition()
     pairs = [
         (random_cell_measure(partition, rng, 4), random_cell_measure(partition, rng, 4))
         for _ in range(pair_count)
     ]
     homeo = tower.table.is_homeomorphism()
-    for delta, k0 in zip(deltas, k0s):
+    connect = chain_connect_homeo if homeo else chain_connect_map
+    for delta in values["chain_deltas"]:
+        k0 = chain_step_count(delta)
         failures = []
         for idx, (mu, nu) in enumerate(pairs):
             for k in range(k0, k0 + extra + 1):
                 try:
-                    if homeo:
-                        chain_connect_homeo(tower.table, mu, nu, delta, k, backend=backend)
-                    else:
-                        chain_connect_map(tower.table, mu, nu, delta, k, backend=backend)
+                    connect(tower.table, mu, nu, delta, k, backend=values["backend"])
                 except CantorDynError as exc:
                     failures.append({"pair": idx, "k": k, "error": str(exc)})
         yield Certificate(
@@ -255,38 +260,26 @@ def _suite_chains(tower, cfg, rng):
             details={},
         )
     yield chain_continuity_test(
-        tower.table,
-        _read(cfg, "analysis", "continuity_depth", int, "3"),
-        _shared(cfg, "eps"),
-        _shared(cfg, "delta"),
-    )
+        tower.table, values["continuity_depth"], values["eps"], values["delta"])
 
 
-def _suite_shadowing(tower, cfg, rng):
-    partition = tower.levels[_level(tower, cfg)].partition()
+def _suite_shadowing(tower, values, rng):
+    partition = tower.levels[values["level"]].partition()
     yield transitivity_check(tower.table, partition)
     if tower.kind == "dumbbell":
-        eps, delta = _shared(cfg, "eps"), _shared(cfg, "delta")
-        grid = simplex_grid(partition, _shared(cfg, "grid_resolution"))
-        yield weak_shadowing_refutation(tower, eps, delta, grid)
+        grid = simplex_grid(partition, values["grid_resolution"])
+        yield weak_shadowing_refutation(tower, values["eps"], values["delta"], grid)
 
 
-def _suite_recurrence(tower, cfg, rng):
-    periods = _read(cfg, "analysis", "periods", _ints, "1, 2")
-    if not periods:
-        raise ParameterError("[analysis] periods names no period")
-    eps = _shared(cfg, "eps")
-    lam_list = _read(cfg, "analysis", "lambda", _fractions, "1/4")
-    if not lam_list:
-        raise ParameterError("[analysis] lambda names no lambda")
-    # every period and lambda before the first certificate, so that an
-    # invalid one declines the suite instead of ending it midway
-    for lam in lam_list:
-        if not 0 < lam < 1:
-            raise ParameterError(f"[analysis] lambda = {lam} is not strictly between 0 and 1")
+def _suite_recurrence(tower, values, rng):
+    periods, eps, lam_list = values["periods"], values["eps"], values["lambda"]
+    # a level finer than eps and every period's measures before the first
+    # certificate, so that neither ends the suite midway
+    tower.level_with_mesh_below(eps)
     choices_by_period = [(p, enumerate_admissible_choices(tower, period=p)) for p in periods]
-    for p, choices in choices_by_period:
-        measures = [periodic_measure(tower, c, level=len(c.components) - 1) for c in choices]
+    period_measures = [[periodic_measure(tower, c, level=len(c.components) - 1) for c in choices]
+                       for _, choices in choices_by_period]
+    for (p, choices), measures in zip(choices_by_period, period_measures):
         distinct = len(set(measures))
         yield Certificate(
             operation="periodic_measures",
@@ -298,9 +291,7 @@ def _suite_recurrence(tower, cfg, rng):
         )
         if len(tower.levels) >= 2 and choices:
             yield consistency_check(tower, choices[0], 0, 1)
-    base_choice = AdmissibleChoice(
-        components=tuple(0 for _ in tower.levels), period=periods[0]
-    )
+    base_choice = AdmissibleChoice(components=(0,) * len(tower.levels), period=periods[0])
     mu = periodic_measure(tower, base_choice, level=len(tower.levels) - 1)
     yield loop_support_check(tower, mu)
     yield recurrence_certificate(tower, mu, eps)
@@ -311,12 +302,15 @@ def _suite_recurrence(tower, cfg, rng):
     yield cert
 
 
+# each suite and the [analysis] keys it reads, whatever the map
 _RUNNERS = {
-    "liyorke": _suite_liyorke,
-    "entropy": _suite_entropy,
-    "chains": _suite_chains,
-    "shadowing": _suite_shadowing,
-    "recurrence": _suite_recurrence,
+    "liyorke": (_suite_liyorke, ("level", "grid_resolution")),
+    "entropy": (_suite_entropy, ("level", "entropy_resolution", "entropy_horizon",
+                                 "entropy_eps")),
+    "chains": (_suite_chains, ("level", "backend", "chain_deltas", "chain_pairs",
+                               "chain_lengths_extra", "continuity_depth", "eps", "delta")),
+    "shadowing": (_suite_shadowing, ("level", "eps", "delta", "grid_resolution")),
+    "recurrence": (_suite_recurrence, ("periods", "eps", "lambda")),
 }
 SUITES = (*_RUNNERS, "all")
 
@@ -324,10 +318,12 @@ SUITES = (*_RUNNERS, "all")
 def run_suite(tower, suite: str, cfg, rng):
     certificates = []
     timings = []
-    for runner in _RUNNERS.values() if suite == "all" else (_RUNNERS[suite],):
+    for runner, keys in _RUNNERS.values() if suite == "all" else (_RUNNERS[suite],):
         t0, memo0 = time.monotonic(), tables.counts()
         try:
-            certificates.extend(runner(tower, cfg, rng))
+            # every value the suite reads is checked before its first certificate
+            values = {key: _analysis(cfg, key, tower) for key in keys}
+            certificates.extend(runner(tower, values, rng))
         except (ResourceBudgetError, ParameterError) as exc:
             # an exhausted budget or a declined suite fails the item, never the whole run
             certificates.append(
@@ -352,6 +348,9 @@ def _config_echo(cfg) -> dict:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
+    for key in cfg["analysis"] if cfg.has_section("analysis") else ():
+        if key not in _ANALYSIS:
+            raise ParameterError(f"[analysis] {key} is not a known key")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     map_path = _map_path(cfg, out_dir)

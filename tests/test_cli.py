@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: generation, suites, exit codes, determinism."""
 
+import configparser
 import hashlib
 import json
 import os
@@ -226,7 +227,8 @@ def test_analyze_rejects_a_malformed_map_file(tmp_path, capsys, fault):
 
 
 def test_declined_suite_keeps_the_others(tmp_path):
-    # no certified level of this tower has mesh below 1/4, so recurrence declines
+    # no certified level of this tower has mesh below 1/4, so recurrence
+    # declines, before its first certificate
     cfg = _write_config(tmp_path, DUMBBELL_CONFIG.replace("eps = 1/3", "eps = 1/4"))
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert main(["analyze", "--config", cfg, "--suite", "all",
@@ -241,136 +243,217 @@ def test_declined_suite_keeps_the_others(tmp_path):
         "witnesses": {"error": "no certified level has mesh below 1/4"},
         "details": {},
     }]
+    # recurrence is the last suite: its decline is its only certificate
+    assert report["certificates"][-1] == failed[0]
     operations = {c["operation"] for c in report["certificates"]}
     assert {"li_yorke_scan", "entropy_growth", "chain_connection",
-            "transitivity_check", "weak_shadowing_refutation",
-            "loop_support_check"} <= operations
+            "transitivity_check", "weak_shadowing_refutation"} <= operations
+    assert not {"periodic_measures", "consistency_check", "loop_support_check",
+                "recurrence_certificate", "transient_perturbation",
+                "approx_by_periodic"} & operations
 
 
-_GRID_SUITES = {"suite_liyorke", "suite_entropy", "suite_chains", "suite_shadowing"}
+def test_period_off_the_loop_declines_before_the_first_certificate(tmp_path):
+    # the balloon loops have length 2: period 1 has measures, period 3 none
+    cfg = _write_config(tmp_path, BALLOON_CONFIG.replace("periods = 1, 2", "periods = 1, 3"))
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", "recurrence",
+                 "--out", str(tmp_path)]) == 2
+    certificates = json.loads((tmp_path / "report_recurrence.json").read_text())["certificates"]
+    assert [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates] == [
+        ("suite_recurrence", "declined", {"error": "period 3 does not divide the loop length 2"})]
 
-# each edit of the balloon config, and the suites that decline the run; None
-# marks a config-file or [map] error, on which the commands exit 3
+
+# each edit of the balloon config that makes the commands exit 3 before any
+# suite runs: a config-file or [map] error, and the key its error names
 MALFORMED_CONFIGS = {
-    "level-above-the-levels": ("level = 0", "level = 5", "level", _GRID_SUITES),
-    "level-negative": ("level = 0", "level = -1", "level", _GRID_SUITES),
-    "eps-not-a-rational": ("eps = 1/4", "eps = abc", "eps",
-                           {"suite_chains", "suite_recurrence"}),
-    "delta-over-zero": ("delta = 1/2", "delta = 1/0", "delta", {"suite_chains"}),
-    "grid-resolution-a-word": ("grid_resolution = 2", "grid_resolution = two",
-                               "grid_resolution", {"suite_liyorke"}),
-    "periods-empty": ("periods = 1, 2", "periods =", "periods", {"suite_recurrence"}),
-    # the entropy verdict compares the counts at the last two horizons
-    "entropy-horizon-negative": ("entropy_horizon = 4", "entropy_horizon = -1",
-                                 "entropy_horizon", {"suite_entropy"}),
-    "entropy-horizon-zero": ("entropy_horizon = 4", "entropy_horizon = 0",
-                             "entropy_horizon", {"suite_entropy"}),
-    "entropy-horizon-one": ("entropy_horizon = 4", "entropy_horizon = 1",
-                            "entropy_horizon", {"suite_entropy"}),
-    "entropy-eps-empty": ("entropy_eps = 1/2", "entropy_eps =", "entropy_eps", {"suite_entropy"}),
-    "chain-deltas-empty": ("chain_deltas = 3/4", "chain_deltas =", "chain_deltas",
-                           {"suite_chains"}),
-    "backend-unknown": ("level = 0", "level = 0\nbackend = bogus", "backend", {"suite_chains"}),
-    # no pair or no length verifies no chain
-    "chain-pairs-zero": ("chain_pairs = 1", "chain_pairs = 0", "chain_pairs", {"suite_chains"}),
-    "chain-lengths-extra-negative": ("chain_lengths_extra = 1", "chain_lengths_extra = -1",
-                                     "chain_lengths_extra", {"suite_chains"}),
-    "lambda-empty": ("lambda = 1/4, 1/8", "lambda =", "lambda", {"suite_recurrence"}),
-    "map-levels-not-a-number": ("levels = 3:2, 5:2", "levels = 3:x", "levels", None),
-    "map-counts-zero": ("counts = 2, 4", "counts = 0, 2", "counts", None),
+    "map-levels-not-a-number": ("levels = 3:2, 5:2", "levels = 3:x", "levels"),
+    "map-counts-zero": ("counts = 2, 4", "counts = 0, 2", "counts"),
     "map-levels-negative-q": ("levels = 3:2, 5:2\ncounts = 2, 4", "levels = 3:-1\ncounts = 2",
-                              "levels", None),
+                              "levels"),
     "map-levels-negative-depth": ("levels = 3:2, 5:2\ncounts = 2, 4",
-                                  "levels = -1:2\ncounts = 2", "levels", None),
+                                  "levels = -1:2\ncounts = 2", "levels"),
     "map-dumbbell-negative-q": ("kind = balloon\nlevels = 3:2, 5:2",
-                                "kind = dumbbell\nlevel = 4:-1", "level", None),
+                                "kind = dumbbell\nlevel = 4:-1", "level"),
     "map-dumbbell-count-zero": ("kind = balloon\nlevels = 3:2, 5:2",
-                                "kind = dumbbell\nlevel = 4:2\ncount = 0", "count", None),
+                                "kind = dumbbell\nlevel = 4:2\ncount = 0", "count"),
     "map-dumbbell-bar-zero": ("kind = balloon\nlevels = 3:2, 5:2",
-                              "kind = dumbbell\nlevel = 4:2\nbar_length = 0", "bar_length", None),
-    "no-section-header": ("\n[map]\n", "\n", "kind", None),
-    "repeated-key": ("eps = 1/4", "eps = 1/4\neps = 1/3", "eps", None),
+                              "kind = dumbbell\nlevel = 4:2\nbar_length = 0", "bar_length"),
+    "no-section-header": ("\n[map]\n", "\n", "kind"),
+    "repeated-key": ("eps = 1/4", "eps = 1/4\neps = 1/3", "eps"),
 }
 
+# each invalid [analysis] value: its key, the value and the start of the
+# error it declines with; a value that does not parse is quoted.  Every key
+# has a value that does not parse (but backend, which any text parses as)
+# and one that its check refuses; every list key also has an empty list and
+# a bad value after a valid one
+INVALID_VALUES = {
+    "level-not-an-integer": ("level", "x", "[analysis] level = 'x': "),
+    "level-above-the-levels": ("level", "5", "[analysis] level = 5 is not a certified level"),
+    "level-negative": ("level", "-1", "[analysis] level = -1 is not a certified level"),
+    "eps-not-a-rational": ("eps", "abc", "[analysis] eps = 'abc': "),
+    "eps-0": ("eps", "0", "[analysis] eps = 0 is not positive"),
+    "eps-negative": ("eps", "-1", "[analysis] eps = -1 is not positive"),
+    "delta-over-zero": ("delta", "1/0", "[analysis] delta = '1/0': "),
+    "delta-0": ("delta", "0", "[analysis] delta = 0 is not strictly between 0 and 1"),
+    "delta-1": ("delta", "1", "[analysis] delta = 1 is not strictly between 0 and 1"),
+    "grid-resolution-a-word": ("grid_resolution", "two", "[analysis] grid_resolution = 'two': "),
+    "grid-resolution-0": ("grid_resolution", "0", "[analysis] grid_resolution = 0 is below 1"),
+    "entropy-resolution-a-word": ("entropy_resolution", "two",
+                                  "[analysis] entropy_resolution = 'two': "),
+    "entropy-resolution-0": ("entropy_resolution", "0",
+                             "[analysis] entropy_resolution = 0 is below 1"),
+    # the entropy verdict compares the counts at the last two horizons
+    "entropy-horizon-a-float": ("entropy_horizon", "4.5", "[analysis] entropy_horizon = '4.5': "),
+    "entropy-horizon-negative": ("entropy_horizon", "-1",
+                                 "[analysis] entropy_horizon = -1 is below 2"),
+    "entropy-horizon-zero": ("entropy_horizon", "0", "[analysis] entropy_horizon = 0 is below 2"),
+    "entropy-horizon-one": ("entropy_horizon", "1", "[analysis] entropy_horizon = 1 is below 2"),
+    "entropy-eps-a-word": ("entropy_eps", "1/2, half", "[analysis] entropy_eps = '1/2, half': "),
+    "entropy-eps-empty": ("entropy_eps", "", "[analysis] entropy_eps = '': names no value"),
+    "entropy-eps-0": ("entropy_eps", "0", "[analysis] entropy_eps = 0 is not positive"),
+    "entropy-eps-negative": ("entropy_eps", "-1/2, 1/2",
+                             "[analysis] entropy_eps = -1/2 is not positive"),
+    "entropy-eps-0-after-a-valid-one": ("entropy_eps", "1/2, 0",
+                                        "[analysis] entropy_eps = 0 is not positive"),
+    "chain-deltas-a-word": ("chain_deltas", "3/4, x", "[analysis] chain_deltas = '3/4, x': "),
+    "chain-deltas-empty": ("chain_deltas", "", "[analysis] chain_deltas = '': names no value"),
+    "chain-delta-above-1": ("chain_deltas", "1/2, 3/2",
+                            "[analysis] chain_deltas = 3/2 is not strictly between 0 and 1"),
+    # no pair or no length verifies no chain
+    "chain-pairs-a-word": ("chain_pairs", "one", "[analysis] chain_pairs = 'one': "),
+    "chain-pairs-zero": ("chain_pairs", "0", "[analysis] chain_pairs = 0 is below 1"),
+    "chain-lengths-extra-a-word": ("chain_lengths_extra", "x",
+                                   "[analysis] chain_lengths_extra = 'x': "),
+    "chain-lengths-extra-negative": ("chain_lengths_extra", "-1",
+                                     "[analysis] chain_lengths_extra = -1 is below 0"),
+    "continuity-depth-a-word": ("continuity_depth", "x", "[analysis] continuity_depth = 'x': "),
+    "continuity-depth-0": ("continuity_depth", "0", "[analysis] continuity_depth = 0 is below 1"),
+    "backend-unknown": ("backend", "bogus",
+                        "[analysis] backend = bogus is not one of enumeration, flow, auto, both"),
+    "periods-a-word": ("periods", "1, two", "[analysis] periods = '1, two': "),
+    "periods-empty": ("periods", "", "[analysis] periods = '': names no value"),
+    "period-0-after-a-valid-one": ("periods", "2, 0", "[analysis] periods = 0 is below 1"),
+    "periods-negative": ("periods", "1, -2", "[analysis] periods = -2 is below 1"),
+    "lambda-a-word": ("lambda", "1/4, x", "[analysis] lambda = '1/4, x': "),
+    "lambda-empty": ("lambda", "", "[analysis] lambda = '': names no value"),
+    "lambda-0": ("lambda", "0", "[analysis] lambda = 0 is not strictly between 0 and 1"),
+    "lambda-above-1": ("lambda", "1/4, 2",
+                       "[analysis] lambda = 2 is not strictly between 0 and 1"),
+}
 
-@pytest.mark.parametrize("fault", sorted(MALFORMED_CONFIGS))
-def test_malformed_config_ends_without_a_traceback(tmp_path, capsys, fault):
-    old, new, key, declined = MALFORMED_CONFIGS[fault]
+CONFIGS = {"balloon": BALLOON_CONFIG, "dumbbell": DUMBBELL_CONFIG}
+
+
+def _analyze_all(out, config) -> tuple[int, list]:
+    """The exit code and the certificates of ``analyze --suite all`` on a
+    freshly generated map in ``out``."""
+    out.mkdir(exist_ok=True)
+    cfg = str(out / "config.ini")
+    with open(cfg, "w") as fh:
+        config.write(fh)
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    code = main(["analyze", "--config", cfg, "--suite", "all", "--out", str(out)])
+    return code, json.loads((out / "report_all.json").read_text())["certificates"]
+
+
+def _parsed(text: str) -> configparser.ConfigParser:
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def valid_runs(tmp_path_factory):
+    """Each suite's certificates on each valid test config."""
+    runs = {}
+    for name, config in CONFIGS.items():
+        out = tmp_path_factory.mktemp(name)
+        code, certificates = _analyze_all(out, _parsed(config))
+        assert code == 0
+        for suite in cli._RUNNERS:
+            assert main(["analyze", "--config", str(out / "config.ini"), "--suite", suite,
+                         "--out", str(out)]) == 0
+            report = json.loads((out / f"report_{suite}.json").read_text())
+            runs[name, suite] = report["certificates"]
+        # only the chains suite draws from the seeded generator, so the
+        # suites of one run give the certificates they give alone
+        assert certificates == [c for suite in cli._RUNNERS for c in runs[name, suite]]
+    return runs
+
+
+def test_every_analysis_key_has_invalid_values():
+    for key, (parse, default, _) in cli._ANALYSIS.items():
+        errors = {value: error for k, value, error in INVALID_VALUES.values() if k == key}
+        unparsed = [value for value, error in errors.items()
+                    if error.startswith(f"[analysis] {key} = '")]
+        assert (key == "backend") != bool(unparsed), key
+        assert len(unparsed) < len(errors), key
+        if isinstance(parse(default), list):
+            assert "" in unparsed, key
+            assert any("," in value and value not in unparsed for value in errors), key
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_CONFIGS) + sorted(INVALID_VALUES))
+def test_malformed_config_ends_without_a_traceback(tmp_path, capsys, valid_runs, fault):
+    if fault in INVALID_VALUES:
+        # on either map, every suite that reads the key declines before its
+        # first certificate, and every other suite gives what it gives on
+        # the valid config
+        key, value, error = INVALID_VALUES[fault]
+        for name, config in CONFIGS.items():
+            cfg = _parsed(config)
+            cfg["analysis"][key] = value
+            code, certificates = _analyze_all(tmp_path / name, cfg)
+            assert code == 2
+            expected = []
+            for suite, (_, keys) in cli._RUNNERS.items():
+                if key not in keys:
+                    expected += valid_runs[name, suite]
+                    continue
+                witnesses = certificates[len(expected)]["witnesses"]
+                assert witnesses["error"].startswith(error), witnesses
+                expected.append({"operation": f"suite_{suite}", "passed": False,
+                                 "verdict": "declined", "parameters": {},
+                                 "witnesses": witnesses, "details": {}})
+            assert certificates == expected
+        return
+    old, new, key = MALFORMED_CONFIGS[fault]
     assert old in BALLOON_CONFIG
     cfg = _write_config(tmp_path, BALLOON_CONFIG.replace(old, new, 1))
-    if declined is None:
-        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err, err
-        assert not (tmp_path / "map.json").exists()
-        # analyze reads no [map] section, and no map was written
-        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
-        return
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err, err
+    assert not (tmp_path / "map.json").exists()
+    # analyze reads no [map] section, and no map was written
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unknown_analysis_key_exits_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path, BALLOON_CONFIG.replace("entropy_horizon", "entropy_horizn", 1))
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert main(["analyze", "--config", cfg, "--suite", "all", "--out", str(tmp_path)]) == 2
-    certificates = json.loads((tmp_path / "report_all.json").read_text())["certificates"]
-    failed = [c for c in certificates if not c["passed"]]
-    assert {c["operation"] for c in failed} == declined
-    for c in failed:
-        assert c["verdict"] == "declined"
-        assert c["witnesses"]["error"].startswith(f"[analysis] {key} ")
-    # the other suites still ran and passed
-    assert len(certificates) > len(failed)
-
-
-@pytest.mark.parametrize("config, old, new, suite, error", [
-    (BALLOON_CONFIG, "continuity_depth = 3", "continuity_depth = 0", "chains",
-     "depth = 0 is below 1"),
-    (BALLOON_CONFIG, "eps = 1/4", "eps = -1", "chains", "eps = -1 is not positive"),
-    (DUMBBELL_CONFIG, "eps = 1/3", "eps = 0", "shadowing", "eps = 0 is not positive"),
-    (DUMBBELL_CONFIG, "eps = 1/3", "eps = -1", "shadowing", "eps = -1 is not positive"),
-    (BALLOON_CONFIG, "entropy_eps = 1/2", "entropy_eps = 0", "entropy", "eps = 0 is not positive"),
-    (BALLOON_CONFIG, "entropy_eps = 1/2", "entropy_eps = -1/2, 1/2", "entropy",
-     "eps = -1/2 is not positive"),
-    (BALLOON_CONFIG, "periods = 1, 2", "periods = 2, 0", "recurrence", "period = 0 is below 1"),
-    (BALLOON_CONFIG, "periods = 1, 2", "periods = 1, -2", "recurrence",
-     "period = -2 is below 1"),
-], ids=["continuity-depth-0", "continuity-eps-negative", "shadowing-eps-0",
-        "shadowing-eps-negative", "entropy-eps-0", "entropy-eps-negative", "periods-zero",
-        "periods-negative"])
-def test_degenerate_values_decline_instead_of_passing(tmp_path, config, old, new, suite, error):
-    # each value once made its verdict hold vacuously: the suite now
-    # declines with an error that names the value, and the run exits 2
-    assert old in config
-    cfg = _write_config(tmp_path, config.replace(old, new, 1))
-    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert main(["analyze", "--config", cfg, "--suite", suite, "--out", str(tmp_path)]) == 2
-    certificates = json.loads((tmp_path / f"report_{suite}.json").read_text())["certificates"]
-    failed = [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates
-              if not c["passed"]]
-    assert failed == [(f"suite_{suite}", "declined", {"error": error})]
-    assert not {"chain_continuity_test", "weak_shadowing_refutation", "entropy_growth"} & {
-        c["operation"] for c in certificates}
-
-
-@pytest.mark.parametrize("old, new, suite, error", [
-    ("chain_deltas = 3/4", "chain_deltas = 1/2, 3/2", "chains",
-     "delta = 3/2 must lie strictly between 0 and 1"),
-    ("lambda = 1/4, 1/8", "lambda = 1/4, 2", "recurrence",
-     "[analysis] lambda = 2 is not strictly between 0 and 1"),
-    ("periods = 1, 2", "periods = 2, 0", "recurrence", "period = 0 is below 1"),
-], ids=["chain-delta-above-1", "lambda-above-1", "period-0-after-a-valid-one"])
-def test_out_of_range_value_declines_before_the_first_certificate(tmp_path, old, new, suite,
-                                                                 error):
-    # a valid value before the bad one once emitted its certificates first
-    cfg = _write_config(tmp_path, BALLOON_CONFIG.replace(old, new, 1))
-    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert main(["analyze", "--config", cfg, "--suite", suite, "--out", str(tmp_path)]) == 2
-    certificates = json.loads((tmp_path / f"report_{suite}.json").read_text())["certificates"]
-    assert [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates] == [
-        (f"suite_{suite}", "declined", {"error": error})]
+    capsys.readouterr()
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: [analysis] entropy_horizn is not a known key\n"
+    assert not (tmp_path / "report_all.json").exists()
 
 
 def _readme_config(tmp_path, name="Example"):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     config = readme.split(f"{name} config:\n\n```ini\n")[1].split("```")[0]
     return _write_config(tmp_path, config)
+
+
+def test_readme_analysis_table_matches_the_cli_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Key | Default | Allowed values | Read by |\n|---|---|---|---|\n")[1]
+    rows = [line.split(" | ") for line in table.split("\n\n")[0].splitlines()]
+    assert [(key.strip("|` "), default.strip("`"), suites.strip(" |").split(", "))
+            for key, default, _, suites in rows] == [
+        (key, default, [suite for suite, (_, keys) in cli._RUNNERS.items() if key in keys])
+        for key, (_, default, _) in cli._ANALYSIS.items()]
 
 
 def test_readme_example_config_liyorke(tmp_path):

@@ -1,5 +1,6 @@
-"""Source checks: every exported name has a use outside the tests, and no
-library module, test or demo imports a name it never uses."""
+"""Source checks: every exported name has a use outside the tests, no
+library module, test or demo imports a name it never uses, and no CLI suite
+reads the config."""
 
 import ast
 import re
@@ -66,3 +67,17 @@ def test_no_module_imports_a_name_it_never_uses():
                     if name not in used:
                         unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_no_cli_suite_takes_or_reads_the_config():
+    # a suite reads only the values that run_suite parsed and checked
+    # through cli's key table before the suite's first certificate
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    suites = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")]
+    assert len(suites) == 5
+    for node in suites:
+        assert [arg.arg for arg in node.args.args] == ["tower", "values", "rng"], node.name
+        read = _used_names(node) & {"cfg", "configparser", "load_config", "_read", "_analysis",
+                                    "_ANALYSIS"}
+        assert not read, f"{node.name} reads {read}"
