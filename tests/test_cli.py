@@ -431,6 +431,55 @@ def test_malformed_config_ends_without_a_traceback(tmp_path, capsys, valid_runs,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("config, old, new, suite, error", [
+    (BALLOON_CONFIG, "continuity_depth = 3", "continuity_depth = 0", "chains",
+     "[analysis] continuity_depth = 0 is below 1"),
+    (BALLOON_CONFIG, "eps = 1/4", "eps = -1", "chains", "[analysis] eps = -1 is not positive"),
+    (DUMBBELL_CONFIG, "eps = 1/3", "eps = 0", "shadowing", "[analysis] eps = 0 is not positive"),
+    (DUMBBELL_CONFIG, "eps = 1/3", "eps = -1", "shadowing",
+     "[analysis] eps = -1 is not positive"),
+    (BALLOON_CONFIG, "entropy_eps = 1/2", "entropy_eps = 0", "entropy",
+     "[analysis] entropy_eps = 0 is not positive"),
+    (BALLOON_CONFIG, "entropy_eps = 1/2", "entropy_eps = -1/2, 1/2", "entropy",
+     "[analysis] entropy_eps = -1/2 is not positive"),
+    (BALLOON_CONFIG, "periods = 1, 2", "periods = 2, 0", "recurrence",
+     "[analysis] periods = 0 is below 1"),
+    (BALLOON_CONFIG, "periods = 1, 2", "periods = 1, -2", "recurrence",
+     "[analysis] periods = -2 is below 1"),
+], ids=["continuity-depth-0", "continuity-eps-negative", "shadowing-eps-0",
+        "shadowing-eps-negative", "entropy-eps-0", "entropy-eps-negative", "periods-zero",
+        "periods-negative"])
+def test_degenerate_values_decline_instead_of_passing(tmp_path, config, old, new, suite, error):
+    # each value once made its verdict hold vacuously: run alone, the suite
+    # declines with an error that names the value, and the run exits 2
+    assert old in config
+    cfg = _write_config(tmp_path, config.replace(old, new, 1))
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", suite, "--out", str(tmp_path)]) == 2
+    certificates = json.loads((tmp_path / f"report_{suite}.json").read_text())["certificates"]
+    assert [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates] == [
+        (f"suite_{suite}", "declined", {"error": error})]
+
+
+@pytest.mark.parametrize("old, new, suite, error", [
+    ("chain_deltas = 3/4", "chain_deltas = 1/2, 3/2", "chains",
+     "[analysis] chain_deltas = 3/2 is not strictly between 0 and 1"),
+    ("lambda = 1/4, 1/8", "lambda = 1/4, 2", "recurrence",
+     "[analysis] lambda = 2 is not strictly between 0 and 1"),
+    ("periods = 1, 2", "periods = 2, 0", "recurrence", "[analysis] periods = 0 is below 1"),
+], ids=["chain-delta-above-1", "lambda-above-1", "period-0-after-a-valid-one"])
+def test_out_of_range_value_declines_before_the_first_certificate(tmp_path, old, new, suite,
+                                                                 error):
+    # a valid value before the bad one once emitted its certificates first
+    assert old in BALLOON_CONFIG
+    cfg = _write_config(tmp_path, BALLOON_CONFIG.replace(old, new, 1))
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", suite, "--out", str(tmp_path)]) == 2
+    certificates = json.loads((tmp_path / f"report_{suite}.json").read_text())["certificates"]
+    assert [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates] == [
+        (f"suite_{suite}", "declined", {"error": error})]
+
+
 def test_unknown_analysis_key_exits_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, BALLOON_CONFIG.replace("entropy_horizon", "entropy_horizn", 1))
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
