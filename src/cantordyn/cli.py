@@ -14,8 +14,9 @@ Exit codes: 0 all certificates pass, 2 some certificate failed,
 3 configuration or usage error (a config file that does not parse, a
 malformed [map] or [run] value, or an [analysis] key not in ``_ANALYSIS``).
 A suite that exceeds a budget or declines its inputs (a ParameterError,
-such as a bad value of a key it reads, found before its first certificate)
-is recorded as one failed certificate, so the other suites' are kept.
+such as a bad value of a key it reads or a map its certificates do not
+apply to, found before its first certificate) is recorded as one failed
+certificate, so the other suites' are kept.
 
 All rationals cross this boundary as "p/q" strings; reports are
 deterministic given the config and seed.  The separate ``timings`` field
@@ -23,10 +24,12 @@ holds, per suite, its wall time in ms, the integer Prohorov problems it
 solved and the pushforwards it computed (``solves``, ``pushforwards``; the
 solves include those of the distance profiles), the word separations and
 images it computed (``separations``, ``images``), the chain records it
-started (``chains``), and the calls of each that a per-process memo or
-table answered instead (``solve_hits``, ``pushforward_hits``,
+started (``chains``), the measures whose own orbit it certified for the
+distance profiles (``cycles``), and the calls of each that a per-process
+memo or table answered instead (``solve_hits``, ``pushforward_hits``,
 ``separation_hits``, ``image_hits``, ``chain_hits``: a chain call read off
-an earlier record).  Each count plus its hits is the number of calls:
+an earlier record, ``cycle_hits``: a profile's measure whose orbit record
+was kept).  Each count plus its hits is the number of calls:
 ``solves`` plus ``solve_hits`` is the number of ``prohorov`` calls.  Each
 row is the change of ``tables.counts()`` over the suite, the one registry
 of those memos and tables.
@@ -265,20 +268,28 @@ def _suite_chains(tower, values, rng):
 
 def _suite_shadowing(tower, values, rng):
     partition = tower.levels[values["level"]].partition()
-    yield transitivity_check(tower.table, partition)
+    # the refutation first, so that a map it declines (a single dumbbell)
+    # does not end the suite midway
+    refutation = []
     if tower.kind == "dumbbell":
         grid = simplex_grid(partition, values["grid_resolution"])
-        yield weak_shadowing_refutation(tower, values["eps"], values["delta"], grid)
+        refutation.append(weak_shadowing_refutation(tower, values["eps"], values["delta"], grid))
+    yield transitivity_check(tower.table, partition)
+    yield from refutation
 
 
 def _suite_recurrence(tower, values, rng):
     periods, eps, lam_list = values["periods"], values["eps"], values["lambda"]
-    # a level finer than eps and every period's measures before the first
-    # certificate, so that neither ends the suite midway
+    # a level finer than eps, every period's measures and every perturbation
+    # (a balloon path of one cell has no transient cell to perturb into)
+    # before the first certificate, so that none ends the suite midway
     tower.level_with_mesh_below(eps)
     choices_by_period = [(p, enumerate_admissible_choices(tower, period=p)) for p in periods]
     period_measures = [[periodic_measure(tower, c, level=len(c.components) - 1) for c in choices]
                        for _, choices in choices_by_period]
+    base_choice = AdmissibleChoice(components=(0,) * len(tower.levels), period=periods[0])
+    mu = periodic_measure(tower, base_choice, level=len(tower.levels) - 1)
+    perturbations = [transient_perturbation(tower, mu, lam)[1] for lam in lam_list]
     for (p, choices), measures in zip(choices_by_period, period_measures):
         distinct = len(set(measures))
         yield Certificate(
@@ -291,13 +302,9 @@ def _suite_recurrence(tower, values, rng):
         )
         if len(tower.levels) >= 2 and choices:
             yield consistency_check(tower, choices[0], 0, 1)
-    base_choice = AdmissibleChoice(components=(0,) * len(tower.levels), period=periods[0])
-    mu = periodic_measure(tower, base_choice, level=len(tower.levels) - 1)
     yield loop_support_check(tower, mu)
     yield recurrence_certificate(tower, mu, eps)
-    for lam in lam_list:
-        _, cert = transient_perturbation(tower, mu, lam)
-        yield cert
+    yield from perturbations
     _, cert = approx_by_periodic(tower, mu, eps)
     yield cert
 

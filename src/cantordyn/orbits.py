@@ -46,6 +46,33 @@ profiles, is solved once; ``recurrence.approx_by_periodic`` reads its
 return time off the profile of an orbit against its start, and
 ``grids.track_representatives`` keeps the sorted forms of the tracked cell
 representatives, built by the same routine.
+
+A pair profile is composed from the two measures' own orbits where it can
+be.  A table registered in ``tables`` as ``cycles`` holds, per (map,
+measure), the engine's certificate of that measure alone: its window and
+(rho, tau) when the orbit is a state cycle, None when the engine certifies a
+padded cycle or runs out of budget, so each orbit is certified once per
+process however many pairs it enters.
+
+Lemma.  Let mu and nu have state cycles (rho_mu, tau_mu) and (rho_nu,
+tau_nu), and let rho = max(rho_mu, rho_nu) and tau = lcm(tau_mu, tau_nu).
+
+1. The pair state (f~^n mu, f~^n nu) first repeats at n = rho + tau, and
+   it repeats state rho: a repeat of the pair at n of state m < n repeats
+   both orbits, so m is at least both preperiods and n - m a multiple of
+   both periods.
+2. No padded window passes before that step.  A window whose words are all
+   unpadded at its first step is a literal repeat, which the state check,
+   run first at each step, catches at the same n.  A window that passes
+   with some padding makes its padding recur every period, so the words
+   grow without bound, which a literally periodic sequence cannot do.
+
+So ``_evolve_distance_sequence(f, (mu, nu), (), DEFAULT_BUDGET)`` returns
+exactly (states[:rho + tau], rho, tau, "state-cycle") when rho + tau is
+within the budget, and ``distance_profile`` solves those states, read off
+the two records, with ``prohorov``.  When a record is None or rho + tau
+exceeds the budget, the joint engine certifies the pair as before; it stays
+the fallback and the oracle of the composition.
 """
 
 from __future__ import annotations
@@ -53,13 +80,24 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cantor import _sorted_form, separation
 from .errors import ResourceBudgetError
 from .maps import PrefixTableMap, _rewritten
 from .measures import AtomicMeasure, prohorov, pushforward
+from .tables import table
 
 DEFAULT_BUDGET = 400  # the one step budget of every certified orbit
+# one record per measure of a whole entropy grid: entropy_estimate sweeps nu
+# over the grid for each mu, so a table smaller than the grid misses on every call
+_CYCLE_TABLE_SIZE = 4096
+
+
+def _term(window, preperiod: int, period: int, n: int):
+    """Term n of the eventually periodic sequence certified by ``window``,
+    its terms 0 .. preperiod+period-1."""
+    return window[n] if n < len(window) else window[preperiod + (n - preperiod) % period]
 
 
 @dataclass(frozen=True)
@@ -85,9 +123,7 @@ class DistanceProfile:
         return max(self.values[self.preperiod:])
 
     def value_at(self, n: int) -> Fraction:
-        if n < len(self.values):
-            return self.values[n]
-        return self.values[self.preperiod + (n - self.preperiod) % self.period]
+        return _term(self.values, self.preperiod, self.period, n)
 
     def infimum(self) -> Fraction:
         """inf over all n >= 0 (attained: the sequence takes finitely many values)."""
@@ -251,8 +287,30 @@ def _solved_window(
     return DistanceProfile(values, rho, tau, kind)
 
 
+@table("cycles", _CYCLE_TABLE_SIZE)
+def _own_cycle(f: PrefixTableMap, mu: AtomicMeasure):
+    """The state-cycle certificate of mu's own orbit: its window
+    f~^0 mu .. f~^(rho+tau-1) mu with rho and tau, or None when the engine
+    certifies a padded cycle or runs out of budget instead."""
+    try:
+        states, rho, tau, kind = _evolve_distance_sequence(f, (mu,), (), DEFAULT_BUDGET)
+    except ResourceBudgetError:
+        return None
+    return (tuple([st[0] for st in states]), rho, tau) if kind == "state-cycle" else None
+
+
 def distance_profile(f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure) -> DistanceProfile:
-    """Exact profile of d(f~^n mu, f~^n nu) with certified liminf/limsup."""
+    """Exact profile of d(f~^n mu, f~^n nu) with certified liminf/limsup.
+
+    When both orbits are state cycles whose pair window fits the budget, the
+    window is composed from their records, by the lemma of the module
+    docstring; otherwise the joint engine certifies the pair."""
+    a, b = _own_cycle(f, mu), _own_cycle(f, nu)
+    if a is not None and b is not None:
+        rho, tau = max(a[1], b[1]), lcm(a[2], b[2])
+        if rho + tau <= DEFAULT_BUDGET:
+            values = tuple(prohorov(_term(*a, n), _term(*b, n)).value for n in range(rho + tau))
+            return DistanceProfile(values, rho, tau, "state-cycle")
     return _solved_window(f, mu, nu, True)
 
 

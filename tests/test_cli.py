@@ -264,6 +264,31 @@ def test_period_off_the_loop_declines_before_the_first_certificate(tmp_path):
         ("suite_recurrence", "declined", {"error": "period 3 does not divide the loop length 2"})]
 
 
+def test_single_dumbbell_declines_shadowing_before_the_first_certificate(tmp_path):
+    # one dumbbell has no second component to shadow across
+    cfg = _write_config(tmp_path, DUMBBELL_CONFIG.replace("count = 2", "count = 1"))
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", "shadowing",
+                 "--out", str(tmp_path)]) == 2
+    certificates = json.loads((tmp_path / "report_shadowing.json").read_text())["certificates"]
+    assert [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates] == [
+        ("suite_shadowing", "declined", {"error": "need at least two dumbbell components"})]
+
+
+def test_one_cell_path_declines_recurrence_before_the_first_certificate(tmp_path):
+    # a balloon path of one cell leaves no transient cell to perturb into
+    cfg = _write_config(tmp_path, BALLOON_CONFIG.replace(
+        "levels = 3:2, 5:2\ncounts = 2, 4", "levels = 1:1\ncounts = 1").replace(
+        "eps = 1/4", "eps = 1").replace("periods = 1, 2", "periods = 1"))
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", "recurrence",
+                 "--out", str(tmp_path)]) == 2
+    certificates = json.loads((tmp_path / "report_recurrence.json").read_text())["certificates"]
+    assert [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates] == [
+        ("suite_recurrence", "declined", {"error": "perturbation needs a path of length at "
+                                                   "least 2 so the mass lands in a transient cell"})]
+
+
 # each edit of the balloon config that makes the commands exit 3 before any
 # suite runs: a config-file or [map] error, and the key its error names
 MALFORMED_CONFIGS = {
@@ -587,7 +612,7 @@ def test_report_timings_count_the_memos(tmp_path, monkeypatch):
     assert set(stage) == {"stage", "ms", "solves", "solve_hits",
                           "pushforwards", "pushforward_hits", "separations",
                           "separation_hits", "images", "image_hits", "chains",
-                          "chain_hits"}
+                          "chain_hits", "cycles", "cycle_hits"}
     # the chain of length k + 1 extends the record of the chain of length k
     assert stage["solves"] > 0 and stage["chain_hits"] > 0
     assert stage["pushforwards"] > 0 and stage["pushforward_hits"] > 0

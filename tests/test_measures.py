@@ -48,6 +48,7 @@ from cantordyn.measures import (
     prohorov_two_sided,
     pushforward,
 )
+from cantordyn.orbits import distance_profile
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
 IDENTITY = PrefixTableMap((("", ""),))
@@ -627,6 +628,7 @@ def test_reset_zeroes_every_count():
     mu = random_atomic_measure(random.Random(7), max_atoms=6, max_depth=6)
     prohorov(mu, pushforward(h, mu))
     chain_connect_map(h, mu, mu, Fraction(1, 2), 3)
+    distance_profile(h, mu, mu)
     counts = tables.counts()
     assert all(counts[counter] > 0 for counter, _ in tables._TABLES)
     tables.reset()

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cantordyn.cantor import _sorted_form, canonical_point, representative, separation
 from cantordyn.errors import ResourceBudgetError
-from cantordyn import orbits
-from cantordyn.grids import random_atomic_measure, random_cell_measure
+from cantordyn import orbits, tables
+from cantordyn.grids import random_atomic_measure, random_cell_measure, simplex_grid
 from cantordyn.maps import PrefixTableMap
 from cantordyn.measures import (
     atomic_measure,
@@ -447,6 +448,85 @@ def test_engine_matches_the_eager_engine():
             assert got == _outcome(_eager_engine, *args)
             outcomes.append("budget" if isinstance(got, str) else got[3])
     assert outcomes.count("budget") >= 8, outcomes
+
+
+def _eager_profile(f, mu, nu):
+    states, rho, tau, kind = _eager_engine(f, (mu, nu), (), orbits.DEFAULT_BUDGET)
+    return DistanceProfile(tuple(prohorov(a, b).value for a, b in states), rho, tau, kind)
+
+
+def _composition_cases():
+    """(map, pairs) on which the pair profile is composed from two state
+    cycles, or falls back to the joint engine: padded cycles and budget
+    errors."""
+    balloon = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
+    dumbbell = make_dumbbell_tower((4, 2), 2, bar_length=1)
+    for f, level in ((balloon.table, balloon.levels[1]), (dumbbell.table, dumbbell.levels[0])):
+        grid = simplex_grid(level.partition(), 2)
+        yield f, list(combinations(grid, 2))
+    rng = random.Random(2024)
+    randoms = [random_atomic_measure(rng, 3, 6) for _ in range(24)]
+    yield balloon.table, list(zip(randoms[::2], randoms[1::2]))
+    # a 3-cycle and a 2-cycle of cells, each entered from a transient cell:
+    # preperiods 0 to 2 and periods 1 to 3, so the pairs' periods are lcms
+    cycles = PrefixTableMap((("000", "001"), ("001", "010"), ("010", "000"), ("011", "100"),
+                             ("100", "011"), ("101", "000"), ("110", "011"), ("111", "110")))
+    cells = [format(i, "03b") for i in range(8)]
+    measures = [dirac(c) for c in cells] + [
+        atomic_measure({a: Fraction(1, 2), b: Fraction(1, 2)}) for a, b in combinations(cells, 2)]
+    yield cycles, list(combinations(measures, 2))
+
+
+def test_composed_profiles_match_the_joint_and_eager_engines():
+    # distance_profile with its records kept warm across every pair of a
+    # case, against the joint engine on empty tables and the eager engine:
+    # the same DistanceProfile or the same budget error text
+    paths, kinds, shapes = set(), set(), set()
+    for f, pairs in _composition_cases():
+        joint = []
+        for mu, nu in pairs:
+            tables.reset()
+            joint.append(_outcome(orbits._solved_window, f, mu, nu, True))
+        eager = [_outcome(_eager_profile, f, mu, nu) for mu, nu in pairs]
+        tables.reset()
+        for (mu, nu), want, oracle in zip(pairs, joint, eager):
+            got = _outcome(distance_profile, f, mu, nu)
+            assert got == want == oracle, (mu, nu)
+            if isinstance(got, str):
+                kinds.add("budget")
+            else:
+                kinds.add(got.certificate)
+                shapes.add((got.preperiod, got.period))
+            cycles = orbits._own_cycle(f, mu), orbits._own_cycle(f, nu)
+            paths.add("joint" if None in cycles else "composed")
+    assert kinds == {"state-cycle", "padded-cycle", "budget"}
+    assert paths == {"joint", "composed"}
+    assert {(1, 6), (2, 6)} <= shapes
+
+
+@pytest.mark.parametrize("kind", ["padded-cycle", "budget"])
+def test_an_orbit_that_is_no_state_cycle_is_certified_once(kind):
+    # the first seeded measure whose own orbit pads, or runs the budget out,
+    # paired three times with every measure of a grid: one record per
+    # measure, read on every other call
+    tower = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
+    f, grid = tower.table, simplex_grid(tower.levels[1].partition(), 1)
+    rng = random.Random(2024)
+    for _ in range(24):
+        mu = random_atomic_measure(rng, 3, 6)
+        own = _outcome(orbits._evolve_distance_sequence, f, (mu,), (), orbits.DEFAULT_BUDGET)
+        if ("budget" if isinstance(own, str) else own[3]) == kind:
+            break
+    else:
+        pytest.fail(f"no seeded measure whose orbit ends in {kind}")
+    tables.reset()
+    for _ in range(3):
+        for nu in grid:
+            _outcome(distance_profile, f, mu, nu)
+    counts = tables.counts()
+    assert counts["cycles"] == len(grid) + 1
+    assert counts["cycle_hits"] == 2 * 3 * len(grid) - counts["cycles"]
+    assert orbits._own_cycle(f, mu) is None
 
 
 def test_pad_test_rejects_an_insert_inside_the_rule_domain():
