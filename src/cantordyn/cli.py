@@ -13,10 +13,14 @@ report     print the pass/fail table of an existing report
 Exit codes: 0 all certificates pass, 2 some certificate failed,
 3 configuration or usage error (a config file that does not parse, a
 malformed [map] or [run] value, or an [analysis] key not in ``_ANALYSIS``).
-A suite that exceeds a budget or declines its inputs (a ParameterError,
-such as a bad value of a key it reads or a map its certificates do not
-apply to, found before its first certificate) is recorded as one failed
-certificate, so the other suites' are kept.
+A suite that declines its inputs, exceeds a budget or fails a
+certification fails as one certificate, so the other suites' are kept.  A
+decline (a ParameterError, such as a bad value of a key it reads or a map
+its certificates do not apply to) is the suite's only certificate,
+wherever in the suite it is found.  An exhausted budget
+(``resource_budget_exceeded``) or a failed certification
+(``certification_failed``, such as two backends that disagree) follows the
+certificates that held.
 
 All rationals cross this boundary as "p/q" strings; reports are
 deterministic given the config and seed.  The separate ``timings`` field
@@ -58,9 +62,9 @@ from .dynamics import (
     transitivity_check,
     weak_shadowing_refutation,
 )
-from .errors import CantorDynError, ParameterError, ResourceBudgetError
+from .errors import CantorDynError, CertificationError, ParameterError, ResourceBudgetError
 from .grids import li_yorke_scan, random_cell_measure, simplex_grid
-from .measures import measure_from_lines, prohorov, prohorov_two_sided
+from .measures import BACKENDS, measure_from_lines, prohorov, prohorov_two_sided
 from .orbits import PairClass
 from .recurrence import (
     AdmissibleChoice,
@@ -73,8 +77,6 @@ from .recurrence import (
     transient_perturbation,
 )
 from .towers import make_balloon_tower, make_dumbbell_tower, tower_from_dict, tower_to_dict
-
-BACKENDS = ("enumeration", "flow", "auto", "both")
 
 
 def _read(cfg, section: str, key: str, parse, fallback=None):
@@ -268,29 +270,17 @@ def _suite_chains(tower, values, rng):
 
 def _suite_shadowing(tower, values, rng):
     partition = tower.levels[values["level"]].partition()
-    # the refutation first, so that a map it declines (a single dumbbell)
-    # does not end the suite midway
-    refutation = []
+    yield transitivity_check(tower.table, partition)
     if tower.kind == "dumbbell":
         grid = simplex_grid(partition, values["grid_resolution"])
-        refutation.append(weak_shadowing_refutation(tower, values["eps"], values["delta"], grid))
-    yield transitivity_check(tower.table, partition)
-    yield from refutation
+        yield weak_shadowing_refutation(tower, values["eps"], values["delta"], grid)
 
 
 def _suite_recurrence(tower, values, rng):
-    periods, eps, lam_list = values["periods"], values["eps"], values["lambda"]
-    # a level finer than eps, every period's measures and every perturbation
-    # (a balloon path of one cell has no transient cell to perturb into)
-    # before the first certificate, so that none ends the suite midway
-    tower.level_with_mesh_below(eps)
-    choices_by_period = [(p, enumerate_admissible_choices(tower, period=p)) for p in periods]
-    period_measures = [[periodic_measure(tower, c, level=len(c.components) - 1) for c in choices]
-                       for _, choices in choices_by_period]
-    base_choice = AdmissibleChoice(components=(0,) * len(tower.levels), period=periods[0])
-    mu = periodic_measure(tower, base_choice, level=len(tower.levels) - 1)
-    perturbations = [transient_perturbation(tower, mu, lam)[1] for lam in lam_list]
-    for (p, choices), measures in zip(choices_by_period, period_measures):
+    periods, eps = values["periods"], values["eps"]
+    for p in periods:
+        choices = enumerate_admissible_choices(tower, period=p)
+        measures = [periodic_measure(tower, c, level=len(c.components) - 1) for c in choices]
         distinct = len(set(measures))
         yield Certificate(
             operation="periodic_measures",
@@ -302,9 +292,12 @@ def _suite_recurrence(tower, values, rng):
         )
         if len(tower.levels) >= 2 and choices:
             yield consistency_check(tower, choices[0], 0, 1)
+    base_choice = AdmissibleChoice(components=(0,) * len(tower.levels), period=periods[0])
+    mu = periodic_measure(tower, base_choice, level=len(tower.levels) - 1)
     yield loop_support_check(tower, mu)
     yield recurrence_certificate(tower, mu, eps)
-    yield from perturbations
+    for lam in values["lambda"]:
+        yield transient_perturbation(tower, mu, lam)[1]
     _, cert = approx_by_periodic(tower, mu, eps)
     yield cert
 
@@ -322,27 +315,34 @@ _RUNNERS = {
 SUITES = (*_RUNNERS, "all")
 
 
+# the verdict of a suite that raises each of these errors
+_FAILURES = {
+    ParameterError: "declined",
+    ResourceBudgetError: "resource_budget_exceeded",
+    CertificationError: "certification_failed",
+}
+
+
 def run_suite(tower, suite: str, cfg, rng):
     certificates = []
     timings = []
     for runner, keys in _RUNNERS.values() if suite == "all" else (_RUNNERS[suite],):
         t0, memo0 = time.monotonic(), tables.counts()
+        produced = []
         try:
             # every value the suite reads is checked before its first certificate
             values = {key: _analysis(cfg, key, tower) for key in keys}
-            certificates.extend(runner(tower, values, rng))
-        except (ResourceBudgetError, ParameterError) as exc:
-            # an exhausted budget or a declined suite fails the item, never the whole run
-            certificates.append(
-                Certificate(
-                    operation=runner.__name__.lstrip("_"),
-                    passed=False,
-                    verdict="resource_budget_exceeded"
-                    if isinstance(exc, ResourceBudgetError)
-                    else "declined",
-                    witnesses={"error": str(exc)},
-                )
-            )
+            produced.extend(runner(tower, values, rng))
+        except tuple(_FAILURES) as exc:
+            # a failed suite fails as one certificate, never the whole run: a
+            # decline, wherever the suite found it, is its only certificate;
+            # an exhausted budget or a failed certification follows the
+            # certificates that held
+            verdict = next(v for error, v in _FAILURES.items() if isinstance(exc, error))
+            failure = Certificate(operation=runner.__name__.lstrip("_"), passed=False,
+                                  verdict=verdict, witnesses={"error": str(exc)})
+            produced = [failure] if isinstance(exc, ParameterError) else [*produced, failure]
+        certificates.extend(produced)
         ms = int(1000 * (time.monotonic() - t0))
         memo = {key: n - memo0[key] for key, n in tables.counts().items()}
         timings.append({"stage": runner.__name__, "ms": ms, **memo})

@@ -6,8 +6,9 @@ with the exact Prohorov solver, never assumed from the construction that
 produced them.  The chains of one (map, mu, nu, delta, backend) are
 prefixes of one another, so ``chain_connect_map`` keeps one record of that
 chain per process, registered in ``tables``: a call builds and verifies
-only the steps past the verified prefix, and a recorded failing step fails
-every longer chain with the same error text.
+only the steps past the verified prefix.  The record keeps verified steps
+only, so a failing step is verified again, and raises again, on every call
+that reaches it.
 """
 
 from __future__ import annotations
@@ -107,13 +108,11 @@ def chain_step_count(delta: Fraction) -> int:
 @dataclass
 class _ChainRecord:
     """The chain of one (map, mu, nu, delta, backend) as far as any call has
-    asked for it: its points, the distances of its verified steps, and once
-    a step fails, that step's index and error text."""
+    asked for it: its points and the distances of its verified prefix."""
 
     k0: int
     points: list[AtomicMeasure]
     distances: list[Fraction] = field(default_factory=list)
-    failure: tuple[int, str] | None = None
 
 
 @table("chains", _CHAIN_RECORD_SIZE)
@@ -153,9 +152,9 @@ def chain_connect_map(
     first k steps of every longer one, so the call reads it off the
     per-process record of (f, mu, nu, delta, backend) and verifies, through
     ``verify_chain``, only the steps past the record's verified prefix.  A
-    step that failed fails every chain that contains it with its recorded
-    error text, so each result and each error is what a call on empty
-    tables gives.
+    failing step is never recorded: every chain that contains it verifies
+    it again and raises its error, so each result and each error is what a
+    call on empty tables gives.
     """
     delta = _exact("delta", delta)  # before the lookup: 0.5 == Fraction(1, 2)
     rec = _chain_record(f, mu, nu, delta, backend)
@@ -163,16 +162,8 @@ def chain_connect_map(
         raise ParameterError(f"chain length {k} is below the minimum {rec.k0}")
     while len(rec.points) <= k:
         rec.points.append(pushforward(f, rec.points[-1]))
-    if rec.failure is None:
-        for i in range(len(rec.distances), k):
-            try:
-                step = verify_chain(f, rec.points[i:i + 2], delta, backend)
-            except CertificationError as exc:
-                rec.failure = (i, str(exc))
-                break
-            rec.distances.extend(step.step_distances)
-    if rec.failure is not None and rec.failure[0] < k:
-        raise CertificationError(rec.failure[1])
+    for i in range(len(rec.distances), k):
+        rec.distances.extend(verify_chain(f, rec.points[i:i + 2], delta, backend).step_distances)
     chain = Chain(tuple(rec.points[:k + 1]), delta, tuple(rec.distances[:k]))
     if chain.points[-1] != pushforward_iter(f, nu, k):
         raise CertificationError("chain endpoint is not the exact image of nu")

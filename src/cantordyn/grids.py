@@ -39,7 +39,7 @@ from .errors import ParameterError
 from .maps import PrefixTableMap
 from .measures import AtomicMeasure, dirac
 from .measures import _from_weights, _interval_value, _runs, _thresholds
-from .orbits import DEFAULT_BUDGET, PairClass, _evolve_distance_sequence
+from .orbits import DEFAULT_BUDGET, PairClass, _evolve_distance_sequence, _term
 
 
 def simplex_grid(partition: CylinderPartition, resolution: int) -> list[AtomicMeasure]:
@@ -107,9 +107,7 @@ class TrajectoryFamily:
     forms: tuple
 
     def form_at(self, n: int):
-        if n < len(self.forms):
-            return self.forms[n]
-        return self.forms[self.preperiod + (n - self.preperiod) % self.period]
+        return _term(self.forms, self.preperiod, self.period, n)
 
 
 def track_representatives(f: PrefixTableMap, partition: CylinderPartition) -> TrajectoryFamily:

@@ -14,6 +14,7 @@ import cantordyn
 from cantordyn import cli, measures, tables
 from cantordyn.cantor import separation
 from cantordyn.cli import main
+from cantordyn.errors import CertificationError, ResourceBudgetError
 from cantordyn.maps import _rewritten
 from cantordyn.measures import atomic_measure, dirac
 from fractions import Fraction
@@ -287,6 +288,72 @@ def test_one_cell_path_declines_recurrence_before_the_first_certificate(tmp_path
     assert [(c["operation"], c["verdict"], c["witnesses"]) for c in certificates] == [
         ("suite_recurrence", "declined", {"error": "perturbation needs a path of length at "
                                                    "least 2 so the mass lands in a transient cell"})]
+
+
+def _certificates(tmp_path, cfg, suite) -> tuple[int, list]:
+    code = main(["analyze", "--config", cfg, "--suite", suite, "--out", str(tmp_path)])
+    return code, json.loads((tmp_path / f"report_{suite}.json").read_text())["certificates"]
+
+
+def _failure(suite, verdict, error) -> dict:
+    return {"operation": f"suite_{suite}", "passed": False, "verdict": verdict,
+            "parameters": {}, "witnesses": {"error": error}, "details": {}}
+
+
+def test_a_decline_after_a_certificate_is_the_suites_only_certificate(tmp_path):
+    # the loops have length 2 at level 0 and 6 at level 1: the periodic
+    # measures of period 1 hold, and then the level-0 measure of the
+    # consistency check is not periodic
+    cfg = _write_config(tmp_path, BALLOON_CONFIG.replace(
+        "levels = 3:2, 5:2\ncounts = 2, 4", "levels = 3:2, 6:3\ncounts = 1, 2").replace(
+        "eps = 1/4", "eps = 1/3"))
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    decline = _failure("recurrence", "declined",
+                       "measure is not exactly periodic at this level; the tower's loop "
+                       "lengths must be constant at and below the chosen level")
+    assert _certificates(tmp_path, cfg, "recurrence") == (2, [decline])
+    # every other suite gives what it gives alone
+    expected = []
+    for suite in cli._RUNNERS:
+        if suite != "recurrence":
+            code, certificates = _certificates(tmp_path, cfg, suite)
+            assert code == 0 and certificates
+            expected += certificates
+    assert _certificates(tmp_path, cfg, "all") == (2, expected + [decline])
+
+
+def test_a_failed_certification_keeps_the_certificates_that_held(tmp_path, monkeypatch):
+    # a solver fault inside a suite once ended the whole run with exit 3
+    # and no report
+    cfg = _write_config(tmp_path, BALLOON_CONFIG)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    code, expected = _certificates(tmp_path, cfg, "all")
+    assert code == 0
+    [index] = [i for i, c in enumerate(expected) if c["operation"] == "chain_continuity_test"]
+
+    def fault(*args):
+        raise CertificationError("backends disagree: 1/2 vs 1/3")
+
+    monkeypatch.setattr(cli, "chain_continuity_test", fault)
+    failure = _failure("chains", "certification_failed", "backends disagree: 1/2 vs 1/3")
+    assert _certificates(tmp_path, cfg, "all") == (
+        2, expected[:index] + [failure] + expected[index + 1:])
+    assert (tmp_path / "summary_all.csv").exists()
+
+
+def test_an_exhausted_budget_keeps_the_certificates_that_held(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path, BALLOON_CONFIG)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    code, expected = _certificates(tmp_path, cfg, "recurrence")
+    assert code == 0 and expected[-1]["operation"] == "approx_by_periodic"
+
+    def exhausted(*args):
+        raise ResourceBudgetError("no return time within the orbit budget")
+
+    monkeypatch.setattr(cli, "approx_by_periodic", exhausted)
+    failure = _failure("recurrence", "resource_budget_exceeded",
+                       "no return time within the orbit budget")
+    assert _certificates(tmp_path, cfg, "recurrence") == (2, expected[:-1] + [failure])
 
 
 # each edit of the balloon config that makes the commands exit 3 before any

@@ -309,7 +309,49 @@ def test_a_failed_step_fails_exactly_the_chains_that_hold_it(monkeypatch, failin
             assert _outcome(chain_connect_map, f, mu, nu, delta, k) == expected[k], (order, k)
         record = dynamics._chain_record(f, mu, nu, delta, "auto")
         assert len(record.distances) == first
-        assert record.failure == (first, error)
+
+
+@pytest.mark.parametrize("failing_step", range(6))
+def test_a_step_whose_solve_raises_is_solved_again_by_every_chain_that_holds_it(
+        monkeypatch, failing_step):
+    f, delta = _BALLOON.table, Fraction(1, 2)
+    k0 = chain_step_count(delta)
+    lengths = list(range(k0, k0 + 4))
+    rng = random.Random(23)
+    partition = _BALLOON.levels[0].partition()
+    mu = random_cell_measure(partition, rng, 4)
+    nu = random_cell_measure(partition, rng, 4)
+    tables.reset()
+    full = chain_connect_map(f, mu, nu, delta, lengths[-1])
+    steps = [(pushforward(f, a), b) for a, b in zip(full.points, full.points[1:])]
+    # the solve of this step raises, as a "both" solve of two backends that
+    # disagree does; an equal step earlier in the chain raises first
+    failing = steps[failing_step]
+    first = steps.index(failing)
+    error = "backends disagree: 1/2 vs 1/3"
+    solve, raised = dynamics.prohorov_distance, []
+
+    def solve_raising(a, b, backend="auto"):
+        if (a, b) == failing:
+            raised.append(1)
+            raise CertificationError(error)
+        return solve(a, b, backend)
+
+    monkeypatch.setattr(dynamics, "prohorov_distance", solve_raising)
+    expected = {k: error if k > first else
+                Chain(full.points[:k + 1], delta, full.step_distances[:k]) for k in lengths}
+    for order, fresh in ((lengths, False), (lengths[::-1], False),
+                         ([k0 + 2, k0, k0 + 3, k0 + 1], False), (lengths, True)):
+        tables.reset()
+        raised.clear()
+        for k in order + order:
+            if fresh:
+                tables.reset()
+            assert _outcome(chain_connect_map, f, mu, nu, delta, k) == expected[k], (order, k)
+        # every call that reaches the step solves it again: no error is replayed
+        assert len(raised) == 2 * sum(k > first for k in order)
+        record = dynamics._chain_record(f, mu, nu, delta, "auto")
+        assert len(record.distances) == first
 
 
 def test_chain_record_is_kept_per_backend(monkeypatch):

@@ -319,3 +319,20 @@ def test_enumerate_admissible_choices_rejects_a_period_below_1(q3_tower):
     for period in (0, -2):
         with pytest.raises(ParameterError, match=f"period = {period} is below 1"):
             enumerate_admissible_choices(q3_tower, period)
+
+
+def test_periodic_measure_needs_equal_loop_lengths_at_and_below_its_level():
+    # the loops have length 2 at level 0 and 6 at level 1: the level-0
+    # truncation of a period-1 choice through both levels is not invariant,
+    # the level-1 one is
+    tower = make_balloon_tower([(3, 2), (6, 3)], [1, 2])
+    assert [level.loop_length for level in tower.levels] == [2, 6]
+    for choice in enumerate_admissible_choices(tower, period=1):
+        with pytest.raises(ParameterError) as info:
+            periodic_measure(tower, choice, level=0)
+        assert str(info.value) == (
+            "measure is not exactly periodic at this level; the tower's loop "
+            "lengths must be constant at and below the chosen level")
+        mu = periodic_measure(tower, choice, level=1)
+        assert mu.masses == (Fraction(1, 6),) * 6
+        assert pushforward_iter(tower.table, mu, 1) == mu
