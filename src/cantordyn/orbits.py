@@ -73,6 +73,43 @@ within the budget, and ``distance_profile`` solves those states, read off
 the two records, with ``prohorov``.  When a record is None or rho + tau
 exceeds the budget, the joint engine certifies the pair as before; it stays
 the fallback and the oracle of the composition.
+
+A target distance reads the same orbit.  A table registered as ``orbits``
+holds, for the last 4 (map, measure) pairs, the engine's whole certificate
+of the measure alone: its window, (rho, tau) and kind, and for a padded
+cycle, for each step j in [rho, rho + tau] whose pad test has inserts, the
+words of step j, those that pad and m_j, their least insert; None when the
+engine runs out of budget.  ``cycles`` keeps only its state cycles.  The
+shadowing suite asks for one measure's anchors back to back, under h and
+its inverse, so 4 records serve it; a table as large as ``cycles`` would
+keep a whole grid's padded windows alive.
+
+Lemma.  Let a target have words T, frozen, and compare the joint run
+``_evolve_distance_sequence(f, (mu,), T, DEFAULT_BUDGET)`` with mu's own
+run ``_evolve_distance_sequence(f, (mu,), (), DEFAULT_BUDGET)``.
+
+1. A window that passes the joint check passes the own check.  The joint
+   sorted form fixes the own one: the order of the moving words, and each
+   own gap as the least joint gap between them, so the own largest gap is
+   at most the joint one.  The step key and the state check never read
+   frozen words.  So at every step the joint candidates are own
+   candidates, and the joint engine cannot close before the own engine.
+2. At the own certificate (rho, tau), the joint check passes exactly when,
+   at every j in [rho, rho + tau] whose pad test has inserts, every
+   separation between a target word and a moving word of step j, and
+   between two target words, is at most m_j, and no word that pads at j
+   equals a target word.  The joint largest gap bounds those separations,
+   and a padded word equal to a target word at j differs from it at
+   j + tau, so the joint forms differ.  Conversely, every first difference
+   that involves a padded word lies before its insert, so padding keeps
+   every order and separation.
+3. Hence an own state cycle gives the joint result exactly, and so does an
+   own padded cycle that passes 2: at step rho + tau the joint candidates
+   newer than rho are own candidates that failed the own check, so they
+   fail the joint one too.  An own run that exhausts the budget means the
+   joint run exhausts it as well.  In every other case
+   ``orbit_distance_to_target`` runs the joint engine, which stays the
+   fallback and the oracle of this path.
 """
 
 from __future__ import annotations
@@ -92,6 +129,9 @@ DEFAULT_BUDGET = 400  # the one step budget of every certified orbit
 # one record per measure of a whole entropy grid: entropy_estimate sweeps nu
 # over the grid for each mu, so a table smaller than the grid misses on every call
 _CYCLE_TABLE_SIZE = 4096
+# the shadowing suite reads a measure's orbits under h and its inverse for one
+# anchor and then the other; a larger table keeps a grid's padded windows alive
+_ORBIT_TABLE_SIZE = 4
 
 
 def _term(window, preperiod: int, period: int, n: int):
@@ -267,9 +307,11 @@ def _evolve_distance_sequence(
             if rho + 2 * tau <= budget and _verify_padded_window(f, step, form, rho, tau):
                 return tuple(states[:n]), rho, tau, "padded-cycle"
         found.append(n)
-    raise ResourceBudgetError(
-        f"no certified eventual periodicity within {budget} steps"
-    )
+    raise _out_of_budget(budget)
+
+
+def _out_of_budget(budget: int) -> ResourceBudgetError:
+    return ResourceBudgetError(f"no certified eventual periodicity within {budget} steps")
 
 
 def _solved_window(
@@ -287,16 +329,52 @@ def _solved_window(
     return DistanceProfile(values, rho, tau, kind)
 
 
+@table("orbits", _ORBIT_TABLE_SIZE)
+def _own_orbit(f: PrefixTableMap, mu: AtomicMeasure):
+    """mu's own certificate (window, rho, tau, kind, pads), or None when the
+    engine runs out of budget.  ``pads`` holds (words, padded words, least
+    insert) of each step j in [rho, rho + tau] whose pad test has inserts,
+    so it is empty for a state cycle."""
+    try:
+        states, rho, tau, kind = _evolve_distance_sequence(f, (mu,), (), DEFAULT_BUDGET)
+    except ResourceBudgetError:
+        return None
+    window = tuple([st[0] for st in states])
+    pads = []
+    if kind == "padded-cycle":
+        # the engine pushed these states to check the window: memo hits
+        orbit = list(window)
+        while len(orbit) <= rho + 2 * tau:
+            orbit.append(pushforward(f, orbit[-1]))
+        for j in range(rho, rho + tau + 1):
+            words, later = orbit[j].support, orbit[j + tau].support
+            inserts = _pad_inserts(f, words, later)
+            if inserts:
+                padded = frozenset([a for a, b in zip(words, later) if a != b])
+                pads.append((words, padded, min(inserts)))
+    return window, rho, tau, kind, tuple(pads)
+
+
+def _keeps_window(pads, targets: tuple[str, ...]) -> bool:
+    """Part 2 of the target lemma: whether the frozen words ``targets`` keep
+    mu's own padded window passing, given the ``pads`` of its record."""
+    for words, padded, m in pads:
+        for t in targets:
+            if t in padded:
+                return False
+            for w in words + targets:
+                if separation(t, w) > m:
+                    return False
+    return True
+
+
 @table("cycles", _CYCLE_TABLE_SIZE)
 def _own_cycle(f: PrefixTableMap, mu: AtomicMeasure):
     """The state-cycle certificate of mu's own orbit: its window
     f~^0 mu .. f~^(rho+tau-1) mu with rho and tau, or None when the engine
     certifies a padded cycle or runs out of budget instead."""
-    try:
-        states, rho, tau, kind = _evolve_distance_sequence(f, (mu,), (), DEFAULT_BUDGET)
-    except ResourceBudgetError:
-        return None
-    return (tuple([st[0] for st in states]), rho, tau) if kind == "state-cycle" else None
+    record = _own_orbit(f, mu)
+    return record[:3] if record is not None and record[3] == "state-cycle" else None
 
 
 def distance_profile(f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure) -> DistanceProfile:
@@ -317,5 +395,15 @@ def distance_profile(f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure) ->
 def orbit_distance_to_target(
     f: PrefixTableMap, mu: AtomicMeasure, target: AtomicMeasure
 ) -> DistanceProfile:
-    """Exact profile of d(f~^n mu, target) against a fixed target measure."""
-    return _solved_window(f, mu, target, False)
+    """Exact profile of d(f~^n mu, target) against a fixed target measure.
+
+    The window is mu's own certificate whenever the target lemma of the
+    module docstring says the target keeps it; otherwise the joint engine
+    certifies the orbit with the target's words frozen."""
+    record = _own_orbit(f, mu)
+    if record is None:
+        raise _out_of_budget(DEFAULT_BUDGET)
+    window, rho, tau, kind, pads = record
+    if not _keeps_window(pads, target.support):
+        return _solved_window(f, mu, target, False)
+    return DistanceProfile(tuple(prohorov(eta, target).value for eta in window), rho, tau, kind)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cantordyn
-from cantordyn import cli, measures, tables
+from cantordyn import cli, dynamics, measures, orbits, tables
 from cantordyn.cantor import separation
 from cantordyn.cli import main
 from cantordyn.errors import CertificationError, ResourceBudgetError
@@ -601,7 +601,7 @@ def test_readme_example_config_liyorke(tmp_path):
     # the example config of README.md: 24 cells at level 0, 300 grid measures
     cfg = _readme_config(tmp_path)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    # only this suite: the config's entropy suite takes about 10 seconds
+    # only this suite: the others have tests of their own
     assert main(["analyze", "--config", cfg, "--suite", "liyorke",
                  "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report_liyorke.json").read_text())
@@ -636,7 +636,8 @@ def test_generate_runs_without_numpy(tmp_path):
 
 @pytest.mark.parametrize("suite", ["chains", "shadowing", "recurrence"])
 def test_readme_example_config_suites(tmp_path, suite):
-    # every README suite but entropy, which still runs for about 10 seconds
+    # every README suite but entropy, whose verdict fails at horizon 6 (its
+    # own test below)
     cfg = _readme_config(tmp_path)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert main(["analyze", "--config", cfg, "--suite", suite,
@@ -644,6 +645,23 @@ def test_readme_example_config_suites(tmp_path, suite):
     report = json.loads((tmp_path / f"report_{suite}.json").read_text())
     assert report["certificates"]
     assert all(c["passed"] for c in report["certificates"])
+
+
+def test_readme_example_config_entropy(tmp_path):
+    # the current outcome, not a settled verdict: the counts at eps = 1/2
+    # still grow at horizon 6, so the suite fails and the run exits 2
+    cfg = _readme_config(tmp_path)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "--config", cfg, "--suite", "entropy",
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report_entropy.json").read_text())
+    assert [(c["operation"], c["parameters"], c["verdict"],
+             c["witnesses"]["separated_counts"]) for c in report["certificates"]] == [
+        ("entropy_growth", {"eps": eps, "exact": False, "grid_size": 300, "horizon": 6},
+         verdict, dict(zip("123456", counts)))
+        for eps, verdict, counts in (
+            ("1/2", "growth_detected", [10, 21, 36, 55, 78, 105]),
+            ("1/4", "zero_growth_at_horizon", [136, 300, 300, 300, 300, 300]))]
 
 
 def test_readme_dumbbell_config_passes_every_suite(tmp_path):
@@ -679,7 +697,7 @@ def test_report_timings_count_the_memos(tmp_path, monkeypatch):
     assert set(stage) == {"stage", "ms", "solves", "solve_hits",
                           "pushforwards", "pushforward_hits", "separations",
                           "separation_hits", "images", "image_hits", "chains",
-                          "chain_hits", "cycles", "cycle_hits"}
+                          "chain_hits", "cycles", "cycle_hits", "orbits", "orbit_hits"}
     # the chain of length k + 1 extends the record of the chain of length k
     assert stage["solves"] > 0 and stage["chain_hits"] > 0
     assert stage["pushforwards"] > 0 and stage["pushforward_hits"] > 0
@@ -691,6 +709,43 @@ def test_report_timings_count_the_memos(tmp_path, monkeypatch):
         info = table.cache_info()
         assert stage[computed] == info.misses == info.currsize > 0
         assert stage[hits] == info.hits > 0
+
+
+def test_shadowing_certifies_each_orbit_once(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path, DUMBBELL_CONFIG)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    tables.reset()
+    targets, joint = [], []
+    to_target, solved = dynamics.orbit_distance_to_target, orbits._solved_window
+
+    def to_target_counted(f, mu, target):
+        targets.append((f, mu, target))
+        return to_target(f, mu, target)
+
+    def solved_counted(f, mu, nu, nu_moves):
+        joint.append((f, mu, nu))
+        return solved(f, mu, nu, nu_moves)
+
+    monkeypatch.setattr(dynamics, "orbit_distance_to_target", to_target_counted)
+    monkeypatch.setattr(orbits, "_solved_window", solved_counted)
+    assert main(["analyze", "--config", cfg, "--suite", "shadowing",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_shadowing.json").read_text())
+    [stage] = report["timings"]
+    [refutation] = [c for c in report["certificates"]
+                    if c["operation"] == "weak_shadowing_refutation"]
+    grid_size = refutation["parameters"]["grid_size"]
+    # each grid measure's orbit under h and its inverse, read again for the
+    # second anchor
+    assert stage["orbits"] == stage["orbit_hits"] == 2 * grid_size
+    assert len(targets) == 4 * grid_size
+    # the joint engine runs exactly for the targets that fail the own window
+    fallbacks = []
+    for f, mu, target in targets:
+        record = orbits._own_orbit(f, mu)
+        if not orbits._keeps_window(record[4], target.support):
+            fallbacks.append((f, mu, target))
+    assert joint == fallbacks
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -529,6 +529,117 @@ def test_an_orbit_that_is_no_state_cycle_is_certified_once(kind):
     assert orbits._own_cycle(f, mu) is None
 
 
+def _eager_target(f, mu, target):
+    states, rho, tau, kind = _eager_engine(f, (mu,), target.support, orbits.DEFAULT_BUDGET)
+    return DistanceProfile(tuple(prohorov(st[0], target).value for st in states), rho, tau, kind)
+
+
+# (mu, target): mu's own cycle under the dumbbell map is (1, 2), with least
+# inserts 4, 4 and 5; the target's atoms are 6 apart, so the joint cycle is (5, 2)
+PAIR_CASE = (atomic_measure({"01": Fraction(2, 3), "101": Fraction(1, 3)}),
+             atomic_measure({"11": Fraction(1, 2), "110001": Fraction(1, 2)}))
+
+
+def _target_cases():
+    """(map, [(mu, target)]) for the target path, under both directions of
+    the homeomorphism: random measures and targets, a Dirac on a word of
+    mu's orbit, and two-atom targets t, t 0^k 1 with k up to 6, whose
+    separation is near the least insert, so that the clause on two target
+    words decides some of them."""
+    balloons = [make_balloon_tower([(3, 2), (5, 2)], counts) for counts in ([2, 4], [1, 2])]
+    dumbbell = make_dumbbell_tower((4, 2), 2, bar_length=1)
+    rng = random.Random(7)
+    for f, level in ((balloons[0].table, balloons[0].levels[1]),
+                     (balloons[1].table, balloons[1].levels[1]),
+                     (dumbbell.table, dumbbell.levels[0]),
+                     (dumbbell.table.invert(), dumbbell.levels[0])):
+        partition = level.partition()
+        cases = []
+        for i in range(16):
+            if i % 2:
+                mu = random_cell_measure(partition, rng, rng.randint(1, 4))
+            else:
+                mu = random_atomic_measure(rng, 3, 5)
+            word = rng.choice(pushforward_iter(f, mu, rng.randint(0, 6)).support)
+            t = rng.choice((word, rng.choice(mu.support)))
+            twin = t + "0" * rng.randint(0, 6) + "1"
+            pair = atomic_measure({t: Fraction(1, 2), twin: Fraction(1, 2)})
+            for target in (random_atomic_measure(rng, 2, 5),
+                           random_cell_measure(partition, rng, rng.randint(1, 3)),
+                           dirac(word), pair):
+                cases.append((mu, target))
+        yield f, cases
+    yield dumbbell.table, [PAIR_CASE]
+
+
+def _target_path(f, mu, target, outcome):
+    record = orbits._own_orbit(f, mu)
+    if record is None:
+        return "own budget"
+    if record[3] == "state-cycle":
+        return "state-cycle record"
+    if orbits._keeps_window(record[4], target.support):
+        return "padded record"
+    return "budget fallback" if isinstance(outcome, str) else "padded fallback"
+
+
+def test_target_profiles_match_the_joint_and_eager_engines():
+    # orbit_distance_to_target with its records kept warm across a case,
+    # against the joint engine on empty tables and the eager engine: the
+    # same DistanceProfile or the same budget error text, on every path
+    paths = set()
+    for f, cases in _target_cases():
+        joint = []
+        for mu, target in cases:
+            tables.reset()
+            joint.append(_outcome(orbits._solved_window, f, mu, target, False))
+        eager = [_outcome(_eager_target, f, mu, target) for mu, target in cases]
+        tables.reset()
+        for (mu, target), want, oracle in zip(cases, joint, eager):
+            got = _outcome(orbit_distance_to_target, f, mu, target)
+            assert got == want == oracle, (mu, target)
+            paths.add(_target_path(f, mu, target, want))
+    assert paths == {"state-cycle record", "padded record", "padded fallback",
+                     "budget fallback", "own budget"}
+
+
+def test_target_atoms_closer_than_the_least_insert_fall_back():
+    # each target atom alone keeps mu's own window (1, 2); the two together
+    # are closer than the least insert, so the joint engine certifies (5, 2)
+    f = make_dumbbell_tower((4, 2), 2, bar_length=1).table
+    mu, target = PAIR_CASE
+    _, rho, tau, kind, pads = orbits._own_orbit(f, mu)
+    assert (rho, tau, kind) == (1, 2, "padded-cycle")
+    assert [m for _, _, m in pads] == [4, 4, 5]
+    assert all(orbits._keeps_window(pads, (t,)) for t in target.support)
+    assert separation(*target.support) == 6
+    prof = orbit_distance_to_target(f, mu, target)
+    assert (prof.preperiod, prof.period, prof.certificate) == (5, 2, "padded-cycle")
+    assert prof == orbits._solved_window(f, mu, target, False)
+
+
+def test_an_exhausted_own_orbit_raises_without_the_joint_engine(monkeypatch):
+    # a target of an own orbit that runs the budget out raises the joint
+    # engine's text after one engine run, the own one
+    cases = [(f, mu, target) for f, pairs in _target_cases() for mu, target in pairs
+             if isinstance(_outcome(orbits._evolve_distance_sequence, f, (mu,), (),
+                                    orbits.DEFAULT_BUDGET), str)]
+    wants = [_outcome(orbits._solved_window, *case, False) for case in cases]
+    runs, engine = [], orbits._evolve_distance_sequence
+
+    def counted(*args):
+        runs.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(orbits, "_evolve_distance_sequence", counted)
+    for (f, mu, target), want in zip(cases, wants):
+        tables.reset()
+        runs.clear()
+        assert _outcome(orbit_distance_to_target, f, mu, target) == want
+        assert [args[1:3] for args in runs] == [((mu,), ())]
+    assert len(cases) >= 4 and all(isinstance(want, str) for want in wants)
+
+
 def test_pad_test_rejects_an_insert_inside_the_rule_domain():
     # "01" -> "001" extends a zero-run inside the domain "01" that fires on
     # "01", so no window opens at step 0; "001" -> "0001" pads beyond "00"
