@@ -120,7 +120,7 @@ def track_representatives(f: PrefixTableMap, partition: CylinderPartition) -> Tr
     family keeps the forms of the states of the certified window.
     """
     start = tuple(representative(c) for c in partition.cells)
-    states, rho, tau, _ = _evolve_distance_sequence(
+    states, rho, tau, _, _ = _evolve_distance_sequence(
         f, tuple(dirac(w) for w in start), (), DEFAULT_BUDGET
     )
     forms = tuple(_sorted_form([mu.support[0] for mu in s]) for s in states)

@@ -23,7 +23,8 @@ ResourceBudgetError rather than returning an unproven answer.
 
 One engine, ``_evolve_distance_sequence``, implements both mechanisms.  It
 only certifies: it returns the certified window -- the states up to
-preperiod + period -- and its callers evaluate that window.  Its step table
+preperiod + period -- with the pads its window check found, and its callers
+evaluate that window.  Its step table
 holds each state's per-measure integer masses and moving words, computed
 once, when the state is pushed, and each step is keyed on its masses and
 the ones of each moving word.  Padding inserts zeros only, so a padded
@@ -38,7 +39,7 @@ the largest first difference.  Every word fact it uses is computed once per
 process: separations, which the sorted forms and the pad test's insert
 positions read, come from the separation table of ``cantor``, and images
 and the domain length of the fired rule, which the pad test reads, from the
-image table of ``maps``.  Distance profiles and target distances solve each
+image table of ``maps``.  Target distances and joint profiles solve each
 window state with ``measures.prohorov``, whose memo is keyed on the integer
 problem, the masses and the gaps between the sorted words and not the
 words, so a state whose problem recurs, in a padded window or across
@@ -49,10 +50,11 @@ representatives, built by the same routine.
 
 A pair profile is composed from the two measures' own orbits where it can
 be.  A table registered in ``tables`` as ``cycles`` holds, per (map,
-measure), the engine's certificate of that measure alone: its window and
-(rho, tau) when the orbit is a state cycle, None when the engine certifies a
-padded cycle or runs out of budget, so each orbit is certified once per
-process however many pairs it enters.
+measure), the engine's certificate of that measure alone: its window, the
+numbers of the window's states and (rho, tau) when the orbit is a state
+cycle, ``_PADDED`` when the engine certifies a padded cycle and None when it
+runs out of budget, so each orbit is certified once per process however
+many pairs it enters.
 
 Lemma.  Let mu and nu have state cycles (rho_mu, tau_mu) and (rho_nu,
 tau_nu), and let rho = max(rho_mu, rho_nu) and tau = lcm(tau_mu, tau_nu).
@@ -68,18 +70,45 @@ tau_nu), and let rho = max(rho_mu, rho_nu) and tau = lcm(tau_mu, tau_nu).
    grow without bound, which a literally periodic sequence cannot do.
 
 So ``_evolve_distance_sequence(f, (mu, nu), (), DEFAULT_BUDGET)`` returns
-exactly (states[:rho + tau], rho, tau, "state-cycle") when rho + tau is
-within the budget, and ``distance_profile`` solves those states, read off
-the two records, with ``prohorov``.  When a record is None or rho + tau
-exceeds the budget, the joint engine certifies the pair as before; it stays
-the fallback and the oracle of the composition.
+exactly (states[:rho + tau], rho, tau, "state-cycle", ()) when rho + tau is
+within the budget, and ``distance_profile`` reads the distances of those
+states, off the two records, from distance rows.  When a record is
+``_PADDED`` or rho + tau exceeds the budget, the joint engine certifies the
+pair as before; it stays the fallback and the oracle of the composition.
+
+Lemma.  When both measures move, the joint candidates are own candidates:
+if the joint run ``_evolve_distance_sequence(f, (mu, nu), (), budget)``
+closes at step n, mu's own run closes at step n or before.  A joint state
+cycle repeats mu's state.  A joint padded window repeats mu's masses, and
+mu's words are some of the joint words, so they pass the pad test with some
+of the joint inserts, and mu's steps share their key.  The joint sorted
+form fixes mu's, as in the target lemma below, so mu's own largest gap is
+at most the joint one, which is at most the least joint insert, which is at
+most the least of mu's inserts.  So the window passes mu's own check, and
+mu's own run, unless it closed earlier, finds a passing candidate at step
+n.  Hence when either record is None the pair runs out of budget too, and
+``distance_profile`` raises the joint engine's error at once.
+
+The distances of a composed window are read from distance rows.  A table
+registered as ``states`` gives each window state of a ``cycles`` record a
+number drawn from one process-wide counter, and a table registered as
+``distance_rows`` gives, per state number, the row of that state: the exact
+distance to each state it was paired with, by that state's number, filled
+by ``prohorov`` when first asked.  A number is never drawn twice, even
+after its measure leaves the ``states`` table or ``tables.reset()`` runs,
+so each number names one measure for the life of the process, and a row
+entry holds the distance of the two measures it names.  A distance depends
+only on the two measures, not on the map, the orbit or the step, so this
+needs no lemma: each distinct (state, state) pair is solved once however
+many windows hold it, and each value is the ``prohorov`` value itself.
 
 A target distance reads the same orbit.  A table registered as ``orbits``
 holds, for the last 4 (map, measure) pairs, the engine's whole certificate
 of the measure alone: its window, (rho, tau) and kind, and for a padded
 cycle, for each step j in [rho, rho + tau] whose pad test has inserts, the
-words of step j, those that pad and m_j, their least insert; None when the
-engine runs out of budget.  ``cycles`` keeps only its state cycles.  The
+words of step j, those that pad and m_j, their least insert, as the
+engine's window check found them; None when the engine runs out of
+budget.  ``cycles`` reads it, and keeps only its state cycles whole.  The
 shadowing suite asks for one measure's anchors back to back, under h and
 its inverse, so 4 records serve it; a table as large as ``cycles`` would
 keep a whole grid's padded windows alive.
@@ -117,6 +146,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from .cantor import _sorted_form, separation
@@ -137,7 +167,12 @@ _ORBIT_TABLE_SIZE = 4
 def _term(window, preperiod: int, period: int, n: int):
     """Term n of the eventually periodic sequence certified by ``window``,
     its terms 0 .. preperiod+period-1."""
-    return window[n] if n < len(window) else window[preperiod + (n - preperiod) % period]
+    return window[_index(preperiod, period, n)]
+
+
+def _index(preperiod: int, period: int, n: int) -> int:
+    """The index of term n in a window of preperiod + period terms."""
+    return n if n < preperiod + period else preperiod + (n - preperiod) % period
 
 
 @dataclass(frozen=True)
@@ -212,8 +247,9 @@ def _pad_inserts(f: PrefixTableMap, words_a, words_b) -> list[int] | None:
     return inserts
 
 
-def _verify_padded_window(f: PrefixTableMap, step, form, start: int, tau: int) -> bool:
-    """Check the padding certificate on the window [start, start+tau].
+def _verify_padded_window(f: PrefixTableMap, step, form, start: int, tau: int) -> tuple | None:
+    """Check the padding certificate on the window [start, start+tau]:
+    the pads of the window when it passes, None when it fails.
 
     ``step(k)`` is the step table's entry of state k -- its per-measure
     integer masses and its moving words -- and ``form(k)`` the sorted form
@@ -228,21 +264,28 @@ def _verify_padded_window(f: PrefixTableMap, step, form, start: int, tau: int) -
     Inserts beyond every first difference keep each pair's first difference
     and the bit there, so they keep the order of the words and every
     separation: the check passes on exactly the windows on which a check of
-    every pairwise separation passes.
+    every pairwise separation passes.  The pads hold, for each step j of
+    the window whose pad test has inserts, its moving words, those of them
+    that pad and the least insert.
     """
+    pads = []
     for j in range(start, start + tau + 1):
         (masses_a, words_a), (masses_b, words_b) = step(j), step(j + tau)
         # equal per-measure weights also pair the atoms by index
         if masses_a != masses_b:
-            return False
+            return None
         inserts = _pad_inserts(f, words_a, words_b)
         if inserts is None or form(j) != form(j + tau):
-            return False
-        # a separation n is a first difference at index n - 1, and the
-        # largest separation of the words is their largest gap
-        if inserts and max(form(j)[1], default=0) > min(inserts):
-            return False
-    return True
+            return None
+        if inserts:
+            # a separation n is a first difference at index n - 1, and the
+            # largest separation of the words is their largest gap
+            least = min(inserts)
+            if max(form(j)[1], default=0) > least:
+                return None
+            padded = frozenset([a for a, b in zip(words_a, words_b) if a != b])
+            pads.append((words_a, padded, least))
+    return tuple(pads)
 
 
 def _evolve_distance_sequence(
@@ -250,13 +293,15 @@ def _evolve_distance_sequence(
     initial: tuple[AtomicMeasure, ...],
     frozen: tuple[str, ...],
     budget: int,
-) -> tuple[tuple[tuple[AtomicMeasure, ...], ...], int, int, str]:
+) -> tuple[tuple[tuple[AtomicMeasure, ...], ...], int, int, str, tuple]:
     """Shared engine: evolve the measures and certify that their joint
     distance data is eventually periodic.
 
     Returns the certified window -- the states 0 .. preperiod+period-1 --
-    with the preperiod, the period and the certificate kind.  Nothing is
-    evaluated on the states: callers map their own value over the window.
+    with the preperiod, the period, the certificate kind and the pads that
+    ``_verify_padded_window`` returned for it, empty for a state cycle.
+    Nothing is evaluated on the states: callers map their own value over
+    the window.
 
     The step table holds each state's per-measure integer masses and moving
     words, entered once, when the state is pushed; reading a step not pushed
@@ -293,7 +338,7 @@ def _evolve_distance_sequence(
         masses, words = step(n)
         rho = exact_seen.setdefault(states[n], n)
         if rho < n:
-            return tuple(states[:n]), rho, n - rho, "state-cycle"
+            return tuple(states[:n]), rho, n - rho, "state-cycle", ()
         key = masses, tuple([w.count("1") for w in words])
         first = first_seen.setdefault(key, n)
         if first == n:
@@ -304,8 +349,11 @@ def _evolve_distance_sequence(
         found = form_seen.setdefault((key, form(n)), [])
         for rho in reversed(found):
             tau = n - rho
-            if rho + 2 * tau <= budget and _verify_padded_window(f, step, form, rho, tau):
-                return tuple(states[:n]), rho, tau, "padded-cycle"
+            if rho + 2 * tau > budget:
+                continue
+            pads = _verify_padded_window(f, step, form, rho, tau)
+            if pads is not None:
+                return tuple(states[:n]), rho, tau, "padded-cycle", pads
         found.append(n)
     raise _out_of_budget(budget)
 
@@ -324,7 +372,7 @@ def _solved_window(
     across profiles is solved once.
     """
     initial, frozen = ((mu, nu), ()) if nu_moves else ((mu,), nu.support)
-    states, rho, tau, kind = _evolve_distance_sequence(f, initial, frozen, DEFAULT_BUDGET)
+    states, rho, tau, kind, _ = _evolve_distance_sequence(f, initial, frozen, DEFAULT_BUDGET)
     values = tuple(prohorov(st[0], st[1] if nu_moves else nu).value for st in states)
     return DistanceProfile(values, rho, tau, kind)
 
@@ -334,25 +382,13 @@ def _own_orbit(f: PrefixTableMap, mu: AtomicMeasure):
     """mu's own certificate (window, rho, tau, kind, pads), or None when the
     engine runs out of budget.  ``pads`` holds (words, padded words, least
     insert) of each step j in [rho, rho + tau] whose pad test has inserts,
-    so it is empty for a state cycle."""
+    as the engine's window check found them, so it is empty for a state
+    cycle."""
     try:
-        states, rho, tau, kind = _evolve_distance_sequence(f, (mu,), (), DEFAULT_BUDGET)
+        states, rho, tau, kind, pads = _evolve_distance_sequence(f, (mu,), (), DEFAULT_BUDGET)
     except ResourceBudgetError:
         return None
-    window = tuple([st[0] for st in states])
-    pads = []
-    if kind == "padded-cycle":
-        # the engine pushed these states to check the window: memo hits
-        orbit = list(window)
-        while len(orbit) <= rho + 2 * tau:
-            orbit.append(pushforward(f, orbit[-1]))
-        for j in range(rho, rho + tau + 1):
-            words, later = orbit[j].support, orbit[j + tau].support
-            inserts = _pad_inserts(f, words, later)
-            if inserts:
-                padded = frozenset([a for a, b in zip(words, later) if a != b])
-                pads.append((words, padded, min(inserts)))
-    return window, rho, tau, kind, tuple(pads)
+    return tuple([st[0] for st in states]), rho, tau, kind, pads
 
 
 def _keeps_window(pads, targets: tuple[str, ...]) -> bool:
@@ -368,27 +404,69 @@ def _keeps_window(pads, targets: tuple[str, ...]) -> bool:
     return True
 
 
+# the cycles record of a padded cycle: there is no state cycle to compose
+_PADDED = ()
+
+
 @table("cycles", _CYCLE_TABLE_SIZE)
 def _own_cycle(f: PrefixTableMap, mu: AtomicMeasure):
     """The state-cycle certificate of mu's own orbit: its window
-    f~^0 mu .. f~^(rho+tau-1) mu with rho and tau, or None when the engine
-    certifies a padded cycle or runs out of budget instead."""
+    f~^0 mu .. f~^(rho+tau-1) mu, the numbers of those states, rho and tau;
+    ``_PADDED`` when the engine certifies a padded cycle instead, and None
+    when it runs out of budget."""
     record = _own_orbit(f, mu)
-    return record[:3] if record is not None and record[3] == "state-cycle" else None
+    if record is None:
+        return None
+    window, rho, tau, kind, _ = record
+    if kind != "state-cycle":
+        return _PADDED
+    return window, tuple([_state_number(eta) for eta in window]), rho, tau
+
+
+_NUMBERS = count()  # the one source of state numbers: no number is drawn twice
+
+
+@table("states", _CYCLE_TABLE_SIZE)
+def _state_number(mu: AtomicMeasure) -> int:
+    """mu's state number.  A number that the table forgets, by eviction or
+    ``tables.reset()``, is never drawn again, so a row entry keyed on it
+    answers for mu alone."""
+    return next(_NUMBERS)
+
+
+@table("distance_rows", _CYCLE_TABLE_SIZE)
+def _distance_row(number: int) -> dict:
+    """The distance row of state ``number``: the exact distance from it to
+    each state it was paired with, by that state's number, filled by
+    ``distance_profile`` as it asks."""
+    return {}
 
 
 def distance_profile(f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure) -> DistanceProfile:
     """Exact profile of d(f~^n mu, f~^n nu) with certified liminf/limsup.
 
     When both orbits are state cycles whose pair window fits the budget, the
-    window is composed from their records, by the lemma of the module
-    docstring; otherwise the joint engine certifies the pair."""
+    window is composed from their records and read off the distance rows of
+    mu's states, by the lemma of the module docstring; when either orbit
+    runs out of budget, so does the pair; otherwise the joint engine
+    certifies the pair."""
     a, b = _own_cycle(f, mu), _own_cycle(f, nu)
-    if a is not None and b is not None:
-        rho, tau = max(a[1], b[1]), lcm(a[2], b[2])
+    if a is None or b is None:
+        raise _out_of_budget(DEFAULT_BUDGET)
+    if a is not _PADDED and b is not _PADDED:
+        (states_a, numbers_a, rho_a, tau_a), (states_b, numbers_b, rho_b, tau_b) = a, b
+        rho, tau = max(rho_a, rho_b), lcm(tau_a, tau_b)
         if rho + tau <= DEFAULT_BUDGET:
-            values = tuple(prohorov(_term(*a, n), _term(*b, n)).value for n in range(rho + tau))
-            return DistanceProfile(values, rho, tau, "state-cycle")
+            rows = [_distance_row(k) for k in numbers_a]
+            values = []
+            for n in range(rho + tau):
+                i, j = _index(rho_a, tau_a, n), _index(rho_b, tau_b, n)
+                row, k = rows[i], numbers_b[j]
+                value = row.get(k)
+                if value is None:
+                    value = row[k] = prohorov(states_a[i], states_b[j]).value
+                values.append(value)
+            return DistanceProfile(tuple(values), rho, tau, "state-cycle")
     return _solved_window(f, mu, nu, True)
 
 

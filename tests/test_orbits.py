@@ -35,7 +35,7 @@ SWAP = PrefixTableMap((("0", "1"), ("1", "0")))
 
 def test_state_cycle_examples():
     for f, point, expected in ((IDENTITY, "01", (0, 1)), (SWAP, "", (0, 2))):
-        _, rho, tau, kind = orbits._evolve_distance_sequence(
+        _, rho, tau, kind, _ = orbits._evolve_distance_sequence(
             f, (dirac(point),), (), orbits.DEFAULT_BUDGET
         )
         assert (kind, rho, tau) == ("state-cycle", *expected)
@@ -46,7 +46,7 @@ def test_state_cycle_balloon_path_dirac():
     comp = tower.levels[0].components[0]
     m = len(comp.loop)
     for j, cell in enumerate(comp.path, start=1):
-        _, rho, tau, kind = orbits._evolve_distance_sequence(
+        _, rho, tau, kind, _ = orbits._evolve_distance_sequence(
             tower.table, (dirac(representative(cell)),), (), orbits.DEFAULT_BUDGET
         )
         assert kind == "state-cycle"
@@ -59,7 +59,7 @@ def test_engine_budget_covers_the_padded_window():
     # cycle (1, 2) needs the states up to index 1 + 2 * 2 = 5
     tower = make_dumbbell_tower((4, 2), 1, bar_length=1)
     bar = (dirac(representative(tower.levels[0].components[0].bar[0])),)
-    _, rho, tau, kind = orbits._evolve_distance_sequence(tower.table, bar, (), 5)
+    _, rho, tau, kind, _ = orbits._evolve_distance_sequence(tower.table, bar, (), 5)
     assert (kind, rho, tau) == ("padded-cycle", 1, 2)
     with pytest.raises(ResourceBudgetError):
         orbits._evolve_distance_sequence(tower.table, bar, (), 4)
@@ -151,7 +151,7 @@ def test_padded_cycle_rejects_atoms_that_trade_masses():
     assert step(0)[1] == step(1)[1] == ("", "1")
     assert form(0) == form(1) == ((0, 1), (1,))
     assert step(0)[0] != step(1)[0]
-    assert not orbits._verify_padded_window(SWAP, step, form, 0, 1)
+    assert orbits._verify_padded_window(SWAP, step, form, 0, 1) is None
     assert prohorov_distance(states[0][0], dirac("")) != prohorov_distance(
         states[1][0], dirac("")
     )
@@ -177,11 +177,11 @@ def test_padded_cycle_insert_bound_at_its_boundary():
     # largest separation == first insert index: accepted
     step, form, largest = window("11")
     assert largest == 2
-    assert orbits._verify_padded_window(SWAP, step, form, 0, 1)
+    assert orbits._verify_padded_window(SWAP, step, form, 0, 1) is not None
     # largest separation == first insert index + 1: rejected
     step, form, largest = window("101")
     assert largest == 3
-    assert not orbits._verify_padded_window(SWAP, step, form, 0, 1)
+    assert orbits._verify_padded_window(SWAP, step, form, 0, 1) is None
 
 
 def _loop_insert(wa, wb):
@@ -223,6 +223,9 @@ def test_pad_test_takes_its_insert_position_from_the_separation():
 
 
 def test_profiles_solve_only_the_certified_window(monkeypatch):
+    # prohorov calls are counted, and a kept distance row answers a call:
+    # start from empty tables
+    tables.reset()
     calls = []
     solve = orbits.prohorov
 
@@ -297,7 +300,7 @@ def test_pad_tests_need_a_shared_key_and_sorted_form(monkeypatch):
     monkeypatch.setattr(orbits, "_sorted_form", lambda words: forms.append(words) or build(words))
     tower = make_balloon_tower([(5, 3)], [1])
     comp = tower.levels[0].components[0]
-    states, rho, tau, kind = orbits._evolve_distance_sequence(
+    states, rho, tau, kind, _ = orbits._evolve_distance_sequence(
         tower.table, (dirac(representative(comp.path[0])),), (), orbits.DEFAULT_BUDGET
     )
     assert (kind, rho, tau) == ("state-cycle", 6, 6)
@@ -413,6 +416,11 @@ def _outcome(engine, *args):
         return str(exc)
 
 
+def _engine(*args):
+    """The engine's certificate without its pads, as the eager engine gives it."""
+    return orbits._evolve_distance_sequence(*args)[:4]
+
+
 def test_engine_matches_the_eager_engine():
     # equal (states, preperiod, period, kind), or the same budget error, on
     # random measures of balloon and dumbbell towers, both directions of the
@@ -432,7 +440,7 @@ def test_engine_matches_the_eager_engine():
             for initial, frozen in (((mu, nu), ()), ((mu,), nu.support)):
                 for budget in (6, orbits.DEFAULT_BUDGET):
                     args = (f, initial, frozen, budget)
-                    got = _outcome(orbits._evolve_distance_sequence, *args)
+                    got = _outcome(_engine, *args)
                     assert got == _outcome(_eager_engine, *args)
                     kinds.add("budget" if isinstance(got, str) else got[3])
     assert kinds == {"state-cycle", "padded-cycle", "budget"}
@@ -444,7 +452,7 @@ def test_engine_matches_the_eager_engine():
         mu, nu = (random_atomic_measure(rng, 3, 6) for _ in "ab")
         for initial, frozen in (((mu, nu), ()), ((mu,), nu.support)):
             args = (f, initial, frozen, orbits.DEFAULT_BUDGET)
-            got = _outcome(orbits._evolve_distance_sequence, *args)
+            got = _outcome(_engine, *args)
             assert got == _outcome(_eager_engine, *args)
             outcomes.append("budget" if isinstance(got, str) else got[3])
     assert outcomes.count("budget") >= 8, outcomes
@@ -477,10 +485,19 @@ def _composition_cases():
     yield cycles, list(combinations(measures, 2))
 
 
+def _composition_path(f, mu, nu):
+    cycles = orbits._own_cycle(f, mu), orbits._own_cycle(f, nu)
+    if None in cycles:
+        return "own budget"
+    return "joint" if orbits._PADDED in cycles else "composed"
+
+
 def test_composed_profiles_match_the_joint_and_eager_engines():
-    # distance_profile with its records kept warm across every pair of a
-    # case, against the joint engine on empty tables and the eager engine:
-    # the same DistanceProfile or the same budget error text
+    # distance_profile with its records and distance rows kept warm across
+    # every pair of a case, and then once more over the pairs in reverse
+    # order, when every row it reads is warm, against the joint engine on
+    # empty tables and the eager engine: the same DistanceProfile or the
+    # same budget error text
     paths, kinds, shapes = set(), set(), set()
     for f, pairs in _composition_cases():
         joint = []
@@ -497,18 +514,69 @@ def test_composed_profiles_match_the_joint_and_eager_engines():
             else:
                 kinds.add(got.certificate)
                 shapes.add((got.preperiod, got.period))
-            cycles = orbits._own_cycle(f, mu), orbits._own_cycle(f, nu)
-            paths.add("joint" if None in cycles else "composed")
+            paths.add(_composition_path(f, mu, nu))
+        for (mu, nu), want in reversed(list(zip(pairs, joint))):
+            assert _outcome(distance_profile, f, mu, nu) == want, (mu, nu)
+        if "composed" in paths:
+            assert tables.counts()["distance_row_hits"] > 0
     assert kinds == {"state-cycle", "padded-cycle", "budget"}
-    assert paths == {"joint", "composed"}
+    assert paths == {"own budget", "joint", "composed"}
     assert {(1, 6), (2, 6)} <= shapes
 
 
+def test_profiles_solve_each_state_pair_once(monkeypatch):
+    # every pair of a balloon grid, whose orbits are all state cycles: one
+    # prohorov call per distinct (state of mu, state of nu) that some
+    # profile's window holds, however many windows hold it
+    tower = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
+    f, grid = tower.table, simplex_grid(tower.levels[1].partition(), 1)
+    calls, solve = [], orbits.prohorov
+    monkeypatch.setattr(orbits, "prohorov", lambda mu, nu: calls.append((mu, nu)) or solve(mu, nu))
+    tables.reset()
+    windows = set()
+    for mu, nu in combinations(grid, 2):
+        prof = distance_profile(f, mu, nu)
+        assert prof.certificate == "state-cycle"
+        assert _composition_path(f, mu, nu) == "composed"
+        windows.update((pushforward_iter(f, mu, n), pushforward_iter(f, nu, n))
+                       for n in range(len(prof.values)))
+    assert len(calls) == len(set(calls)) == len(windows)
+    assert set(calls) == windows
+    assert len(windows) < sum(len(distance_profile(f, mu, nu).values)
+                              for mu, nu in combinations(grid, 2))
+
+
+def test_state_numbers_are_never_reused(monkeypatch):
+    # a number that the states table forgets, by reset or eviction, is not
+    # drawn again, so the row kept under it never answers for another state
+    tables.reset()
+    first = orbits._state_number(dirac("0"))
+    tables.reset()
+    second, again = orbits._state_number(dirac("1")), orbits._state_number(dirac("0"))
+    assert len({first, second, again}) == 3
+    # evict every number and orbit record but keep the rows: the profiles of
+    # other measures, numbered afresh, solve their own states
+    tower = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
+    f, grid = tower.table, simplex_grid(tower.levels[1].partition(), 1)
+    tables.reset()
+    for nu in grid[1:]:
+        distance_profile(f, grid[0], nu)
+    rows = orbits._distance_row.cache_info().currsize
+    orbits._state_number.cache_clear()
+    orbits._own_cycle.cache_clear()
+    others = [(f, mu, nu) for mu, nu in combinations(grid[1:], 2)]
+    for case in others:
+        assert distance_profile(*case) == orbits._solved_window(*case, True), case
+    assert orbits._distance_row.cache_info().currsize > rows
+
+
 @pytest.mark.parametrize("kind", ["padded-cycle", "budget"])
-def test_an_orbit_that_is_no_state_cycle_is_certified_once(kind):
+def test_an_orbit_that_is_no_state_cycle_is_certified_once(kind, monkeypatch):
     # the first seeded measure whose own orbit pads, or runs the budget out,
     # paired three times with every measure of a grid: one record per
-    # measure, read on every other call
+    # measure, read on every other call.  The record tells the two apart:
+    # a padded orbit's pairs go to the joint engine, and an exhausted one's
+    # raise the joint engine's error text at once, without running it
     tower = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
     f, grid = tower.table, simplex_grid(tower.levels[1].partition(), 1)
     rng = random.Random(2024)
@@ -519,14 +587,23 @@ def test_an_orbit_that_is_no_state_cycle_is_certified_once(kind):
             break
     else:
         pytest.fail(f"no seeded measure whose orbit ends in {kind}")
+    solved = orbits._solved_window
+    wants = [_outcome(solved, f, mu, nu, True) for nu in grid]
+    joint = []
+    monkeypatch.setattr(orbits, "_solved_window",
+                        lambda *args: joint.append(args) or solved(*args))
     tables.reset()
     for _ in range(3):
-        for nu in grid:
-            _outcome(distance_profile, f, mu, nu)
+        assert [_outcome(distance_profile, f, mu, nu) for nu in grid] == wants
     counts = tables.counts()
     assert counts["cycles"] == len(grid) + 1
     assert counts["cycle_hits"] == 2 * 3 * len(grid) - counts["cycles"]
-    assert orbits._own_cycle(f, mu) is None
+    if kind == "budget":
+        assert orbits._own_cycle(f, mu) is None
+        assert joint == [] and all(isinstance(want, str) for want in wants)
+    else:
+        assert orbits._own_cycle(f, mu) is orbits._PADDED
+        assert len(joint) == 3 * len(grid)
 
 
 def _eager_target(f, mu, target):
@@ -618,6 +695,29 @@ def test_target_atoms_closer_than_the_least_insert_fall_back():
     assert prof == orbits._solved_window(f, mu, target, False)
 
 
+def test_orbit_records_keep_the_pads_the_engine_checked():
+    # the pads of each padded own orbit of the target cases, against a
+    # recount: the orbit pushed to rho + 2 tau, and each step j in
+    # [rho, rho + tau] pad-tested against step j + tau again
+    padded = 0
+    for f, cases in _target_cases():
+        for mu in dict.fromkeys(mu for mu, _ in cases):
+            record = orbits._own_orbit(f, mu)
+            if record is None or record[3] != "padded-cycle":
+                continue
+            _, rho, tau, _, pads = record
+            orbit = [pushforward_iter(f, mu, n).support for n in range(rho + 2 * tau + 1)]
+            want = []
+            for words, later in zip(orbit[rho:rho + tau + 1], orbit[rho + tau:]):
+                inserts = orbits._pad_inserts(f, words, later)
+                if inserts:
+                    padded_words = frozenset(a for a, b in zip(words, later) if a != b)
+                    want.append((words, padded_words, min(inserts)))
+            assert pads == tuple(want), mu
+            padded += 1
+    assert padded >= 4
+
+
 def test_an_exhausted_own_orbit_raises_without_the_joint_engine(monkeypatch):
     # a target of an own orbit that runs the budget out raises the joint
     # engine's text after one engine run, the own one
@@ -645,7 +745,7 @@ def test_pad_test_rejects_an_insert_inside_the_rule_domain():
     # "01", so no window opens at step 0; "001" -> "0001" pads beyond "00"
     f = PrefixTableMap((("00", "000"), ("01", "001"), ("1", "1")))
     args = (f, (dirac("01"), dirac("1")), (), orbits.DEFAULT_BUDGET)
-    got = orbits._evolve_distance_sequence(*args)
+    got = _engine(*args)
     assert got[1:] == (1, 1, "padded-cycle")
     assert got == _eager_engine(*args)
 
@@ -667,7 +767,7 @@ def test_orbits_past_the_pad_scan_certify_through_the_matrix_lookup(rules, start
     f = PrefixTableMap(tuple(rules))
     for initial, frozen in (((dirac(start), dirac(other)), ()), ((dirac(start),), (other,))):
         args = (f, initial, frozen, orbits.DEFAULT_BUDGET)
-        got = orbits._evolve_distance_sequence(*args)
+        got = _engine(*args)
         assert got[1:] == (*window, "padded-cycle")
         # a literal, not an engine constant: the cycle closes more than 16
         # steps of equal masses in, so an engine that searched only a
