@@ -31,15 +31,15 @@ images it computed (``separations``, ``images``), the chain records it
 started (``chains``), the measures whose own orbit it certified for the
 distance profiles (``cycles``), the (map, measure) orbits it certified
 with their padded windows for the target distances and the profiles
-(``orbits``), the orbit states it numbered and the distance rows it
-started for the composed profiles (``states``, ``distance_rows``), and the
-calls of each that a per-process memo or table answered instead
+(``orbits``), the distance rows it started for the composed profiles'
+window states (``distance_rows``), and the calls of each that a
+per-process memo or table answered instead
 (``solve_hits``, ``pushforward_hits``, ``separation_hits``,
 ``image_hits``, ``chain_hits``: a chain call read off an earlier record,
 ``cycle_hits``: a profile's measure whose orbit record was kept,
 ``orbit_hits``: a target distance that read a kept orbit record,
-``state_hits``: an orbit state numbered before, ``distance_row_hits``: a
-composed profile's read of a kept distance row).  Each count plus its hits is the number of calls:
+``distance_row_hits``: a window state whose row an earlier orbit record
+started).  Each count plus its hits is the number of calls:
 ``solves`` plus ``solve_hits`` is the number of ``prohorov`` calls.  Each
 row is the change of ``tables.counts()`` over the suite, the one registry
 of those memos and tables.

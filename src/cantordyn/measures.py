@@ -46,19 +46,18 @@ least-recently-used memos: the same measures come back across pairs, and
 the distance profiles of a grid meet the same pairs of states again and
 again.
 A distance depends only on the integer masses and the gaps between the
-sorted words, so a solve is kept twice: by its pair of measures and backend
-(256 entries, as many as the pushforward memo), which answers an exact
-repeat without merging the supports, and behind that by the integer
-problem -- both per-position weight tuples and denominators, the gaps and
-the backend (2,048 entries) -- which answers every pair with other words
-but the same masses in the same order and the same gaps, such as a padded
-orbit's later states or a relabelled pair.  A miss of the first memo reads
-the gaps off the separation table of ``cantor``.  The integer memo keeps the
-witness as positions, which each call maps back onto its own words.  A
-measure has one canonical form and a map is equal to another exactly when
-their rules are, so a hit returns what a fresh call would; the results are
-frozen, so a shared one cannot be changed.  The three memos are registered
-in ``tables``, which empties and counts them.
+sorted words, so a solve is kept once, by the integer problem -- both
+per-position weight tuples and denominators, the gaps and the backend
+(2,048 entries) -- which answers every pair with the same masses in the
+same order and the same gaps, an exact repeat as well as a pair with other
+words, such as a padded orbit's later states or a relabelled pair.  Each
+call merges the two supports, reading the gaps off the separation table of
+``cantor``, and the memo keeps the witness as positions, which each call
+maps back onto its own words.  A measure has one canonical form and a map
+is equal to another exactly when their rules are, so a hit returns what a
+fresh call would; the results are frozen, so a shared one cannot be
+changed.  The two memos are registered in ``tables``, which empties and
+counts them.
 """
 
 from __future__ import annotations
@@ -74,11 +73,7 @@ from .tables import table
 
 ENUMERATION_LIMIT = 16
 BACKENDS = ("enumeration", "flow", "auto", "both")  # the names ``prohorov`` takes
-# pushforwards and solves by measure.  The distance rows of ``orbits`` ask
-# for each pair of window states once, so the entropy-profiles workload's
-# 9,552 profile solves all miss it, and the problem memo answers most of
-# them; the shadowing-orbits target distances hit it on 5,832 of 20,860
-_MEASURE_MEMO_SIZE = 256
+_MEASURE_MEMO_SIZE = 256  # the pushforward memo, keyed on (map, measure)
 _PROBLEM_MEMO_SIZE = 2048  # the integer problems of a grid's profiles recur within this many
 
 
@@ -500,14 +495,6 @@ def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Pro
     insisting on exact agreement).  The result names the solver that ran:
     "closed_form" for "auto".
     """
-    return _solved(mu, nu, backend)
-
-
-@table("solves", _MEASURE_MEMO_SIZE)
-def _solved(mu: AtomicMeasure, nu: AtomicMeasure, backend: str) -> ProhorovResult:
-    """``prohorov``, memoised per backend: equal measures have one form, so
-    equal arguments have one result, which is frozen; a raised error is not
-    kept.  A miss merges the supports and solves the integer problem."""
     words, mu_w, nu_w, gaps = _sorted_form(mu, nu)
     value, witness, name = _solved_problem(mu_w, mu.denom, nu_w, nu.denom, gaps, backend)
     return ProhorovResult(value, tuple(words[p] for p in witness), name)
@@ -516,7 +503,8 @@ def _solved(mu: AtomicMeasure, nu: AtomicMeasure, backend: str) -> ProhorovResul
 @table("solves", _PROBLEM_MEMO_SIZE)
 def _solved_problem(mu_w, mu_d: int, nu_w, nu_d: int, gaps, backend: str):
     """(value, witness positions, backend name) of the integer problem that
-    ``_solved`` reads off a pair of measures; the words never enter it."""
+    ``prohorov`` reads off a pair of measures; the words never enter it.
+    The result is frozen, and a raised error is not kept."""
     if backend not in BACKENDS:
         raise BackendSelectionError(f"unknown backend {backend!r}")
     mu_int, nu_int, denom = _scaled_masses(mu_w, mu_d, nu_w, nu_d)

@@ -51,10 +51,10 @@ representatives, built by the same routine.
 A pair profile is composed from the two measures' own orbits where it can
 be.  A table registered in ``tables`` as ``cycles`` holds, per (map,
 measure), the engine's certificate of that measure alone: its window, the
-numbers of the window's states and (rho, tau) when the orbit is a state
-cycle, ``_PADDED`` when the engine certifies a padded cycle and None when it
-runs out of budget, so each orbit is certified once per process however
-many pairs it enters.
+distance rows of the window's states and (rho, tau) when the orbit is a
+state cycle, ``_PADDED`` when the engine certifies a padded cycle and None
+when it runs out of budget, so each orbit is certified once per process
+however many pairs it enters.
 
 Lemma.  Let mu and nu have state cycles (rho_mu, tau_mu) and (rho_nu,
 tau_nu), and let rho = max(rho_mu, rho_nu) and tau = lcm(tau_mu, tau_nu).
@@ -90,17 +90,17 @@ n.  Hence when either record is None the pair runs out of budget too, and
 ``distance_profile`` raises the joint engine's error at once.
 
 The distances of a composed window are read from distance rows.  A table
-registered as ``states`` gives each window state of a ``cycles`` record a
-number drawn from one process-wide counter, and a table registered as
-``distance_rows`` gives, per state number, the row of that state: the exact
-distance to each state it was paired with, by that state's number, filled
-by ``prohorov`` when first asked.  A number is never drawn twice, even
-after its measure leaves the ``states`` table or ``tables.reset()`` runs,
-so each number names one measure for the life of the process, and a row
-entry holds the distance of the two measures it names.  A distance depends
-only on the two measures, not on the map, the orbit or the step, so this
-needs no lemma: each distinct (state, state) pair is solved once however
-many windows hold it, and each value is the ``prohorov`` value itself.
+registered as ``distance_rows`` gives, per measure, the row of that state,
+and a ``cycles`` record holds the row of each of its window states: the
+exact distance to each state it was paired with, keyed by that state's
+row, filled by ``prohorov`` when first asked.  A row hashes and compares
+by identity, and an entry keyed by a row keeps that row alive, so the key
+names no other state: a row entry holds the distance of the two measures
+whose rows it joins.  Rows live until ``tables.reset()`` drops the records
+and the rows that hold them.  A distance depends only on the two
+measures, not on the map, the orbit or the step, so this needs no lemma:
+each distinct (state, state) pair is solved once however many windows
+hold it, and each value is the ``prohorov`` value itself.
 
 A target distance reads the same orbit.  A table registered as ``orbits``
 holds, for the last 4 (map, measure) pairs, the engine's whole certificate
@@ -146,7 +146,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from math import lcm
 
 from .cantor import _sorted_form, separation
@@ -411,7 +410,8 @@ _PADDED = ()
 @table("cycles", _CYCLE_TABLE_SIZE)
 def _own_cycle(f: PrefixTableMap, mu: AtomicMeasure):
     """The state-cycle certificate of mu's own orbit: its window
-    f~^0 mu .. f~^(rho+tau-1) mu, the numbers of those states, rho and tau;
+    f~^0 mu .. f~^(rho+tau-1) mu, the distance rows of those states, rho and
+    tau;
     ``_PADDED`` when the engine certifies a padded cycle instead, and None
     when it runs out of budget."""
     record = _own_orbit(f, mu)
@@ -420,26 +420,24 @@ def _own_cycle(f: PrefixTableMap, mu: AtomicMeasure):
     window, rho, tau, kind, _ = record
     if kind != "state-cycle":
         return _PADDED
-    return window, tuple([_state_number(eta) for eta in window]), rho, tau
+    return window, tuple([_distance_row(eta) for eta in window]), rho, tau
 
 
-_NUMBERS = count()  # the one source of state numbers: no number is drawn twice
+class _Row(dict):
+    """A distance row, which hashes and compares by identity, so it keys
+    the entries of other rows."""
 
-
-@table("states", _CYCLE_TABLE_SIZE)
-def _state_number(mu: AtomicMeasure) -> int:
-    """mu's state number.  A number that the table forgets, by eviction or
-    ``tables.reset()``, is never drawn again, so a row entry keyed on it
-    answers for mu alone."""
-    return next(_NUMBERS)
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
 
 
 @table("distance_rows", _CYCLE_TABLE_SIZE)
-def _distance_row(number: int) -> dict:
-    """The distance row of state ``number``: the exact distance from it to
-    each state it was paired with, by that state's number, filled by
+def _distance_row(mu: AtomicMeasure) -> _Row:
+    """The distance row of state mu: the exact distance from it to each
+    state it was paired with, keyed by that state's row, filled by
     ``distance_profile`` as it asks."""
-    return {}
+    return _Row()
 
 
 def distance_profile(f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure) -> DistanceProfile:
@@ -454,14 +452,13 @@ def distance_profile(f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure) ->
     if a is None or b is None:
         raise _out_of_budget(DEFAULT_BUDGET)
     if a is not _PADDED and b is not _PADDED:
-        (states_a, numbers_a, rho_a, tau_a), (states_b, numbers_b, rho_b, tau_b) = a, b
+        (states_a, rows_a, rho_a, tau_a), (states_b, rows_b, rho_b, tau_b) = a, b
         rho, tau = max(rho_a, rho_b), lcm(tau_a, tau_b)
         if rho + tau <= DEFAULT_BUDGET:
-            rows = [_distance_row(k) for k in numbers_a]
             values = []
             for n in range(rho + tau):
                 i, j = _index(rho_a, tau_a, n), _index(rho_b, tau_b, n)
-                row, k = rows[i], numbers_b[j]
+                row, k = rows_a[i], rows_b[j]
                 value = row.get(k)
                 if value is None:
                     value = row[k] = prohorov(states_a[i], states_b[j]).value

@@ -2,11 +2,10 @@
 
 ``table(counter, maxsize)`` is ``functools.lru_cache(maxsize)`` that also
 registers the cache under the ``timings`` counter it feeds, so each table is
-the C cache itself and a read costs no more.  ``reset()`` empties them all,
-as in a fresh process.  ``counts()`` gives per counter the work computed and
-the calls a table answered instead (``solves``, ``solve_hits``): the calls
-are those of the counter's first-registered table and the work the misses of
-its last, so a solve kept by two memos in a row counts each problem once.
+the C cache itself and a read costs no more.  Each counter names one table.
+``reset()`` empties them all, as in a fresh process.  ``counts()`` gives
+per counter its table's misses, the work computed, and its hits, the calls
+the table answered instead (``solves``, ``solve_hits``).
 """
 
 from __future__ import annotations
@@ -36,7 +35,5 @@ def counts() -> dict[str, int]:
     out: dict[str, int] = {}
     for counter, cache in _TABLES:
         hits, misses, _, _ = cache.cache_info()
-        hit_key = counter.removesuffix("s") + "_hits"
-        calls = out[counter] + out[hit_key] if counter in out else hits + misses
-        out[counter], out[hit_key] = misses, calls - misses
+        out[counter], out[counter.removesuffix("s") + "_hits"] = misses, hits
     return out

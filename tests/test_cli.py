@@ -698,7 +698,7 @@ def test_report_timings_count_the_memos(tmp_path, monkeypatch):
                           "pushforwards", "pushforward_hits", "separations",
                           "separation_hits", "images", "image_hits", "chains",
                           "chain_hits", "cycles", "cycle_hits", "orbits", "orbit_hits",
-                          "states", "state_hits", "distance_rows", "distance_row_hits"}
+                          "distance_rows", "distance_row_hits"}
     # the chain of length k + 1 extends the record of the chain of length k
     assert stage["solves"] > 0 and stage["chain_hits"] > 0
     assert stage["pushforwards"] > 0 and stage["pushforward_hits"] > 0

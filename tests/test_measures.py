@@ -35,7 +35,6 @@ from cantordyn.measures import (
     _g_enumeration,
     _g_flow,
     _pushed,
-    _solved,
     _solved_problem,
     _sorted_form,
     atomic_measure,
@@ -531,10 +530,10 @@ def test_memoised_solve_equals_a_fresh_one(backend):
         mu = random_atomic_measure(rng, max_atoms=6)
         nu = random_atomic_measure(rng, max_atoms=6)
         prohorov(mu, nu, backend)
-        hits = _solved.cache_info().hits
-        # equal measures built anew share the memo entry
+        hits = _solved_problem.cache_info().hits
+        # equal measures built anew share the problem memo's entry
         cached = prohorov(atomic_measure(mu.atoms), atomic_measure(nu.atoms), backend)
-        assert _solved.cache_info().hits == hits + 1
+        assert _solved_problem.cache_info().hits == hits + 1
         tables.reset()
         fresh = prohorov(mu, nu, backend)
         assert (cached.value, cached.witness_set, cached.backend) == (
@@ -620,6 +619,24 @@ def test_memos_are_bounded():
     for cache in found.values():
         assert type(cache) is functools._lru_cache_wrapper
         assert cache.cache_info().maxsize is not None
+
+
+def test_each_counter_names_one_table():
+    # counts() gives each counter its one table's misses and hits
+    counters = [counter for counter, _ in tables._TABLES]
+    assert len(counters) == len(set(counters))
+    tables.reset()
+    h = make_dumbbell_tower((4, 2), 2, 1).table
+    mu = random_atomic_measure(random.Random(7), max_atoms=6, max_depth=6)
+    for _ in range(2):
+        prohorov(mu, pushforward(h, mu))
+        distance_profile(h, mu, mu)
+    counts = tables.counts()
+    assert len(counts) == 2 * len(counters)
+    for counter, cache in tables._TABLES:
+        info = cache.cache_info()
+        hit_key = counter.removesuffix("s") + "_hits"
+        assert (counts[counter], counts[hit_key]) == (info.misses, info.hits), counter
 
 
 def test_reset_zeroes_every_count():

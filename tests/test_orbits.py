@@ -1,6 +1,8 @@
 """The orbit engine, distance profiles and the padded-cycle certificate."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -546,28 +548,30 @@ def test_profiles_solve_each_state_pair_once(monkeypatch):
                               for mu, nu in combinations(grid, 2))
 
 
-def test_state_numbers_are_never_reused(monkeypatch):
-    # a number that the states table forgets, by reset or eviction, is not
-    # drawn again, so the row kept under it never answers for another state
+def test_distance_rows_are_keyed_by_identity():
+    # two empty rows are two keys, so a row entry answers for one state only
     tables.reset()
-    first = orbits._state_number(dirac("0"))
-    tables.reset()
-    second, again = orbits._state_number(dirac("1")), orbits._state_number(dirac("0"))
-    assert len({first, second, again}) == 3
-    # evict every number and orbit record but keep the rows: the profiles of
-    # other measures, numbered afresh, solve their own states
+    first, second = orbits._distance_row(dirac("0")), orbits._distance_row(dirac("1"))
+    assert not first and not second and first != second
+    assert len({first: 0, second: 1}) == 2
+    # evict every orbit record but keep the rows: the profiles of other
+    # measures read the kept rows and still give the joint engine's profiles
     tower = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
     f, grid = tower.table, simplex_grid(tower.levels[1].partition(), 1)
     tables.reset()
     for nu in grid[1:]:
         distance_profile(f, grid[0], nu)
-    rows = orbits._distance_row.cache_info().currsize
-    orbits._state_number.cache_clear()
     orbits._own_cycle.cache_clear()
     others = [(f, mu, nu) for mu, nu in combinations(grid[1:], 2)]
     for case in others:
         assert distance_profile(*case) == orbits._solved_window(*case, True), case
-    assert orbits._distance_row.cache_info().currsize > rows
+    assert tables.counts()["distance_row_hits"] > 0
+    # a row lives as long as the tables hold it, and no longer
+    kept = weakref.ref(orbits._distance_row(grid[0]))
+    assert kept() is not None
+    tables.reset()
+    gc.collect()
+    assert kept() is None
 
 
 @pytest.mark.parametrize("kind", ["padded-cycle", "budget"])
