@@ -40,9 +40,9 @@ per-process memo or table answered instead
 ``orbit_hits``: a target distance that read a kept orbit record,
 ``distance_row_hits``: a window state whose row an earlier orbit record
 started).  Each count plus its hits is the number of calls:
-``solves`` plus ``solve_hits`` is the number of ``prohorov`` calls.  Each
-row is the change of ``tables.counts()`` over the suite, the one registry
-of those memos and tables.
+``solves`` plus ``solve_hits`` is the number of ``prohorov`` and
+``prohorov_distance`` calls.  Each row is the change of ``tables.counts()``
+over the suite, the one registry of those memos and tables.
 """
 
 from __future__ import annotations

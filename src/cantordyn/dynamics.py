@@ -352,15 +352,22 @@ def entropy_estimate(
     # step k, so that the running maximum over steps < n is >= that eps from
     # horizon n = k + 1 on; values[k] for k past the profile's window repeat
     # earlier ones, so a pair that has not reached eps by then never does.
-    # The graphs are kept by position r, so the per-pair loop hashes no eps.
+    # The graphs are kept by position r, so the per-pair loop hashes no eps;
+    # it tests a distance p/q against eps = a/b as a*q <= p*b, in integers,
+    # and stops reading a profile once the pair has reached every eps.
     joins = [[[] for _ in range(n_max)] for _ in ascending]
+    bounds = [(eps.numerator, eps.denominator) for eps in ascending]
+    last = len(bounds)
     for i, j in combinations(range(len(grid)), 2):
         prof = distance_profile(f, grid[i], grid[j])
         reached = 0
         for k, d in enumerate(prof.values[:n_max]):
-            while reached < len(ascending) and ascending[reached] <= d:
+            p, q = d.numerator, d.denominator
+            while reached < last and bounds[reached][0] * q <= p * bounds[reached][1]:
                 joins[reached][k].append((i, j))
                 reached += 1
+            if reached == last:
+                break
     exact = len(grid) <= EXACT_LIMIT
     count = _max_clique_size if exact else _greedy_separated
     adj = [[set() for _ in grid] for _ in ascending]

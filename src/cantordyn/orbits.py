@@ -40,13 +40,14 @@ process: separations, which the sorted forms and the pad test's insert
 positions read, come from the separation table of ``cantor``, and images
 and the domain length of the fired rule, which the pad test reads, from the
 image table of ``maps``.  Target distances and joint profiles solve each
-window state with ``measures.prohorov``, whose memo is keyed on the integer
-problem, the masses and the gaps between the sorted words and not the
-words, so a state whose problem recurs, in a padded window or across
-profiles, is solved once; ``recurrence.approx_by_periodic`` reads its
-return time off the profile of an orbit against its start, and
-``grids.track_representatives`` keeps the sorted forms of the tracked cell
-representatives, built by the same routine.
+window state with ``measures.prohorov_distance``, the value-only solve,
+whose memo is keyed on the integer problem, the masses and the gaps between
+the sorted words and not the words, so a state whose problem recurs, in a
+padded window or across profiles, is solved once;
+``recurrence.approx_by_periodic`` reads its return time off the profile of
+an orbit against its start, and ``grids.track_representatives`` keeps the
+sorted forms of the tracked cell representatives, built by the same
+routine.
 
 A pair profile is composed from the two measures' own orbits where it can
 be.  A table registered in ``tables`` as ``cycles`` holds, per (map,
@@ -93,11 +94,11 @@ The distances of a composed window are read from distance rows.  A table
 registered as ``distance_rows`` gives, per measure, the row of that state,
 and a ``cycles`` record holds the row of each of its window states: the
 exact distance to each state it was paired with, keyed by that state's
-row, filled by ``prohorov`` when first asked.  A row hashes and compares
-by identity, and an entry keyed by a row keeps that row alive, so the key
-names no other state: a row entry holds the distance of the two measures
-whose rows it joins.  Rows live until ``tables.reset()`` drops the records
-and the rows that hold them.  A distance depends only on the two
+row, filled by ``prohorov_distance`` when first asked.  A row hashes and
+compares by identity, and an entry keyed by a row keeps that row alive, so
+the key names no other state: a row entry holds the distance of the two
+measures whose rows it joins.  Rows live until ``tables.reset()`` drops the
+records and the rows that hold them.  A distance depends only on the two
 measures, not on the map, the orbit or the step, so this needs no lemma:
 each distinct (state, state) pair is solved once however many windows
 hold it, and each value is the ``prohorov`` value itself.
@@ -151,7 +152,7 @@ from math import lcm
 from .cantor import _sorted_form, separation
 from .errors import ResourceBudgetError
 from .maps import PrefixTableMap, _rewritten
-from .measures import AtomicMeasure, prohorov, pushforward
+from .measures import AtomicMeasure, prohorov_distance, pushforward
 from .tables import table
 
 DEFAULT_BUDGET = 400  # the one step budget of every certified orbit
@@ -367,12 +368,12 @@ def _solved_window(
     """Profile of d(f~^n mu, nu_n), where nu_n is f~^n nu if ``nu_moves`` and
     nu itself otherwise (nu's words frozen in the engine).
 
-    Each window state is solved by ``prohorov``, so a state that recurs
-    across profiles is solved once.
+    Each window state is solved by ``prohorov_distance``, so a state that
+    recurs across profiles is solved once.
     """
     initial, frozen = ((mu, nu), ()) if nu_moves else ((mu,), nu.support)
     states, rho, tau, kind, _ = _evolve_distance_sequence(f, initial, frozen, DEFAULT_BUDGET)
-    values = tuple(prohorov(st[0], st[1] if nu_moves else nu).value for st in states)
+    values = tuple(prohorov_distance(st[0], st[1] if nu_moves else nu) for st in states)
     return DistanceProfile(values, rho, tau, kind)
 
 
@@ -461,7 +462,7 @@ def distance_profile(f: PrefixTableMap, mu: AtomicMeasure, nu: AtomicMeasure) ->
                 row, k = rows_a[i], rows_b[j]
                 value = row.get(k)
                 if value is None:
-                    value = row[k] = prohorov(states_a[i], states_b[j]).value
+                    value = row[k] = prohorov_distance(states_a[i], states_b[j])
                 values.append(value)
             return DistanceProfile(tuple(values), rho, tau, "state-cycle")
     return _solved_window(f, mu, nu, True)
@@ -481,4 +482,5 @@ def orbit_distance_to_target(
     window, rho, tau, kind, pads = record
     if not _keeps_window(pads, target.support):
         return _solved_window(f, mu, target, False)
-    return DistanceProfile(tuple(prohorov(eta, target).value for eta in window), rho, tau, kind)
+    return DistanceProfile(tuple(prohorov_distance(eta, target) for eta in window),
+                           rho, tau, kind)

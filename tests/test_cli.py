@@ -679,17 +679,22 @@ def test_report_timings_count_the_memos(tmp_path, monkeypatch):
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
     # the memos and tables live as long as the process: start from empty ones
     tables.reset()
-    # count every prohorov call, under each name a module imported it by
-    calls, prohorov = [], measures.prohorov
+    # count every call of both solvers, in each module that imported either
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return prohorov(*args, **kwargs)
+    def counting(solve):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+        return counted
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("cantordyn.") and \
-                getattr(module, "prohorov", None) is prohorov:
-            monkeypatch.setattr(module, "prohorov", counted)
+    for name in ("prohorov", "prohorov_distance"):
+        solve = getattr(measures, name)
+        counted = counting(solve)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("cantordyn.") and \
+                    getattr(module, name, None) is solve:
+                monkeypatch.setattr(module, name, counted)
     assert main(["analyze", "--config", cfg, "--suite", "chains",
                  "--out", str(tmp_path)]) == 0
     [stage] = json.loads((tmp_path / "report_chains.json").read_text())["timings"]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -34,6 +35,7 @@ from cantordyn.measures import (
     pushforward,
     pushforward_iter,
 )
+from cantordyn.orbits import distance_profile
 from cantordyn.recurrence import (
     approx_by_periodic,
     recurrence_certificate,
@@ -493,6 +495,47 @@ def test_entropy_counts_each_eps_of_an_unsorted_list_with_repeats():
     # the counts differ between the eps and between the horizons
     assert table.counts[(1, Fraction(1))] < table.counts[(1, Fraction(1, 2))]
     assert table.counts[(1, Fraction(1, 2))] < table.counts[(2, Fraction(1, 2))]
+
+
+def _reference_counts(f, grid, eps_list, n_max):
+    """N(n, eps) from the definition: the largest subsets of the grid whose
+    pairs all have some d_k >= eps with k < n, tested as Fractions."""
+    profiles = {(i, j): distance_profile(f, grid[i], grid[j])
+                for i, j in combinations(range(len(grid)), 2)}
+    counts = {}
+    for n in range(1, n_max + 1):
+        for eps in eps_list:
+            separated = {pair for pair, prof in profiles.items()
+                         if any(eps <= prof.value_at(k) for k in range(n))}
+            counts[(n, eps)] = max(
+                size for size in range(1, len(grid) + 1)
+                for subset in combinations(range(len(grid)), size)
+                if all(pair in separated for pair in combinations(subset, 2)))
+    return counts
+
+
+def test_entropy_eps_boundary_is_inclusive():
+    tower = make_balloon_tower([(3, 2), (5, 2)], [2, 4])
+    grid = simplex_grid(tower.levels[0].partition(), 1)
+    # d_1 = 1/2 exactly, after d_0 = 1/3: the pair is joined at eps = 1/2
+    # from horizon 2 on, and never at 3/5, which no distance reaches
+    pair = [grid[2], grid[3]]
+    assert distance_profile(tower.table, *pair).values == (
+        Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 3))
+    half, unreached = Fraction(1, 2), Fraction(3, 5)
+    table = entropy_estimate(tower.table, pair, [unreached, half], 4)
+    assert [table.counts[(n, half)] for n in table.horizons] == [1, 2, 2, 2]
+    assert [table.counts[(n, unreached)] for n in table.horizons] == [1, 1, 1, 1]
+    # on the whole grid every count is the definition's, at eps equal to a
+    # distance (1/3, 1/2, 1), between distances (2/5) and above every one (3/2)
+    eps_list = [Fraction(1, 3), half, Fraction(2, 5), Fraction(1), Fraction(3, 2)]
+    values = {d for i, j in combinations(range(len(grid)), 2)
+              for d in distance_profile(tower.table, grid[i], grid[j]).values}
+    assert {Fraction(1, 3), half, Fraction(1)} <= values and max(values) < Fraction(3, 2)
+    assert Fraction(2, 5) not in values
+    table = entropy_estimate(tower.table, grid, eps_list, 4)
+    assert table.counts == _reference_counts(tower.table, grid, eps_list, 4)
+    assert {table.counts[(n, Fraction(3, 2))] for n in table.horizons} == {1}
 
 
 def test_weak_shadowing_refutation():

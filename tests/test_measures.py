@@ -17,21 +17,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cantordyn
-from cantordyn import tables
+from cantordyn import measures as measures_module, orbits, tables
 from cantordyn.cantor import (
     canonical_point,
     point_distance,
     point_in_cylinder,
+    representative,
     separation,
     standard_partition,
 )
-from cantordyn.dynamics import _chain_record, chain_connect_map, chain_step_count
-from cantordyn.errors import BackendSelectionError, ParameterError
-from cantordyn.grids import random_atomic_measure, random_cell_measure
+from cantordyn.dynamics import (
+    _chain_record,
+    chain_connect_map,
+    chain_step_count,
+    entropy_estimate,
+)
+from cantordyn.errors import BackendSelectionError, CertificationError, ParameterError
+from cantordyn.grids import random_atomic_measure, random_cell_measure, simplex_grid
 from cantordyn.maps import PrefixTableMap
 from cantordyn.measures import (
+    BACKENDS,
     ENUMERATION_LIMIT,
     AtomicMeasure,
+    _from_weights,
     _g_enumeration,
     _g_flow,
     _pushed,
@@ -47,7 +55,7 @@ from cantordyn.measures import (
     prohorov_two_sided,
     pushforward,
 )
-from cantordyn.orbits import distance_profile
+from cantordyn.orbits import distance_profile, orbit_distance_to_target
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
 IDENTITY = PrefixTableMap((("", ""),))
@@ -202,6 +210,14 @@ def test_integer_form_is_one_form():
     assert (merged.support, merged.weights, merged.denom) == (("",), (1,), 1)
     assert merged == dirac("") and hash(merged) == hash(dirac(""))
     assert repr(merged) == repr(dirac("")) == "AtomicMeasure(atoms=(('', Fraction(1, 1)),))"
+    # integer weights with a common factor reduce to the same form and hash
+    shared = _from_weights({"1": 4, "": 2}, 6)
+    assert (shared.support, shared.weights, shared.denom) == (("", "1"), (1, 2), 3)
+    assert shared == built[0] and hash(shared) == hash(built[0])
+    # the integer builder still checks that the weights sum to the denominator
+    for weights, denom in (({"": 1, "1": 1}, 3), ({"": 2}, 1), ({}, 1)):
+        with pytest.raises(ParameterError, match="sum to exactly 1"):
+            _from_weights(weights, denom)
 
 
 def test_constructor_keeps_the_boundary_checks():
@@ -574,6 +590,93 @@ def test_integer_problem_memo_serves_other_words(backend):
     # other nu weights over the same words and denominator are another problem
     assert prohorov(pair_b[0], nu_c, backend) == expected_c
     assert _solved_problem.cache_info().misses == info.misses + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(measures(), measures())
+def test_value_only_solve_equals_prohorov_value(mu, nu):
+    # on empty tables and on tables the other function filled, through the
+    # one problem memo
+    for backend in BACKENDS:
+        tables.reset()
+        value = prohorov_distance(mu, nu, backend)
+        hits = _solved_problem.cache_info().hits
+        warm = prohorov(mu, nu, backend)
+        assert _solved_problem.cache_info().hits == hits + 1
+        tables.reset()
+        fresh = prohorov(mu, nu, backend)
+        assert prohorov_distance(mu, nu, backend) == fresh.value
+        assert _solved_problem.cache_info().hits == 1
+        assert isinstance(value, Fraction) and value == warm.value == fresh.value
+
+
+def _raised(call) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_value_only_solve_raises_as_prohorov(monkeypatch):
+    big = atomic_measure({format(i, "06b"): Fraction(1, 20) for i in range(20)})
+    half = atomic_measure({"0": Fraction(1, 2), "1": Fraction(1, 2)})
+    # a flow oracle that couples nothing reports distance 1, and the closed
+    # form 1/2, so a "both" solve raises
+    monkeypatch.setitem(measures_module._ORACLES, "flow",
+                        lambda mu_rows, nu_cols, masks: (sum(mu_rows), ()))
+    cases = (
+        (big, big, "enumeration", BackendSelectionError,
+         f"enumeration backend limited to {ENUMERATION_LIMIT} atoms per measure, got 20 and 20"),
+        (half, dirac("0"), "nope", BackendSelectionError, "unknown backend 'nope'"),
+        (half, dirac("0"), "both", CertificationError, "backends disagree: 1/2 vs 1"),
+    )
+    tables.reset()
+    for mu, nu, backend, error, message in cases:
+        # twice each: a raised error is not kept, so it is raised again
+        for solve in (prohorov, prohorov_distance) * 2:
+            assert _raised(lambda: solve(mu, nu, backend)) == (error, message)
+            assert _solved_problem.cache_info().currsize == 0
+    assert prohorov_distance(half, dirac("0")) == prohorov(half, dirac("0")).value == Fraction(1, 2)
+
+
+def test_library_distances_build_no_prohorov_result(monkeypatch):
+    # profiles, target distances and entropy counts read values only: with
+    # the result class unusable they give what they gave with it
+    balloon = make_balloon_tower([(3, 2), (5, 2)], [2, 4])
+    dumbbell = make_dumbbell_tower((4, 2), 2, bar_length=1)
+    grid = simplex_grid(balloon.levels[0].partition(), 1)
+    c0 = dumbbell.levels[0].components[0]
+    bar, left = dirac(representative(c0.bar[0])), dirac(representative(c0.left[0]))
+    # the target keeps mu's own padded window, or it does not and the joint
+    # engine certifies the orbit with the target's words frozen
+    own = (dumbbell.table, bar, left)
+    joint = (dumbbell.table,
+             atomic_measure({"01": Fraction(2, 3), "101": Fraction(1, 3)}),
+             atomic_measure({"11": Fraction(1, 2), "110001": Fraction(1, 2)}))
+    for f, mu, target, keeps in (own + (True,), joint + (False,)):
+        pads = orbits._own_orbit(f, mu)[4]
+        assert pads and orbits._keeps_window(pads, target.support) == keeps
+    calls = (
+        lambda: distance_profile(balloon.table, grid[2], grid[3]),
+        lambda: distance_profile(dumbbell.table, bar, left),
+        lambda: orbit_distance_to_target(*own),
+        lambda: orbit_distance_to_target(*joint),
+        lambda: entropy_estimate(balloon.table, grid, [Fraction(1, 2), Fraction(1, 3)], 3),
+        lambda: entropy_estimate(dumbbell.table, [bar, left, dirac("")], [Fraction(1, 2)], 3),
+    )
+    tables.reset()
+    expected = [call() for call in calls]
+    assert [p.certificate for p in expected[:4]] == [
+        "state-cycle", "padded-cycle", "padded-cycle", "padded-cycle"]
+
+    def unusable(*args, **kwargs):
+        raise AssertionError("a library distance built a ProhorovResult")
+
+    monkeypatch.setattr(measures_module, "ProhorovResult", unusable)
+    with pytest.raises(AssertionError, match="built a ProhorovResult"):
+        prohorov(bar, left)
+    for i, call in enumerate(calls):
+        tables.reset()
+        assert call() == expected[i], i
 
 
 def test_solve_memo_keeps_each_backend_apart():

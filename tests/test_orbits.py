@@ -225,17 +225,17 @@ def test_pad_test_takes_its_insert_position_from_the_separation():
 
 
 def test_profiles_solve_only_the_certified_window(monkeypatch):
-    # prohorov calls are counted, and a kept distance row answers a call:
-    # start from empty tables
+    # prohorov_distance calls are counted, and a kept distance row answers
+    # a call: start from empty tables
     tables.reset()
     calls = []
-    solve = orbits.prohorov
+    solve = orbits.prohorov_distance
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(orbits, "prohorov", counting)
+    monkeypatch.setattr(orbits, "prohorov_distance", counting)
     dumbbell = make_dumbbell_tower((4, 2), 2, bar_length=1)
     c0 = dumbbell.levels[0].components[0]
     prof = orbit_distance_to_target(
@@ -528,12 +528,13 @@ def test_composed_profiles_match_the_joint_and_eager_engines():
 
 def test_profiles_solve_each_state_pair_once(monkeypatch):
     # every pair of a balloon grid, whose orbits are all state cycles: one
-    # prohorov call per distinct (state of mu, state of nu) that some
-    # profile's window holds, however many windows hold it
+    # prohorov_distance call per distinct (state of mu, state of nu) that
+    # some profile's window holds, however many windows hold it
     tower = make_balloon_tower([(3, 2), (5, 2)], [1, 2])
     f, grid = tower.table, simplex_grid(tower.levels[1].partition(), 1)
-    calls, solve = [], orbits.prohorov
-    monkeypatch.setattr(orbits, "prohorov", lambda mu, nu: calls.append((mu, nu)) or solve(mu, nu))
+    calls, solve = [], orbits.prohorov_distance
+    monkeypatch.setattr(orbits, "prohorov_distance",
+                        lambda mu, nu: calls.append((mu, nu)) or solve(mu, nu))
     tables.reset()
     windows = set()
     for mu, nu in combinations(grid, 2):
