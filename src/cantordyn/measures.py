@@ -279,8 +279,13 @@ def _scaled_masses(mu_w, mu_d: int, nu_w, nu_d: int) -> tuple[list[int], list[in
 def _sorted_form(mu: AtomicMeasure, nu: AtomicMeasure):
     """(words, mu weights, nu weights, gaps): the distinct words of both
     supports merged in ascending order, each measure's weight at every
-    position (0 off its support), and the separations of consecutive words."""
+    position (0 off its support), and the separations of consecutive words.
+    Two measures on one support -- a measure and itself among them -- have
+    that support as their merged words and their own weights at every
+    position, so they skip the merge."""
     xs, ys, xw, yw = mu.support, nu.support, mu.weights, nu.weights
+    if xs == ys:
+        return xs, xw, yw, _gaps(xs)
     k, l = len(xs), len(ys)
     words, mu_w, nu_w = [], [], []
     i = j = 0
@@ -401,10 +406,23 @@ def _g_flow(mu_int, nu_int, adj_masks) -> tuple[int, tuple[int, ...]]:
     of the least minimum cut, which every maximum flow leaves the same; they
     are the least maximizing subset, so the witness does not depend on the
     paths taken.  Masses stay integers, so every step is exact.
+
+    The coupling starts greedy: each adjacent (mu-atom, nu-atom) pair, in
+    order, couples the lesser of the two masses left.  That is a feasible
+    flow, so the loop only finds the augmenting paths it leaves, and since
+    the least minimum cut is the same for every maximum flow, the value and
+    the witness are those of a start from the empty coupling.
     """
     supply, demand = list(mu_int), list(nu_int)
     coupled = [{} for _ in nu_int]  # per nu-atom: mu-atom -> coupled mass
     adjacent = [[j for j in range(len(nu_int)) if mask >> j & 1] for mask in adj_masks]
+    for i, row in enumerate(adjacent):
+        for j in row:
+            amount = min(supply[i], demand[j])
+            if amount:
+                supply[i] -= amount
+                demand[j] -= amount
+                coupled[j][i] = amount
     while True:
         queue = [i for i, m in enumerate(supply) if m]
         via = dict.fromkeys(queue)  # reached mu-atom -> the nu-atom it came back from

@@ -379,6 +379,47 @@ def test_chain_record_is_kept_per_backend(monkeypatch):
     assert flow_calls
 
 
+def _balloon_pair(seed):
+    partition = _BALLOON.levels[0].partition()
+    rng = random.Random(seed)
+    return random_cell_measure(partition, rng, 4), random_cell_measure(partition, rng, 4)
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+def test_a_record_point_off_the_orbit_of_nu_fails_the_endpoint_check(extra):
+    # the steps up to k are verified already, so only the endpoint check
+    # can see the replaced point
+    f, delta = _BALLOON.table, Fraction(1, 2)
+    k = chain_step_count(delta) + extra
+    mu, nu = _balloon_pair(31)
+    tables.reset()
+    chain = chain_connect_map(f, mu, nu, delta, k)
+    record = dynamics._chain_record(f, mu, nu, delta, "auto")
+    other = dirac("1") if chain.points[-1] != dirac("1") else dirac("0")
+    record.points[k] = other
+    with pytest.raises(CertificationError, match="^chain endpoint is not the exact image of nu$"):
+        chain_connect_map(f, mu, nu, delta, k)
+
+
+def test_chain_endpoints_are_checked_without_pushing_nu_again(monkeypatch):
+    # nu's orbit comes from the record, so chain_connect_map never calls
+    # pushforward_iter, and every length gives the chain it gave before
+    f, delta = _BALLOON.table, Fraction(1, 2)
+    k0 = chain_step_count(delta)
+    lengths = range(k0, k0 + 4)
+    mu, nu = _balloon_pair(37)
+    tables.reset()
+    expected = [chain_connect_map(f, mu, nu, delta, k) for k in lengths]
+
+    def raiser(*args):
+        raise AssertionError("pushforward_iter was called")
+
+    monkeypatch.setattr(dynamics, "pushforward_iter", raiser)
+    tables.reset()
+    assert [chain_connect_map(f, mu, nu, delta, k) for k in lengths] == expected
+    assert [c.points[-1] for c in expected] == [pushforward_iter(f, nu, k) for k in lengths]
+
+
 def test_chain_connect_homeo_examples():
     chain = chain_connect_homeo(SWAP, dirac(""), dirac("1"), Fraction(3, 4), 2)
     assert chain.points[-1] == dirac("1")

@@ -354,7 +354,10 @@ def _random_masses(rng, n, denom):
 
 def test_flow_oracle_matches_enumeration_on_general_bipartite_masks():
     # closeness masks that no ultrametric gives: the flow oracle finds the
-    # same maximum and the same least maximizing subset as brute force
+    # same maximum and the same least maximizing subset as brute force.  The
+    # hand case's greedy start couples mu-atom 0 to nu-atom 0 and leaves
+    # mu-atom 1 uncoupled, so only an augmenting path makes it maximum
+    cases = [([1, 1], [1, 1], [0b11, 0b01])]
     rng = random.Random(29)
     for trial in range(3000):
         k, l = rng.randint(1, 8), rng.randint(1, 8)
@@ -362,8 +365,10 @@ def test_flow_oracle_matches_enumeration_on_general_bipartite_masks():
         mu, nu = _random_masses(rng, k, denom), _random_masses(rng, l, denom)
         density = rng.random()
         masks = [sum(1 << j for j in range(l) if rng.random() < density) for _ in range(k)]
-        assert _g_flow(mu, nu, masks) == _g_enumeration(mu, nu, masks), \
-            (mu, nu, masks, denom)
+        cases.append((mu, nu, masks))
+    assert _g_flow(*cases[0]) == (0, ())
+    for mu, nu, masks in cases:
+        assert _g_flow(mu, nu, masks) == _g_enumeration(mu, nu, masks), (mu, nu, masks)
 
 
 def _matrix_reference(mu, nu):
@@ -455,6 +460,29 @@ def measures(draw):
     weights = [draw(st.integers(min_value=1, max_value=5)) for _ in points]
     total = sum(weights)
     return atomic_measure({p: Fraction(w, total) for p, w in zip(points, weights)})
+
+
+@st.composite
+def same_support_pairs(draw):
+    """Two measures on one support, or a measure and itself."""
+    mu = draw(measures())
+    if draw(st.booleans()):
+        return mu, mu
+    weights = [draw(st.integers(min_value=1, max_value=5)) for _ in mu.support]
+    total = sum(weights)
+    return mu, atomic_measure({p: Fraction(w, total) for p, w in zip(mu.support, weights)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_support_pairs())
+def test_sorted_form_of_one_support_equals_the_merge(pair):
+    mu, nu = pair
+    words = sorted(set(mu.support) | set(nu.support))
+    expected = (words, tuple(dict(zip(mu.support, mu.weights)).get(w, 0) for w in words),
+                tuple(dict(zip(nu.support, nu.weights)).get(w, 0) for w in words),
+                tuple(separation(u, v) for u, v in zip(words, words[1:])))
+    got = _sorted_form(mu, nu)
+    assert (list(got[0]),) + got[1:] == expected
 
 
 @settings(max_examples=60, deadline=None)
