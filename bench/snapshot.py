@@ -35,8 +35,10 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from cantordyn.cli import SUITES  # noqa: E402
+
 REPEATS = 5  # fresh analyze processes per suite
-SUITES = ("liyorke", "entropy", "chains", "shadowing", "recurrence", "all")
 
 
 def perfbench(seconds: int) -> dict:
