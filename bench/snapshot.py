@@ -13,6 +13,10 @@ Run from anywhere inside a source checkout; it writes ``DIR/BENCH_N.json``
   imports), with their median and exit codes.  The config is generated
   first, so every timed process reads compiled bytecode, as an installed
   package does;
+- ``scan_step``: one all-pairs scan time step (``rank_matrix_at``) at
+  R = 715 and R = 2,002, each from ``bench/scan_step.py`` in a fresh
+  subprocess: its cold first call, its warm median and its tracemalloc
+  peak;
 - ``host``: the git SHA of the checkout, the Python and numpy versions and
   the number of CPUs this process may run on.
 
@@ -39,6 +43,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from cantordyn.cli import SUITES  # noqa: E402
 
 REPEATS = 5  # fresh analyze processes per suite
+SCAN_STEP_RESOLUTIONS = (4, 5)  # R = 715, the liyorke-grid grid, and R = 2,002
 
 
 def perfbench(seconds: int) -> dict:
@@ -73,6 +78,17 @@ def analyze_walls(work: Path) -> dict:
     return out
 
 
+def scan_steps() -> list[dict]:
+    out = []
+    for resolution in SCAN_STEP_RESOLUTIONS:
+        done = subprocess.run([sys.executable, "bench/scan_step.py", str(resolution)],
+                              cwd=ROOT, capture_output=True, text=True)
+        lines = done.stdout.strip().splitlines()
+        out.append({"exit_code": done.returncode,
+                    "result": json.loads(lines[-1]) if lines else None})
+    return out
+
+
 def host() -> dict:
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     try:
@@ -93,7 +109,7 @@ def main() -> None:
     opts = parser.parse_args()
     with tempfile.TemporaryDirectory() as work:
         snapshot = {"host": host(), "perfbench": perfbench(opts.seconds),
-                    "analyze_wall_s": analyze_walls(Path(work))}
+                    "analyze_wall_s": analyze_walls(Path(work)), "scan_step": scan_steps()}
     text = json.dumps(snapshot, indent=2) + "\n"
     (opts.out / f"BENCH_{opts.number}.json").write_text(text)
     print(text, end="")

@@ -22,7 +22,10 @@ to 32,767).  Each interval is clamped by the solver's own rule,
 into a short list of exact rationals, and a step stops at the first
 threshold where every pair is feasible, because, as in
 ``measures._clamped_min``, a pair's first feasible interval attains its
-least value.  No floats are involved anywhere.
+least value.  No floats are involved anywhere.  A step works on row blocks
+of a fixed number of entries over the upper triangle, stopping each block
+on its own and mirroring it below the diagonal, so its memory is the uint16
+result plus fixed-size blocks, whatever the number of measures.
 
 numpy is imported inside the scanner's methods and ``li_yorke_scan`` only,
 so building grids, maps and measures (``cantordyn generate``) never loads it.
@@ -50,17 +53,17 @@ def simplex_grid(partition: CylinderPartition, resolution: int) -> list[AtomicMe
     """
     if resolution < 1:
         raise ParameterError("resolution must be positive")
-    cells = partition.cells
+    reps = [representative(c) for c in partition.cells]
     # stars and bars: k - 1 bars among m + k - 1 slots, in ascending
     # lexicographic order, so the count vectors come out in that order too
-    slots = resolution + len(cells) - 1
-    edges = ((-1, *bars, slots) for bars in combinations(range(slots), len(cells) - 1))
-    return [_cell_measure(cells, [b - a - 1 for a, b in zip(e, e[1:])], resolution)
+    slots = resolution + len(reps) - 1
+    edges = ((-1, *bars, slots) for bars in combinations(range(slots), len(reps) - 1))
+    return [_cell_measure(reps, [b - a - 1 for a, b in zip(e, e[1:])], resolution)
             for e in edges]
 
 
-def _cell_measure(cells, counts, resolution) -> AtomicMeasure:
-    return _from_weights({representative(c): k for c, k in zip(cells, counts) if k}, resolution)
+def _cell_measure(reps, counts, resolution) -> AtomicMeasure:
+    return _from_weights({r: k for r, k in zip(reps, counts) if k}, resolution)
 
 
 def random_cell_measure(
@@ -72,7 +75,7 @@ def random_cell_measure(
     counts = [0] * len(partition.cells)
     for _ in range(resolution):
         counts[rng.randrange(len(counts))] += 1
-    return _cell_measure(partition.cells, counts, resolution)
+    return _cell_measure([representative(c) for c in partition.cells], counts, resolution)
 
 
 def random_atomic_measure(rng, max_atoms: int = 8, max_depth: int = 4) -> AtomicMeasure:
@@ -130,6 +133,8 @@ def track_representatives(f: PrefixTableMap, partition: CylinderPartition) -> Tr
 # ---------------------------------------------------------------------------
 # exact all-pairs scan over a common support
 
+BLOCK_ENTRIES = 1 << 15  # matrix entries per row block of a scan step
+
 
 class CommonSupportScanner:
     """Exact pairwise Prohorov values for measures on a tracked point family.
@@ -143,6 +148,12 @@ class CommonSupportScanner:
     exact rationals so that whole-grid minima and maxima stay in small
     integers: uint16 ranks, with the invalid rank one past the last, so a
     resolution whose values do not fit is declined.
+
+    A time step runs on blocks of rows over the upper triangle and mirrors
+    each one below the diagonal; each block stops at its own first
+    threshold where all its entries are feasible, which keeps every value
+    because a pair's first feasible interval attains its least value (see
+    ``rank_matrix_at``).
     """
 
     def __init__(self, family: TrajectoryFamily, measures: list[AtomicMeasure], resolution: int):
@@ -176,44 +187,69 @@ class CommonSupportScanner:
 
         Every row's class masses sum to the resolution res, so the positive
         excesses sum to g = sum_B max(mu(B), nu(B)) - res: one
-        ``np.maximum.outer`` and one add per class, into an (R, R)
-        accumulator of ``np.min_scalar_type(2 * res)``, the narrowest
-        unsigned type that holds the sum, and the lookup table is read at
-        res + g (its first res entries are never read).  The matrix is
-        symmetric because max is.  The thresholds stop at the first one
-        where every entry is feasible: as in ``measures._clamped_min``, each
-        pair's first feasible interval attains its least value.
+        ``np.maximum.outer`` and one add per class, in
+        ``np.min_scalar_type(2 * res)``, the narrowest unsigned type that
+        holds the sum, and each threshold's rank table is read at res + g
+        (its first res entries are never read).
+
+        The matrix is symmetric because max is, so it is computed in blocks
+        of rows [a, b) over columns a.. only, the upper triangle with its
+        diagonal block, and each block is mirrored into rows b.. of its
+        columns.  A block holds at most ``BLOCK_ENTRIES`` entries (one row if
+        a row is longer), so apart from the uint16 result a step allocates
+        only block-sized buffers and temporaries.  Each block stops at the
+        first threshold where all of its entries are feasible: as in
+        ``measures._clamped_min``, each pair's first feasible interval
+        attains its least value, so the thresholds after it cannot lower
+        any entry.  A threshold's rank table and class masses are built
+        once, when the first block reaches it.
         """
         import numpy as np
 
         order, gaps = self.family.form_at(n)
         thresholds = _thresholds(gaps)
+        intervals = list(zip(thresholds, thresholds[1:] + [None]))
         # one mass row per tracked point, in sorted order: each class is a run of rows
         rows = self.mass.T[list(order)]
-        res = self.resolution
+        res, invalid = self.resolution, self.invalid_rank
         nmeas = self.mass.shape[0]
-        best = np.full((nmeas, nmeas), self.invalid_rank, dtype=np.uint16)
-        total = np.empty((nmeas, nmeas), dtype=np.min_scalar_type(2 * res))
+        dtype = np.min_scalar_type(2 * res)
+        height = max(1, BLOCK_ENTRIES // max(nmeas, 1))
+        best = np.empty((nmeas, nmeas), dtype=np.uint16)
+        # (height, R) accumulators, kept flat so that each block's view is contiguous
+        total = np.empty(min(height, nmeas) * nmeas, dtype=dtype)
         top = np.empty_like(total)
-        lut = np.full(2 * res + 1, self.invalid_rank, dtype=np.uint16)
-        for s, s_next in zip(thresholds, thresholds[1:] + [None]):
-            # rank of the clamped value at res + g per possible integer g in
-            # [0, res]; an infeasible interval (value None) gets the invalid rank
-            lut[res:] = [self.rank.get(_interval_value(g, res, s, s_next), self.invalid_rank)
-                         for g in range(res + 1)]
-            # one contiguous row per class keeps ``maximum.outer`` vectorised
-            runs = _runs(gaps, s)  # nondecreasing: each class starts at its first row
-            starts = np.searchsorted(runs, range(runs[-1] + 1))
-            masses = np.add.reduceat(rows, starts, axis=0).astype(total.dtype, order="C")
-            np.maximum.outer(masses[0], masses[0], out=total)
-            for col in masses[1:]:
-                np.maximum.outer(col, col, out=top)
-                total += top
-            np.minimum(best, lut.take(total), out=best)
-            feasible = int(best.max()) < self.invalid_rank
-            if feasible:
-                break
-        assert feasible
+        tables = []  # (rank table, class masses) of each threshold reached so far
+        for a in range(0, nmeas, height):
+            b = min(a + height, nmeas)
+            h, w = b - a, nmeas - a
+            acc, term = total[:h * w].reshape(h, w), top[:h * w].reshape(h, w)
+            block = best[a:b, a:]
+            block.fill(invalid)
+            for t, (s, s_next) in enumerate(intervals):
+                if t == len(tables):
+                    # rank of the clamped value at res + g per possible integer g
+                    # in [0, res]; an infeasible interval (value None) gets the
+                    # invalid rank
+                    lut = np.full(2 * res + 1, invalid, dtype=np.uint16)
+                    lut[res:] = [self.rank.get(_interval_value(g, res, s, s_next), invalid)
+                                 for g in range(res + 1)]
+                    # one contiguous row per class keeps ``maximum.outer`` vectorised
+                    runs = _runs(gaps, s)  # nondecreasing: each class starts at its first row
+                    starts = np.searchsorted(runs, range(runs[-1] + 1))
+                    masses = np.add.reduceat(rows, starts, axis=0).astype(dtype, order="C")
+                    tables.append((lut, masses))
+                lut, masses = tables[t]
+                np.maximum.outer(masses[0, a:b], masses[0, a:], out=acc)
+                for col in masses[1:]:
+                    np.maximum.outer(col[a:b], col[a:], out=term)
+                    acc += term
+                np.minimum(block, lut.take(acc), out=block)
+                feasible = int(block.max()) < invalid
+                if feasible:
+                    break
+            assert feasible
+            best[b:, a:b] = block[:, h:].T
         return best
 
 
@@ -244,9 +280,11 @@ def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: i
     """Classify every unordered pair of simplex-grid measures exactly.
 
     liminf and limsup of each pair's distance sequence are taken over one
-    certified period of the shared trajectory family.  Both rank matrices
-    are symmetric, so each class is counted over the whole matrix, less its
-    diagonal, and halved.
+    certified period of the shared trajectory family, one
+    ``rank_matrix_at`` step each: the scanner computes a step's upper
+    triangle in row blocks, each stopped at its own first all-feasible
+    threshold, and mirrors it.  Both rank matrices are symmetric, so each
+    class is counted over the whole matrix, less its diagonal, and halved.
     """
     import numpy as np
 

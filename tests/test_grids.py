@@ -1,6 +1,7 @@
 """Simplex grids and the vectorized all-pairs distance scan."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -8,6 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from cantordyn import grids
 from cantordyn.cantor import representative
 from cantordyn.errors import ParameterError
 from cantordyn.grids import (
@@ -190,6 +192,73 @@ def test_rank_matrix_at_accumulator_type_boundaries(kind, resolution):
         moved = [pushforward_iter(tower.table, mu, n) for mu in measures]
         for (i, mu_n), (j, nu_n) in product(enumerate(moved), repeat=2):
             assert scanner.values[int(ranks[i, j])] == prohorov(mu_n, nu_n).value, (i, j, n)
+
+
+BLOCK_GRIDS = {
+    # (tower, level, simplex resolution): 55 and 36 measures, neither a multiple of 7
+    "dumbbell": (TOWERS["dumbbell"], 0, 2),
+    "balloon": (TOWERS["balloon"], 1, 2),
+}
+
+
+@pytest.mark.parametrize("resolution", [None, 127, 128, 255])
+@pytest.mark.parametrize("kind", sorted(BLOCK_GRIDS))
+def test_rank_matrix_row_blocks_give_the_solver_values(kind, resolution, monkeypatch):
+    # blocks of one row, of 7 rows (a non-divisor of R) and of more than R
+    # rows: every entry of every window step against the solver, on a
+    # simplex grid and at the accumulator boundaries, and the same counts
+    make, level, grid_resolution = BLOCK_GRIDS[kind]
+    tower = make()
+    partition = tower.levels[level].partition()
+    family = track_representatives(tower.table, partition)
+    on_grid = resolution is None
+    if on_grid:
+        resolution, measures = grid_resolution, simplex_grid(partition, grid_resolution)
+    else:
+        rng = random.Random(resolution)
+        measures = [random_cell_measure(partition, rng, resolution) for _ in range(20)]
+    scanner = CommonSupportScanner(family, measures, resolution)
+    size = len(measures)
+    assert size % 7
+    heights = (1, 7, size + 1)
+    for n in range(family.preperiod + family.period):
+        moved = [pushforward_iter(tower.table, mu, n) for mu in measures]
+        expected = np.empty((size, size), dtype=np.uint16)
+        for i, j in combinations(range(size), 2):
+            expected[i, j] = expected[j, i] = scanner.rank[prohorov(moved[i], moved[j]).value]
+        np.fill_diagonal(expected, scanner.rank[Fraction(0)])
+        for height in heights:
+            monkeypatch.setattr(grids, "BLOCK_ENTRIES", height * size)
+            ranks = scanner.rank_matrix_at(n)
+            assert ranks.dtype == np.uint16 and (ranks == ranks.T).all()
+            assert (ranks == expected).all(), (height, n)
+    if on_grid:
+        counts = set()
+        for height in heights:
+            monkeypatch.setattr(grids, "BLOCK_ENTRIES", height * size)
+            counts.add(tuple(li_yorke_scan(tower.table, partition, resolution).counts.items()))
+        assert len(counts) == 1
+
+
+def test_rank_matrix_step_memory_stays_near_its_uint16_result():
+    # the liyorke-grid scan (R = 715): the result takes 2 bytes per entry
+    # and the row blocks a fixed amount, where a full-size accumulator and
+    # its widened lookup index took 14 bytes per entry
+    tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
+    partition = tower.levels[0].partition()
+    family = track_representatives(tower.table, partition)
+    grid = simplex_grid(partition, 4)
+    scanner = CommonSupportScanner(family, grid, 4)
+    scanner.rank_matrix_at(family.preperiod)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ranks = scanner.rank_matrix_at(family.preperiod)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ranks.shape == (715, 715)
+    assert peak <= 4 * ranks.size, peak / ranks.size
 
 
 def test_scanner_rejects_a_resolution_without_room_for_ranks():
