@@ -59,7 +59,6 @@ from .dynamics import (
     entropy_estimate,
     equicontinuity_certificate,
     equicontinuity_modulus,
-    sample_modulus_pairs,
     transitivity_check,
     verify_chain,
     weak_shadowing_refutation,

@@ -209,67 +209,37 @@ def equicontinuity_modulus(partition) -> Fraction:
     return min(partition.min_gap(), mesh / (2 * len(partition)))
 
 
-def sample_modulus_pairs(
-    tower: MapTower, eps: Fraction, count: int, rng
-) -> list[tuple[AtomicMeasure, AtomicMeasure]]:
-    """Random measure pairs within the equicontinuity modulus of the level
-    whose mesh is below eps: nu = (1 - a) mu + a eta with a < delta, mu and
-    eta random cell measures with denominator 8."""
-    from .grids import random_cell_measure
+def equicontinuity_certificate(tower: MapTower, eps: Fraction) -> Certificate:
+    """Certify sup_n d(f~^n mu, f~^n nu) <= mesh < eps for every pair of
+    measures with d(mu, nu) < delta, from the cell digraph alone.
 
-    level = tower.level_with_mesh_below(_exact("eps", eps))
-    partition = tower.levels[level].partition()
-    delta = equicontinuity_modulus(partition)
-    pairs = []
-    for _ in range(count):
-        mu = random_cell_measure(partition, rng, 8)
-        eta = random_cell_measure(partition, rng, 8)
-        alpha = delta * Fraction(rng.randint(1, 7), 8)
-        a, b = alpha.numerator, alpha.denominator
-        nu = _combine([(b - a, mu), (a, eta)], b)
-        pairs.append((mu, nu))
-    return pairs
-
-
-def equicontinuity_certificate(
-    tower: MapTower,
-    eps: Fraction,
-    pairs: list[tuple[AtomicMeasure, AtomicMeasure]],
-) -> Certificate:
-    """Verify sup_n d(f~^n mu, f~^n nu) < eps for pairs within the modulus.
-
-    The supremum over all n >= 0 is exact: each pair orbit is certified
-    eventually periodic and the maximum is taken over one full cycle.
-    Pairs must satisfy d(mu, nu) < delta, delta the partition modulus; this
-    is checked, not assumed.  An empty list would pass vacuously, so it
-    raises ParameterError.
+    Take the first certified level L whose mesh is below eps and delta =
+    ``equicontinuity_modulus`` of its partition, required to be at most
+    min(gap, mesh).  If d(mu, nu) < delta, a coupling of mu and nu puts all
+    but less than delta of the mass on pairs closer than the gap, that is,
+    inside single cells (Strassen).  When every cell's image meets exactly
+    one cell, f keeps each such pair inside one cell at every step, so
+    d(f~^n mu, f~^n nu) <= max(mesh, delta) = mesh for every n.  Level L's
+    digraph is recomputed with ``graph_of``, not assumed; each cell whose
+    image splits is named, and the verdict is then ``modulus_violated``.
     """
     if tower.kind != "balloon":
         raise ParameterError("equicontinuity certificate applies to balloon towers")
     eps = _exact("eps", eps)
-    if not pairs:
-        raise ParameterError("pairs is empty")
     level = tower.level_with_mesh_below(eps)
     partition = tower.levels[level].partition()
-    delta = equicontinuity_modulus(partition)
-    checked = []
-    passed = True
-    for mu, nu in pairs:
-        d0 = prohorov_distance(mu, nu)
-        if not d0 < delta:
-            raise ParameterError(f"pair at distance {d0} is not within the modulus {delta}")
-        prof = distance_profile(tower.table, mu, nu)
-        sup = prof.supremum()
-        checked.append({"initial": d0, "sup": sup})
-        if not sup < eps:
-            passed = False
+    delta, mesh = equicontinuity_modulus(partition), partition.mesh()
+    out = graph_of(tower.table, partition).out_map()
+    split = {a: sorted(out[a]) for a in partition.cells if len(out[a]) != 1}
+    passed = not split and delta <= min(partition.min_gap(), mesh)
+    witnesses = {"delta": delta, "level": level, "cells": len(partition)}
+    witnesses.update({"bound": mesh} if passed else {"split_cells": split})
     return Certificate(
         operation="equicontinuity_certificate",
         passed=passed,
         verdict="equicontinuous_at_modulus" if passed else "modulus_violated",
-        parameters={"eps": eps, "delta": delta, "level": level, "pairs": len(pairs)},
-        witnesses={"max_sup": max((c["sup"] for c in checked), default=Fraction(0))},
-        details={"pairs": checked},
+        parameters={"eps": eps},
+        witnesses=witnesses,
     )
 
 

@@ -22,7 +22,6 @@ from cantordyn.dynamics import (
     entropy_estimate,
     equicontinuity_certificate,
     equicontinuity_modulus,
-    sample_modulus_pairs,
     transitivity_check,
     weak_shadowing_refutation,
 )
@@ -191,21 +190,22 @@ def test_criterion_4_no_li_yorke_pairs(dumbbell_two):
 
 
 def test_criterion_5_equicontinuity_certificate(balloon_q2):
-    rng = random.Random(505)
-    total = 0
+    # the certificate covers every pair within delta; test_lemmas.py checks
+    # the lemma on sampled pairs
     for eps in (Fraction(1, 2), Fraction(1, 4)):
-        pairs = sample_modulus_pairs(balloon_q2, eps, 100, rng)
-        cert = equicontinuity_certificate(balloon_q2, eps, pairs)
+        cert = equicontinuity_certificate(balloon_q2, eps)
         assert cert.passed, cert.payload()
-        assert cert.witnesses["max_sup"] < eps
-        total += len(pairs)
-    level = balloon_q2.level_with_mesh_below(Fraction(1, 4))
-    delta = equicontinuity_modulus(balloon_q2.levels[level].partition())
+        partition = balloon_q2.levels[cert.witnesses["level"]].partition()
+        delta = cert.witnesses["delta"]
+        assert delta == equicontinuity_modulus(partition)
+        assert delta <= min(partition.min_gap(), partition.mesh())
+        assert cert.witnesses["bound"] == partition.mesh() < eps
     report(
         5,
         True,
-        f"{total} sampled pairs within the modulus (finest delta = {delta}) "
-        f"keep every forward distance below eps",
+        f"every pair within the modulus (finest delta = {delta}, {len(partition)} cells "
+        f"of out-degree 1) keeps every forward distance at most the mesh "
+        f"{partition.mesh()} < eps",
     )
 
 

@@ -1,8 +1,9 @@
 """Chains, chain continuity, transitivity, equicontinuity, entropy, shadowing."""
 
+import dataclasses
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -20,7 +21,6 @@ from cantordyn.dynamics import (
     entropy_estimate,
     equicontinuity_certificate,
     equicontinuity_modulus,
-    sample_modulus_pairs,
     transitivity_check,
     verify_chain,
     weak_shadowing_refutation,
@@ -108,8 +108,7 @@ _LOOP_MEASURE = dirac(representative(_BALLOON.levels[0].components[0].loop[0]))
     lambda: chain_continuity_test(SWAP, 2, delta=0.5),
     lambda: weak_shadowing_refutation(_DUMBBELL, 0.25, Fraction(1, 2), []),
     lambda: weak_shadowing_refutation(_DUMBBELL, Fraction(1, 4), 0.5, []),
-    lambda: equicontinuity_certificate(_BALLOON, 0.25, []),
-    lambda: sample_modulus_pairs(_BALLOON, 0.25, 1, random.Random(0)),
+    lambda: equicontinuity_certificate(_BALLOON, 0.25),
     lambda: entropy_estimate(SWAP, [dirac("")], [0.5], 1),
     lambda: recurrence_certificate(_BALLOON, _LOOP_MEASURE, 0.25),
     lambda: transient_perturbation(_BALLOON, _LOOP_MEASURE, 0.25),
@@ -117,7 +116,7 @@ _LOOP_MEASURE = dirac(representative(_BALLOON.levels[0].components[0].loop[0]))
     lambda: atomic_measure([("", 1.0)]),
     lambda: convex_combine([(0.5, dirac("")), (Fraction(1, 2), dirac("1"))]),
 ], ids=["continuity-eps", "continuity-delta", "shadowing-eps", "shadowing-delta",
-        "equicontinuity", "modulus-pairs", "entropy", "recurrence", "perturbation",
+        "equicontinuity", "entropy", "recurrence", "perturbation",
         "approx", "atomic-measure", "convex-combine"])
 def test_entry_points_reject_floats(call):
     with pytest.raises(ParameterError, match="float"):
@@ -142,21 +141,20 @@ def test_entry_points_reject_floats(call):
     (lambda: entropy_estimate(SWAP, [dirac("")], [], 2), "eps_list is empty"),
     (lambda: weak_shadowing_refutation(_DUMBBELL, Fraction(1, 4), Fraction(1, 2), []),
      "grid is empty"),
-    (lambda: equicontinuity_certificate(_BALLOON, Fraction(1, 4), []), "pairs is empty"),
     (lambda: verify_chain(SWAP, [dirac("")], Fraction(1, 2)),
      "a chain needs at least two points, got 1"),
     (lambda: verify_chain(SWAP, [], Fraction(1, 2)), "a chain needs at least two points, got 0"),
 ], ids=["continuity-depth-0", "continuity-eps-0", "continuity-eps-negative", "shadowing-eps-0",
         "shadowing-eps-negative", "entropy-horizon-0", "entropy-horizon-negative", "entropy-eps-0",
         "entropy-eps-negative", "entropy-grid-empty", "entropy-eps-list-empty",
-        "shadowing-grid-empty", "equicontinuity-pairs-empty", "chain-one-point",
+        "shadowing-grid-empty", "chain-one-point",
         "chain-no-points"])
 def test_degenerate_values_raise_instead_of_a_vacuous_verdict(call, message):
     # depth 0 leaves no survivor set, so every level "survives as one cell";
     # no distance lies below an eps <= 0, and every gap is >= 2 * eps; an
     # entropy table up to n_max < 1 has no count at all, and at an eps <= 0
-    # every pair is separated from step 0 on; with no grid measure or no pair
-    # the refutation and the modulus hold over nothing, an entropy table over
+    # every pair is separated from step 0 on; with no grid measure the
+    # refutation holds over nothing, an entropy table over
     # no measure or no eps counts nothing, and a chain of fewer than two
     # points has no step to verify
     with pytest.raises(ParameterError) as info:
@@ -477,25 +475,46 @@ def test_equicontinuity_modulus_formula():
     assert equicontinuity_modulus(standard_partition(2)) == Fraction(1, 24)
 
 
+# every balloon tower that the tests build; a level with mesh below 1/4
+# exists on the first three only, and none with mesh below 1/2 on the last
+_BALLOON_SPECS = [
+    ([(3, 2), (5, 2)], [2, 4]), ([(2, 2), (4, 2)], [1, 4]), ([(5, 3), (7, 3)], [2, 4]),
+    ([(5, 3)], [1]), ([(3, 2), (5, 2)], [1, 2]), ([(2, 2)], [1]), ([(3, 2), (6, 3)], [1, 2]),
+    ([(2, 2), (4, 2)], [1, 2]), ([(3, 1), (6, 2)], [1, 2]), ([(3, 2)], [1]), ([(1, 1)], [1]),
+]
+
+
 def test_equicontinuity_certificate_on_balloon_tower():
-    tower = make_balloon_tower([(2, 2), (4, 2)], [1, 4])
-    rng = random.Random(9)
-    for eps in (Fraction(1, 2), Fraction(1, 4)):
-        pairs = sample_modulus_pairs(tower, eps, 10, rng)
-        cert = equicontinuity_certificate(tower, eps, pairs)
-        assert cert.passed
-        assert cert.witnesses["max_sup"] < eps
-    trivial = dirac(representative(tower.levels[0].components[0].loop[0]))
-    cert = equicontinuity_certificate(tower, Fraction(1, 2), [(trivial, trivial)])
-    assert cert.passed and cert.witnesses["max_sup"] == 0
+    for (levels, counts), eps in product(_BALLOON_SPECS, (Fraction(1, 2), Fraction(1, 4))):
+        tower = make_balloon_tower(levels, counts)
+        if tower.levels[-1].partition().mesh() >= eps:
+            with pytest.raises(ParameterError, match=f"no certified level has mesh below {eps}"):
+                equicontinuity_certificate(tower, eps)
+            continue
+        cert = equicontinuity_certificate(tower, eps)
+        level = tower.level_with_mesh_below(eps)
+        partition = tower.levels[level].partition()
+        assert cert.passed and cert.verdict == "equicontinuous_at_modulus"
+        assert cert.witnesses == {
+            "delta": equicontinuity_modulus(partition), "level": level,
+            "cells": len(partition), "bound": partition.mesh(),
+        }
+        assert cert.witnesses["delta"] <= min(partition.min_gap(), partition.mesh())
+        assert cert.witnesses["bound"] < eps
+    with pytest.raises(ParameterError, match="applies to balloon towers"):
+        equicontinuity_certificate(_DUMBBELL, Fraction(1, 2))
 
 
-def test_equicontinuity_requires_close_pairs():
-    tower = make_balloon_tower([(2, 2), (4, 2)], [1, 4])
-    with pytest.raises(ParameterError):
-        equicontinuity_certificate(
-            tower, Fraction(1, 2), [(dirac(""), dirac("1"))]
-        )
+def test_equicontinuity_fails_where_a_cell_image_splits():
+    # the dumbbell's digraph relabelled as a balloon tower's: the first cell
+    # of each left loop, 0000 and 1000, maps onto the loop's other cell and
+    # onto the bar
+    tower = dataclasses.replace(_DUMBBELL, kind="balloon")
+    cert = equicontinuity_certificate(tower, Fraction(1, 2))
+    assert not cert.passed and cert.verdict == "modulus_violated"
+    assert cert.witnesses["split_cells"] == {"0000": ["0001", "001"], "1000": ["1001", "101"]}
+    assert "bound" not in cert.witnesses
+    assert cert.payload()["witnesses"]["level"] == 0
 
 
 def test_entropy_identity_independent_of_horizon():
