@@ -22,7 +22,8 @@ Run from anywhere inside a source checkout; it writes ``DIR/BENCH_N.json``
 - ``scan_step``: one all-pairs scan time step (``rank_matrix_at``) at
   R = 715 and R = 2,002, each from ``bench/scan_step.py`` in a fresh
   subprocess: its cold first call, its warm median and its tracemalloc
-  peak;
+  peak, and the tracemalloc peak of one whole ``li_yorke_scan`` of the
+  same grid;
 - ``host``: the git SHA of the checkout, the Python and numpy versions and
   the number of CPUs this process may run on.
 

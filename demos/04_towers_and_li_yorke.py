@@ -39,11 +39,10 @@ print("\n== exhaustive pair classification over a simplex grid ==")
 scan = li_yorke_scan(dumbbell.table, partition, 2)
 print(f"{scan.pair_count} pairs:", scan.counts)
 
-print("\n== one pair in detail ==")
-fast = (scan.liminf(0, 5), scan.limsup(0, 5))
-check = distance_profile(dumbbell.table, scan.grid[0], scan.grid[5])
-print("fast scan liminf/limsup:", *fast)
-print("reference engine agrees:", (check.liminf, check.limsup) == fast)
+print("\n== one pair in detail, from its certified distance profile ==")
+pair = distance_profile(dumbbell.table, scan.grid[0], scan.grid[5])
+print("liminf/limsup:", pair.liminf, pair.limsup, "| certified by", pair.certificate)
+print("Li-Yorke pair:", pair.liminf == 0 < pair.limsup)
 
 print("\n== equicontinuity of the induced balloon map ==")
 cert = equicontinuity_certificate(balloon, Fraction(1, 4))

@@ -25,7 +25,9 @@ threshold where every pair is feasible, because, as in
 least value.  No floats are involved anywhere.  A step works on row blocks
 of a fixed number of entries over the upper triangle, stopping each block
 on its own and mirroring it below the diagonal, so its memory is the uint16
-result plus fixed-size blocks, whatever the number of measures.
+result plus fixed-size blocks, whatever the number of measures.  The
+Li-Yorke scan folds each step into a per-pair count of its zero distances
+and drops it: about 4 bytes per pair, where liminf and limsup matrices took 8.
 
 numpy is imported inside the scanner's methods and ``li_yorke_scan`` only,
 so building grids, maps and measures (``cantordyn generate``) never loads it.
@@ -136,6 +138,13 @@ def track_representatives(f: PrefixTableMap, partition: CylinderPartition) -> Tr
 BLOCK_ENTRIES = 1 << 15  # matrix entries per row block of a scan step
 
 
+def _distance_count(family: TrajectoryFamily, resolution: int) -> int:
+    """len(values) of a scanner: the multiples of 1/res, and 1/s for each
+    nonzero threshold s of the family that does not divide res."""
+    thresholds = {s for _, gaps in family.forms for s in _thresholds(gaps) if s}
+    return resolution + 1 + sum(1 for s in thresholds if resolution % s)
+
+
 class CommonSupportScanner:
     """Exact pairwise Prohorov values for measures on a tracked point family.
 
@@ -170,6 +179,12 @@ class CommonSupportScanner:
                 if p not in index or rem:
                     raise ParameterError("measure does not live on the tracked grid")
                 self.mass[r, index[p]] = w * scale
+        # counted before the value list, which costs far more, is built
+        count = _distance_count(family, resolution)
+        if count > np.iinfo(np.uint16).max:
+            raise ParameterError(
+                f"resolution {resolution} is too fine for the scanner: its {count}"
+                " distances and the invalid rank do not fit in uint16 ranks")
         # global value list: every distance a scan can output
         vals = {Fraction(g, resolution) for g in range(resolution + 1)}
         for _, gaps in family.forms:
@@ -177,10 +192,6 @@ class CommonSupportScanner:
         self.values: list[Fraction] = sorted(vals)
         self.rank = {v: r for r, v in enumerate(self.values)}
         self.invalid_rank = len(self.values)
-        if self.invalid_rank > np.iinfo(np.uint16).max:
-            raise ParameterError(
-                f"resolution {resolution} is too fine for the scanner: its {len(self.values)}"
-                " distances and the invalid rank do not fit in uint16 ranks")
 
     def rank_matrix_at(self, n: int) -> np.ndarray:
         """(R, R) uint16 matrix of ranked d(mu_i(n), mu_j(n)) for all pairs.
@@ -255,36 +266,31 @@ class CommonSupportScanner:
 
 @dataclass
 class LiYorkeScan:
-    """Result of the exhaustive pair classification over a simplex grid."""
+    """Result of the exhaustive pair classification over a simplex grid;
+    a pair's own values come from ``orbits.distance_profile``."""
 
     grid: list[AtomicMeasure]
     family: TrajectoryFamily
     scanner: CommonSupportScanner
     counts: dict[str, int]
-    liminf_ranks: np.ndarray
-    limsup_ranks: np.ndarray
 
     @property
     def pair_count(self) -> int:
         n = len(self.grid)
         return n * (n - 1) // 2
 
-    def liminf(self, i: int, j: int) -> Fraction:
-        return self.scanner.values[int(self.liminf_ranks[i, j])]
-
-    def limsup(self, i: int, j: int) -> Fraction:
-        return self.scanner.values[int(self.limsup_ranks[i, j])]
-
 
 def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: int) -> LiYorkeScan:
     """Classify every unordered pair of simplex-grid measures exactly.
 
-    liminf and limsup of each pair's distance sequence are taken over one
-    certified period of the shared trajectory family, one
-    ``rank_matrix_at`` step each: the scanner computes a step's upper
-    triangle in row blocks, each stopped at its own first all-feasible
-    threshold, and mirrors it.  Both rank matrices are symmetric, so each
-    class is counted over the whole matrix, less its diagonal, and halved.
+    A pair is asymptotic when its distance is 0 at all tau steps of one
+    certified period [rho, rho + tau) of the shared trajectory family,
+    separated below at none, and a Li-Yorke pair at some.  Each step's
+    ``rank_matrix_at`` matrix is folded at once into that count, in
+    ``np.min_scalar_type(tau)`` (1 byte per pair below 256 steps), and
+    dropped; the scan peaks at about 4 bytes per pair.  Every step is
+    symmetric with 0 on its diagonal, so each class is counted over the
+    whole matrix, less the diagonal, and halved.
     """
     import numpy as np
 
@@ -292,22 +298,15 @@ def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: i
     grid = simplex_grid(partition, resolution)
     scanner = CommonSupportScanner(family, grid, resolution)
     rho, tau = family.preperiod, family.period
-    liminf_ranks = scanner.rank_matrix_at(rho)
-    limsup_ranks = liminf_ranks.copy()
-    for n in range(rho + 1, rho + tau):
-        ranks = scanner.rank_matrix_at(n)
-        np.minimum(liminf_ranks, ranks, out=liminf_ranks)
-        np.maximum(limsup_ranks, ranks, out=limsup_ranks)
     zero = scanner.rank[Fraction(0)]
-    li, ls = liminf_ranks, limsup_ranks
-
-    def pairs(hit: np.ndarray) -> int:
-        # both rank matrices are symmetric: count each unordered pair once
-        return (int(hit.sum()) - int(hit.diagonal().sum())) // 2
-
+    zeros = np.zeros((len(grid), len(grid)), dtype=np.min_scalar_type(tau))
+    for n in range(rho, rho + tau):
+        zeros += scanner.rank_matrix_at(n) == zero
+    asymptotic = int(np.count_nonzero(zeros == tau) - len(grid)) // 2
+    separated = int(np.count_nonzero(zeros == 0)) // 2
     counts = {
-        PairClass.ASYMPTOTIC.value: pairs(ls == zero),
-        PairClass.SEPARATED_BELOW.value: pairs(li > zero),
-        PairClass.LI_YORKE_PAIR.value: pairs((li == zero) & (ls > zero)),
+        PairClass.ASYMPTOTIC.value: asymptotic,
+        PairClass.SEPARATED_BELOW.value: separated,
+        PairClass.LI_YORKE_PAIR.value: len(grid) * (len(grid) - 1) // 2 - asymptotic - separated,
     }
-    return LiYorkeScan(grid, family, scanner, counts, liminf_ranks, limsup_ranks)
+    return LiYorkeScan(grid, family, scanner, counts)

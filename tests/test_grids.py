@@ -117,23 +117,25 @@ def test_track_representatives_balloon_exact_cycle():
 
 
 def test_scanner_matches_reference_engine():
-    # the production scan: every rank matrix entry and the scan's liminf and
-    # limsup of sampled pairs against the scalar orbit engine
+    # the production scan: every rank matrix entry of sampled pairs, and
+    # their minimum and maximum over the scan's window, against the scalar
+    # orbit engine's profile, liminf and limsup
     rng = random.Random(13)
     for tower in (make_dumbbell_tower((4, 2), 2, bar_length=1),
                   make_balloon_tower([(3, 2), (5, 2)], [1, 2])):
         scan = li_yorke_scan(tower.table, tower.levels[0].partition(), 2)
         scanner, grid, ranks = scan.scanner, scan.grid, {}
+        rho, tau = scan.family.preperiod, scan.family.period
         for _ in range(15):
             i, j = rng.randrange(len(grid)), rng.randrange(len(grid))
             slow = distance_profile(tower.table, grid[i], grid[j])
-            horizon = max(scan.family.preperiod + scan.family.period, len(slow.values)) + 2
+            horizon = max(rho + tau, len(slow.values)) + 2
             for n in range(horizon):
                 if n not in ranks:
                     ranks[n] = scanner.rank_matrix_at(n)
                 assert scanner.values[int(ranks[n][i, j])] == slow.value_at(n), (i, j, n)
-            assert scan.liminf(i, j) == slow.liminf
-            assert scan.limsup(i, j) == slow.limsup
+            window = [scanner.values[int(ranks[n][i, j])] for n in range(rho, rho + tau)]
+            assert (min(window), max(window)) == (slow.liminf, slow.limsup), (i, j)
 
 
 def test_rank_matrix_agrees_with_scalar_distance():
@@ -272,6 +274,20 @@ def test_scanner_rejects_a_resolution_without_room_for_ranks():
 
 
 @pytest.mark.parametrize("kind", sorted(TOWERS))
+def test_distance_count_is_the_length_of_the_value_list(kind):
+    # the integer count that declines a resolution before the value list is
+    # built: 1/s is a multiple of 1/res exactly when s divides res
+    tower = TOWERS[kind]()
+    for level in tower.levels:
+        partition = level.partition()
+        family = track_representatives(tower.table, partition)
+        for resolution in [*range(1, 200), 360, 720, 5040]:
+            measures = [random_cell_measure(partition, random.Random(resolution), resolution)]
+            scanner = CommonSupportScanner(family, measures, resolution)
+            assert grids._distance_count(family, resolution) == len(scanner.values), resolution
+
+
+@pytest.mark.parametrize("kind", sorted(TOWERS))
 def test_scan_ranks_are_symmetric_and_counts_match_the_triangle(kind):
     tower = TOWERS[kind]()
     scan = li_yorke_scan(tower.table, tower.levels[0].partition(), 3)
@@ -279,9 +295,12 @@ def test_scan_ranks_are_symmetric_and_counts_match_the_triangle(kind):
     for n in range(scan.family.preperiod + scan.family.period):
         ranks = scan.scanner.rank_matrix_at(n)
         assert (ranks == ranks.T).all() and (ranks.diagonal() == zero).all()
-    # the per-pair formula over the strict upper triangle is the oracle
+    # the per-pair formula on the window's minimum and maximum ranks over
+    # the strict upper triangle is the oracle
+    rho, tau = scan.family.preperiod, scan.family.period
+    window = np.stack([scan.scanner.rank_matrix_at(n) for n in range(rho, rho + tau)])
     iu = np.triu_indices(len(scan.grid), k=1)
-    li, ls = scan.liminf_ranks[iu], scan.limsup_ranks[iu]
+    li, ls = window.min(axis=0)[iu], window.max(axis=0)[iu]
     assert scan.counts == {
         PairClass.ASYMPTOTIC.value: int((ls == zero).sum()),
         PairClass.SEPARATED_BELOW.value: int((li > zero).sum()),
@@ -313,17 +332,70 @@ def test_scanner_rejects_off_grid_measures():
         )
 
 
-def classify(scan, i: int, j: int) -> PairClass:
-    """The Li-Yorke class of grid pair (i, j) from the scan's liminf and limsup."""
-    return _li_yorke_rule(scan.liminf(i, j), scan.limsup(i, j))
+ORACLE_GRIDS = {
+    # (tower, level): dumbbell towers have one level, so the second
+    # dumbbell case is another tower
+    "balloon-0": (TOWERS["balloon"], 0),
+    "balloon-1": (TOWERS["balloon"], 1),
+    "dumbbell-0": (TOWERS["dumbbell"], 0),
+    "dumbbell-bar2-0": (lambda: make_dumbbell_tower((4, 2), 1, bar_length=2), 0),
+}
 
 
-def test_scan_classification_accessors():
+@pytest.mark.parametrize("resolution", [1, 2])
+@pytest.mark.parametrize("kind", sorted(ORACLE_GRIDS))
+def test_scan_counts_match_the_profile_oracle(kind, resolution):
+    # every pair of the grid classified from its scalar profile's liminf and
+    # limsup: the scan's counts must be that tally
+    make, level = ORACLE_GRIDS[kind]
+    tower = make()
+    scan = li_yorke_scan(tower.table, tower.levels[level].partition(), resolution)
+    tally = dict.fromkeys(scan.counts, 0)
+    for mu, nu in combinations(scan.grid, 2):
+        p = distance_profile(tower.table, mu, nu)
+        tally[_li_yorke_rule(p.liminf, p.limsup).value] += 1
+    assert scan.counts == tally
+    assert list(scan.counts) == [c.value for c in PairClass]
+
+
+def test_scan_fold_counts_every_class_on_random_steps(monkeypatch):
+    # no certified scan has a pair at distance 0 at some but not all window
+    # steps, so the fold's Li-Yorke case is checked on random symmetric
+    # steps (ranks 0-2, rank 0 is distance 0, 0 on the diagonal) against
+    # the rule on each pair's window minimum and maximum
+    rng, steps = np.random.default_rng(7), {}
+
+    def random_step(scanner, n):
+        size = len(scanner.mass)
+        upper = np.triu(rng.integers(0, 3, (size, size), dtype=np.uint16), 1)
+        return steps.setdefault(n, upper + upper.T)
+
+    monkeypatch.setattr(CommonSupportScanner, "rank_matrix_at", random_step)
+    tower = TOWERS["balloon"]()
+    scan = li_yorke_scan(tower.table, tower.levels[1].partition(), 2)
+    rho, tau = scan.family.preperiod, scan.family.period
+    assert tau > 1 and scan.scanner.values[0] == 0
+    window = np.stack([steps[n] for n in range(rho, rho + tau)])
+    values, tally = scan.scanner.values, dict.fromkeys(scan.counts, 0)
+    for i, j in combinations(range(len(scan.grid)), 2):
+        ranks = window[:, i, j]
+        tally[_li_yorke_rule(values[ranks.min()], values[ranks.max()]).value] += 1
+    assert scan.counts == tally
+    assert min(tally.values()) > 0
+
+
+def test_li_yorke_scan_memory_stays_near_one_step():
+    # the liyorke-grid scan (R = 715): the per-pair zero count (1 byte per
+    # entry), one uint16 step (2 bytes) and its blocks, where the liminf and
+    # limsup rank matrices took 8.3 bytes per entry
     tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
-    scan = li_yorke_scan(tower.table, tower.levels[0].partition(), 1)
-    for i, j in combinations(range(min(6, len(scan.grid))), 2):
-        liminf, limsup = scan.liminf(i, j), scan.limsup(i, j)
-        assert 0 <= liminf <= limsup <= 1
-        cls = classify(scan, i, j)
-        if liminf == 0 and limsup > 0:
-            assert cls.value == "li_yorke_pair"
+    partition = tower.levels[0].partition()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scan = li_yorke_scan(tower.table, partition, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(scan.grid) == 715
+    assert peak <= 6 * len(scan.grid) ** 2, peak / len(scan.grid) ** 2
