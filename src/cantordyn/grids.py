@@ -289,8 +289,8 @@ def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: i
     ``rank_matrix_at`` matrix is folded at once into that count, in
     ``np.min_scalar_type(tau)`` (1 byte per pair below 256 steps), and
     dropped; the scan peaks at about 4 bytes per pair.  Every step is
-    symmetric with 0 on its diagonal, so each class is counted over the
-    whole matrix, less the diagonal, and halved.
+    symmetric with 0 on its diagonal, so the first two classes are counted
+    over the whole matrix, less the diagonal, and halved; the third is the rest.
     """
     import numpy as np
 
@@ -299,11 +299,11 @@ def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: i
     scanner = CommonSupportScanner(family, grid, resolution)
     rho, tau = family.preperiod, family.period
     zero = scanner.rank[Fraction(0)]
-    zeros = np.zeros((len(grid), len(grid)), dtype=np.min_scalar_type(tau))
+    zero_steps = np.zeros((len(grid), len(grid)), dtype=np.min_scalar_type(tau))
     for n in range(rho, rho + tau):
-        zeros += scanner.rank_matrix_at(n) == zero
-    asymptotic = int(np.count_nonzero(zeros == tau) - len(grid)) // 2
-    separated = int(np.count_nonzero(zeros == 0)) // 2
+        zero_steps += scanner.rank_matrix_at(n) == zero
+    asymptotic = int(np.count_nonzero(zero_steps == tau) - len(grid)) // 2
+    separated = int(np.count_nonzero(zero_steps == 0)) // 2
     counts = {
         PairClass.ASYMPTOTIC.value: asymptotic,
         PairClass.SEPARATED_BELOW.value: separated,
