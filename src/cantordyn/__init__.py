@@ -65,6 +65,7 @@ from .dynamics import (
 )
 from .grids import (
     LiYorkeScan,
+    PairClass,
     li_yorke_scan,
     random_atomic_measure,
     random_cell_measure,
@@ -73,7 +74,6 @@ from .grids import (
 )
 from .orbits import (
     DistanceProfile,
-    PairClass,
     distance_profile,
     orbit_distance_to_target,
 )

@@ -69,9 +69,8 @@ from .dynamics import (
     weak_shadowing_refutation,
 )
 from .errors import CantorDynError, CertificationError, ParameterError, ResourceBudgetError
-from .grids import li_yorke_scan, random_cell_measure, simplex_grid
+from .grids import PairClass, li_yorke_scan, random_cell_measure, simplex_grid
 from .measures import BACKENDS, measure_from_lines, prohorov, prohorov_two_sided
-from .orbits import PairClass
 from .recurrence import (
     AdmissibleChoice,
     approx_by_periodic,

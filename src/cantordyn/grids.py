@@ -26,8 +26,11 @@ least value.  No floats are involved anywhere.  A step works on row blocks
 of a fixed number of entries over the upper triangle, stopping each block
 on its own and mirroring it below the diagonal, so its memory is the uint16
 result plus fixed-size blocks, whatever the number of measures.  The
-Li-Yorke scan folds each step into a per-pair count of its zero distances
-and drops it: about 4 bytes per pair, where liminf and limsup matrices took 8.
+Li-Yorke scan reads two steps only, the first and the last of the certified
+window: the induced map is a function, so a pair equal at one step stays
+equal at every later one, and the zero distances of those two steps decide
+every pair's class.  It holds one step and its zero mask at a time, about
+3.5 bytes per entry of the pair matrix.
 
 numpy is imported inside the scanner's methods and ``li_yorke_scan`` only,
 so building grids, maps and measures (``cantordyn generate``) never loads it.
@@ -35,6 +38,7 @@ so building grids, maps and measures (``cantordyn generate``) never loads it.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -44,7 +48,7 @@ from .errors import ParameterError
 from .maps import PrefixTableMap
 from .measures import AtomicMeasure, dirac
 from .measures import _from_weights, _interval_value, _runs, _thresholds
-from .orbits import DEFAULT_BUDGET, PairClass, _evolve_distance_sequence, _term
+from .orbits import DEFAULT_BUDGET, _evolve_distance_sequence, _term
 
 
 def simplex_grid(partition: CylinderPartition, resolution: int) -> list[AtomicMeasure]:
@@ -264,10 +268,22 @@ class CommonSupportScanner:
         return best
 
 
+class PairClass(enum.Enum):
+    """The Li-Yorke class of a pair of measures: distance liminf and limsup
+    both 0, liminf positive, or liminf 0 with limsup positive."""
+
+    ASYMPTOTIC = "asymptotic"
+    SEPARATED_BELOW = "separated_below"
+    LI_YORKE_PAIR = "li_yorke_pair"
+
+
 @dataclass
 class LiYorkeScan:
-    """Result of the exhaustive pair classification over a simplex grid;
-    a pair's own values come from ``orbits.distance_profile``."""
+    """Result of the exhaustive pair classification over a simplex grid:
+    class counts from the zero distances at the first and last steps of the
+    certified window, since a pair equal at one step stays equal (see
+    ``li_yorke_scan``); no per-pair matrix is kept, and a pair's own values
+    come from ``orbits.distance_profile``."""
 
     grid: list[AtomicMeasure]
     family: TrajectoryFamily
@@ -285,12 +301,18 @@ def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: i
 
     A pair is asymptotic when its distance is 0 at all tau steps of one
     certified period [rho, rho + tau) of the shared trajectory family,
-    separated below at none, and a Li-Yorke pair at some.  Each step's
-    ``rank_matrix_at`` matrix is folded at once into that count, in
-    ``np.min_scalar_type(tau)`` (1 byte per pair below 256 steps), and
-    dropped; the scan peaks at about 4 bytes per pair.  Every step is
-    symmetric with 0 on its diagonal, so the first two classes are counted
-    over the whole matrix, less the diagonal, and halved; the third is the rest.
+    separated below at none, and a Li-Yorke pair at some.  The induced map
+    is a function, so a pair equal at one step is equal at every later one.
+    So the asymptotic pairs are those at distance 0 at step rho, the
+    separated ones those not at distance 0 at step rho + tau - 1, and the
+    Li-Yorke pairs the difference of the two zero counts.  That difference
+    is counted, not assumed; it is 0 on every certified grid, because
+    equality at rho + tau - 1 carries on to rho + tau, which the period
+    maps back to rho.  Only those two steps are read from
+    ``rank_matrix_at`` (one when tau is 1).  Each step is symmetric with 0
+    on its diagonal, so its zero pairs are counted over the whole matrix,
+    less the diagonal, and halved; the scan holds one uint16 step and its
+    zero mask at a time, about 3.5 bytes per matrix entry.
     """
     import numpy as np
 
@@ -299,14 +321,15 @@ def li_yorke_scan(f: PrefixTableMap, partition: CylinderPartition, resolution: i
     scanner = CommonSupportScanner(family, grid, resolution)
     rho, tau = family.preperiod, family.period
     zero = scanner.rank[Fraction(0)]
-    zero_steps = np.zeros((len(grid), len(grid)), dtype=np.min_scalar_type(tau))
-    for n in range(rho, rho + tau):
-        zero_steps += scanner.rank_matrix_at(n) == zero
-    asymptotic = int(np.count_nonzero(zero_steps == tau) - len(grid)) // 2
-    separated = int(np.count_nonzero(zero_steps == 0)) // 2
+
+    def equal_pairs(n: int) -> int:
+        return (int(np.count_nonzero(scanner.rank_matrix_at(n) == zero)) - len(grid)) // 2
+
+    first = equal_pairs(rho)
+    last = first if tau == 1 else equal_pairs(rho + tau - 1)
     counts = {
-        PairClass.ASYMPTOTIC.value: asymptotic,
-        PairClass.SEPARATED_BELOW.value: separated,
-        PairClass.LI_YORKE_PAIR.value: len(grid) * (len(grid) - 1) // 2 - asymptotic - separated,
+        PairClass.ASYMPTOTIC.value: first,
+        PairClass.SEPARATED_BELOW.value: len(grid) * (len(grid) - 1) // 2 - last,
+        PairClass.LI_YORKE_PAIR.value: last - first,
     }
     return LiYorkeScan(grid, family, scanner, counts)

@@ -238,28 +238,19 @@ def _classify_one(comp: set[str], edges: set[tuple[str, str]]) -> ComponentShape
         return ComponentShape("other", (nv,), {"vertices": tuple(sorted(comp))})
 
     if all(d == 1 for d in outdeg.values()):
+        # each vertex has its one out-edge, so a walk that visits all of
+        # them, from the one source or from min(comp) when there is none,
+        # traverses every edge: no tail is a loop, a tail is a balloon
         out = {a: b for a, b in sub}
         sources = [v for v in comp if indeg[v] == 0]
-        if not sources and ne == nv:
-            # single cycle through everything
-            start = min(comp)
-            tail, cycle = _walk_to_cycle(out, start)
-            if not tail and len(cycle) == nv:
-                expected = {(cycle[i], cycle[(i + 1) % nv]) for i in range(nv)}
-                if expected == sub:
+        if len(sources) <= 1:
+            tail, cycle = _walk_to_cycle(out, sources[0] if sources else min(comp))
+            if len(tail) + len(cycle) == nv:
+                if not tail:
                     return ComponentShape("loop", (nv,), {"loop": tuple(cycle)})
-            return other()
-        if len(sources) == 1 and ne == nv:
-            tail, cycle = _walk_to_cycle(out, sources[0])
-            s, t = len(tail), len(cycle)
-            if s >= 1 and t >= 1 and s + t == nv:
-                expected = {(tail[i], tail[i + 1]) for i in range(s - 1)}
-                expected |= {(cycle[i], cycle[(i + 1) % t]) for i in range(t)}
-                expected.add((tail[-1], cycle[0]))
-                if expected == sub:
-                    return ComponentShape(
-                        "balloon", (s, t), {"path": tuple(tail), "loop": tuple(cycle)}
-                    )
+                return ComponentShape(
+                    "balloon", (len(tail), len(cycle)), {"path": tuple(tail), "loop": tuple(cycle)}
+                )
         return other()
 
     # dumbbell candidate: one branching vertex, one merge vertex, one extra edge

@@ -144,7 +144,6 @@ run ``_evolve_distance_sequence(f, (mu,), (), DEFAULT_BUDGET)``.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -206,21 +205,6 @@ class DistanceProfile:
 
     def supremum(self) -> Fraction:
         return max(self.values)
-
-
-class PairClass(enum.Enum):
-    ASYMPTOTIC = "asymptotic"
-    SEPARATED_BELOW = "separated_below"
-    LI_YORKE_PAIR = "li_yorke_pair"
-
-
-def _li_yorke_rule(liminf: Fraction, limsup: Fraction) -> PairClass:
-    """The class of a pair whose distances have this liminf and limsup."""
-    if limsup == 0:
-        return PairClass.ASYMPTOTIC
-    if liminf > 0:
-        return PairClass.SEPARATED_BELOW
-    return PairClass.LI_YORKE_PAIR
 
 
 # ---------------------------------------------------------------------------

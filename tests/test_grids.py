@@ -14,6 +14,7 @@ from cantordyn.cantor import representative
 from cantordyn.errors import ParameterError
 from cantordyn.grids import (
     CommonSupportScanner,
+    PairClass,
     li_yorke_scan,
     random_atomic_measure,
     random_cell_measure,
@@ -21,8 +22,10 @@ from cantordyn.grids import (
     track_representatives,
 )
 from cantordyn.measures import atomic_measure, prohorov, pushforward_iter
-from cantordyn.orbits import PairClass, _li_yorke_rule, distance_profile
+from cantordyn.orbits import distance_profile
 from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
+
+from test_orbits import li_yorke_rule
 
 
 def test_simplex_grid_count_and_masses():
@@ -173,6 +176,9 @@ TOWERS = {
     "dumbbell": lambda: make_dumbbell_tower((4, 2), 2, bar_length=1),
     "balloon": lambda: make_balloon_tower([(3, 2), (5, 2)], [1, 2]),
 }
+# the README example's tower: level 0 has 24 cells and a window of
+# preperiod 6 and period 6
+README_BALLOON = lambda: make_balloon_tower([(5, 3), (7, 3)], [2, 4])  # noqa: E731
 
 
 @pytest.mark.parametrize("resolution", [127, 128, 255, 32767, 32768])
@@ -333,61 +339,94 @@ def test_scanner_rejects_off_grid_measures():
 
 
 ORACLE_GRIDS = {
-    # (tower, level): dumbbell towers have one level, so the second
-    # dumbbell case is another tower
-    "balloon-0": (TOWERS["balloon"], 0),
-    "balloon-1": (TOWERS["balloon"], 1),
-    "dumbbell-0": (TOWERS["dumbbell"], 0),
-    "dumbbell-bar2-0": (lambda: make_dumbbell_tower((4, 2), 1, bar_length=2), 0),
+    # (tower, level, resolutions): dumbbell towers have one level, so the
+    # second dumbbell case is another tower; the README tower's window has
+    # 6 steps, of which the scan reads 2, and its grid at resolution 1 has
+    # 24 measures (276 pairs)
+    "balloon-0": (TOWERS["balloon"], 0, (1, 2)),
+    "balloon-1": (TOWERS["balloon"], 1, (1, 2)),
+    "balloon-readme-0": (README_BALLOON, 0, (1,)),
+    "dumbbell-0": (TOWERS["dumbbell"], 0, (1, 2)),
+    "dumbbell-bar2-0": (lambda: make_dumbbell_tower((4, 2), 1, bar_length=2), 0, (1, 2)),
 }
 
 
-@pytest.mark.parametrize("resolution", [1, 2])
-@pytest.mark.parametrize("kind", sorted(ORACLE_GRIDS))
+@pytest.mark.parametrize("kind, resolution", [
+    (kind, resolution) for kind, (_, _, resolutions) in sorted(ORACLE_GRIDS.items())
+    for resolution in resolutions])
 def test_scan_counts_match_the_profile_oracle(kind, resolution):
     # every pair of the grid classified from its scalar profile's liminf and
     # limsup: the scan's counts must be that tally
-    make, level = ORACLE_GRIDS[kind]
+    make, level, _ = ORACLE_GRIDS[kind]
     tower = make()
     scan = li_yorke_scan(tower.table, tower.levels[level].partition(), resolution)
     tally = dict.fromkeys(scan.counts, 0)
     for mu, nu in combinations(scan.grid, 2):
         p = distance_profile(tower.table, mu, nu)
-        tally[_li_yorke_rule(p.liminf, p.limsup).value] += 1
+        tally[li_yorke_rule(p.liminf, p.limsup).value] += 1
     assert scan.counts == tally
     assert list(scan.counts) == [c.value for c in PairClass]
 
 
-def test_scan_fold_counts_every_class_on_random_steps(monkeypatch):
+@pytest.mark.parametrize("make, level, resolution, steps", [
+    (TOWERS["dumbbell"], 0, 2, [1, 2]),
+    (README_BALLOON, 0, 1, [6, 11]),
+    (lambda: make_balloon_tower([(2, 1)], [1]), 0, 2, [1]),
+], ids=["liyorke-grid", "readme-balloon", "period-1"])
+def test_li_yorke_scan_reads_the_first_and_last_window_steps(make, level, resolution, steps,
+                                                              monkeypatch):
+    # steps rho and rho + tau - 1 decide every class, and a one-step window
+    # is read once
+    read, step = [], CommonSupportScanner.rank_matrix_at
+
+    def recorded(scanner, n):
+        read.append(n)
+        return step(scanner, n)
+
+    monkeypatch.setattr(CommonSupportScanner, "rank_matrix_at", recorded)
+    tower = make()
+    scan = li_yorke_scan(tower.table, tower.levels[level].partition(), resolution)
+    rho, tau = scan.family.preperiod, scan.family.period
+    assert read == steps == sorted({rho, rho + tau - 1})
+
+
+def test_scan_counts_every_class_on_random_steps(monkeypatch):
     # no certified scan has a pair at distance 0 at some but not all window
-    # steps, so the fold's Li-Yorke case is checked on random symmetric
-    # steps (ranks 0-2, rank 0 is distance 0, 0 on the diagonal) against
-    # the rule on each pair's window minimum and maximum
+    # steps, so the Li-Yorke case is checked on random symmetric steps
+    # (ranks 0-2, rank 0 is distance 0, 0 on the diagonal) whose zero pairs
+    # only grow along the window, as they do under every induced map,
+    # against the rule on each pair's window minimum and maximum
     rng, steps = np.random.default_rng(7), {}
 
     def random_step(scanner, n):
-        size = len(scanner.mass)
-        upper = np.triu(rng.integers(0, 3, (size, size), dtype=np.uint16), 1)
-        return steps.setdefault(n, upper + upper.T)
+        if not steps:
+            family, size = scanner.family, len(scanner.mass)
+            zeros = np.zeros((size, size), dtype=bool)
+            for m in range(family.preperiod, family.preperiod + family.period):
+                zeros |= np.triu(rng.random((size, size)) < 0.1, 1)
+                upper = np.where(zeros, 0, rng.integers(1, 3, (size, size), dtype=np.uint16))
+                upper = np.triu(upper, 1)
+                steps[m] = upper + upper.T
+        return steps[n]
 
     monkeypatch.setattr(CommonSupportScanner, "rank_matrix_at", random_step)
-    tower = TOWERS["balloon"]()
-    scan = li_yorke_scan(tower.table, tower.levels[1].partition(), 2)
+    tower = README_BALLOON()
+    scan = li_yorke_scan(tower.table, tower.levels[0].partition(), 1)
     rho, tau = scan.family.preperiod, scan.family.period
-    assert tau > 1 and scan.scanner.values[0] == 0
+    assert tau > 2 and scan.scanner.values[0] == 0
     window = np.stack([steps[n] for n in range(rho, rho + tau)])
     values, tally = scan.scanner.values, dict.fromkeys(scan.counts, 0)
     for i, j in combinations(range(len(scan.grid)), 2):
         ranks = window[:, i, j]
-        tally[_li_yorke_rule(values[ranks.min()], values[ranks.max()]).value] += 1
+        tally[li_yorke_rule(values[ranks.min()], values[ranks.max()]).value] += 1
     assert scan.counts == tally
     assert min(tally.values()) > 0
 
 
 def test_li_yorke_scan_memory_stays_near_one_step():
-    # the liyorke-grid scan (R = 715): the per-pair zero count (1 byte per
-    # entry), one uint16 step (2 bytes) and its blocks, where the liminf and
-    # limsup rank matrices took 8.3 bytes per entry
+    # the liyorke-grid scan (R = 715): one uint16 step (2 bytes per entry),
+    # its zero mask (1 byte) and its blocks, where a per-pair zero count
+    # took 4.5 bytes per entry and the liminf and limsup rank matrices 8.3
     tower = make_dumbbell_tower((4, 2), 2, bar_length=1)
     partition = tower.levels[0].partition()
     tracemalloc.start()
@@ -398,4 +437,4 @@ def test_li_yorke_scan_memory_stays_near_one_step():
     finally:
         tracemalloc.stop()
     assert len(scan.grid) == 715
-    assert peak <= 6 * len(scan.grid) ** 2, peak / len(scan.grid) ** 2
+    assert peak <= 4 * len(scan.grid) ** 2, peak / len(scan.grid) ** 2

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from cantordyn.cantor import (
+    balanced_code,
     canonical_point,
     point_in_cylinder,
     representative,
@@ -186,6 +187,40 @@ def test_classify_other():
     edges = {("00", "01"), ("00", "1"), ("01", "00"), ("1", "1"), ("01", "1")}
     shape = classify_components(_digraph(cells, edges))[0]
     assert shape.kind == "other"
+
+
+# per kind, the components of all n**n functional digraphs on n cells
+FUNCTIONAL_TALLIES = {
+    1: {"loop": 1},
+    2: {"loop": 3, "balloon": 2},
+    3: {"loop": 17, "balloon": 18, "other": 3},
+    4: {"loop": 146, "balloon": 168, "other": 76},
+    5: {"loop": 1684, "balloon": 1860, "other": 1505},
+}
+
+
+def test_classify_every_functional_digraph():
+    # with out-degree 1 everywhere the classifier names a loop or a balloon
+    # from its walk alone: the pattern rebuilt from its cells must be
+    # exactly the component's edges, and "other" has two sources or more
+    for n, expected in FUNCTIONAL_TALLIES.items():
+        cells = balanced_code(n)
+        tally = dict.fromkeys(expected, 0)
+        for targets in product(range(n), repeat=n):
+            edges = {(cells[i], cells[t]) for i, t in enumerate(targets)}
+            for shape in classify_components(_digraph(cells, edges)):
+                tally[shape.kind] += 1
+                if shape.kind == "other":
+                    vertices = set(shape.cells["vertices"])
+                    assert len(vertices - {b for a, b in edges if a in vertices}) >= 2
+                    continue
+                path, loop = shape.cells.get("path", ()), shape.cells["loop"]
+                walk = path + loop
+                pattern = set(zip(walk, walk[1:])) | {(loop[-1], loop[0])}
+                assert pattern == {(a, b) for a, b in edges if a in walk}, (edges, shape)
+                params = (len(path), len(loop)) if path else (len(loop),)
+                assert (shape.kind, shape.params) == ("balloon" if path else "loop", params)
+        assert tally == expected, n
 
 
 def test_invert_examples():

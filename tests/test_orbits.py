@@ -11,7 +11,7 @@ import pytest
 from cantordyn.cantor import _sorted_form, canonical_point, representative, separation
 from cantordyn.errors import ResourceBudgetError
 from cantordyn import orbits, tables
-from cantordyn.grids import random_atomic_measure, random_cell_measure, simplex_grid
+from cantordyn.grids import PairClass, random_atomic_measure, random_cell_measure, simplex_grid
 from cantordyn.maps import PrefixTableMap
 from cantordyn.measures import (
     atomic_measure,
@@ -23,9 +23,7 @@ from cantordyn.measures import (
     pushforward_iter,
 )
 from cantordyn.orbits import (
-    PairClass,
     DistanceProfile,
-    _li_yorke_rule,
     distance_profile,
     orbit_distance_to_target,
 )
@@ -33,6 +31,16 @@ from cantordyn.towers import make_balloon_tower, make_dumbbell_tower
 
 IDENTITY = PrefixTableMap((("", ""),))
 SWAP = PrefixTableMap((("0", "1"), ("1", "0")))
+
+
+def li_yorke_rule(liminf: Fraction, limsup: Fraction) -> PairClass:
+    """The class of a pair whose distances have this liminf and limsup: the
+    per-pair oracle of the grid scan's counts."""
+    if limsup == 0:
+        return PairClass.ASYMPTOTIC
+    if liminf > 0:
+        return PairClass.SEPARATED_BELOW
+    return PairClass.LI_YORKE_PAIR
 
 
 def test_state_cycle_examples():
@@ -73,7 +81,7 @@ def test_distance_profile_examples():
     assert prof.liminf == prof.limsup == 0
     prof = distance_profile(SWAP, dirac(""), dirac("1"))
     assert prof.liminf == prof.limsup == 1
-    assert _li_yorke_rule(prof.liminf, prof.limsup) is PairClass.SEPARATED_BELOW
+    assert li_yorke_rule(prof.liminf, prof.limsup) is PairClass.SEPARATED_BELOW
 
 
 def test_profile_lookup_and_extremes_against_unrolled_orbit():
@@ -104,11 +112,11 @@ def test_profile_lookup_and_extremes_against_unrolled_orbit():
 
 def test_classify_thresholds():
     prof = DistanceProfile((Fraction(0),), 0, 1, "state-cycle")
-    assert _li_yorke_rule(prof.liminf, prof.limsup) is PairClass.ASYMPTOTIC
+    assert li_yorke_rule(prof.liminf, prof.limsup) is PairClass.ASYMPTOTIC
     prof = DistanceProfile((Fraction(1, 2), Fraction(1)), 0, 2, "state-cycle")
-    assert _li_yorke_rule(prof.liminf, prof.limsup) is PairClass.SEPARATED_BELOW
+    assert li_yorke_rule(prof.liminf, prof.limsup) is PairClass.SEPARATED_BELOW
     prof = DistanceProfile((Fraction(0), Fraction(1, 2)), 0, 2, "state-cycle")
-    assert _li_yorke_rule(prof.liminf, prof.limsup) is PairClass.LI_YORKE_PAIR
+    assert li_yorke_rule(prof.liminf, prof.limsup) is PairClass.LI_YORKE_PAIR
 
 
 def test_padded_cycle_profile_on_absorbing_orbit():
@@ -118,7 +126,7 @@ def test_padded_cycle_profile_on_absorbing_orbit():
     nu = dirac(representative(comp.left[0]))
     prof = distance_profile(tower.table, mu, nu)
     assert prof.certificate == "padded-cycle"
-    assert _li_yorke_rule(prof.liminf, prof.limsup) is not PairClass.LI_YORKE_PAIR
+    assert li_yorke_rule(prof.liminf, prof.limsup) is not PairClass.LI_YORKE_PAIR
 
 
 def test_padded_cycle_rejects_a_target_the_orbit_passes_through():
