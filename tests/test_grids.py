@@ -176,9 +176,12 @@ TOWERS = {
     "dumbbell": lambda: make_dumbbell_tower((4, 2), 2, bar_length=1),
     "balloon": lambda: make_balloon_tower([(3, 2), (5, 2)], [1, 2]),
 }
-# the README example's tower: level 0 has 24 cells and a window of
-# preperiod 6 and period 6
-README_BALLOON = lambda: make_balloon_tower([(5, 3), (7, 3)], [2, 4])  # noqa: E731
+
+
+def readme_balloon():
+    # the README example's tower: level 0 has 24 cells and a window of
+    # preperiod 6 and period 6
+    return make_balloon_tower([(5, 3), (7, 3)], [2, 4])
 
 
 @pytest.mark.parametrize("resolution", [127, 128, 255, 32767, 32768])
@@ -345,7 +348,7 @@ ORACLE_GRIDS = {
     # 24 measures (276 pairs)
     "balloon-0": (TOWERS["balloon"], 0, (1, 2)),
     "balloon-1": (TOWERS["balloon"], 1, (1, 2)),
-    "balloon-readme-0": (README_BALLOON, 0, (1,)),
+    "balloon-readme-0": (readme_balloon, 0, (1,)),
     "dumbbell-0": (TOWERS["dumbbell"], 0, (1, 2)),
     "dumbbell-bar2-0": (lambda: make_dumbbell_tower((4, 2), 1, bar_length=2), 0, (1, 2)),
 }
@@ -370,7 +373,7 @@ def test_scan_counts_match_the_profile_oracle(kind, resolution):
 
 @pytest.mark.parametrize("make, level, resolution, steps", [
     (TOWERS["dumbbell"], 0, 2, [1, 2]),
-    (README_BALLOON, 0, 1, [6, 11]),
+    (readme_balloon, 0, 1, [6, 11]),
     (lambda: make_balloon_tower([(2, 1)], [1]), 0, 2, [1]),
 ], ids=["liyorke-grid", "readme-balloon", "period-1"])
 def test_li_yorke_scan_reads_the_first_and_last_window_steps(make, level, resolution, steps,
@@ -410,7 +413,7 @@ def test_scan_counts_every_class_on_random_steps(monkeypatch):
         return steps[n]
 
     monkeypatch.setattr(CommonSupportScanner, "rank_matrix_at", random_step)
-    tower = README_BALLOON()
+    tower = readme_balloon()
     scan = li_yorke_scan(tower.table, tower.levels[0].partition(), 1)
     rho, tau = scan.family.preperiod, scan.family.period
     assert tau > 2 and scan.scanner.values[0] == 0
