@@ -24,6 +24,10 @@ Run from anywhere inside a source checkout; it writes ``DIR/BENCH_N.json``
   subprocess: its cold first call, its warm median and its tracemalloc
   peak, and the tracemalloc peak of one whole ``li_yorke_scan`` of the
   same grid;
+- ``solve_step``: one exact Prohorov solve per backend (``auto``,
+  ``flow``, ``both``, ``enumeration``) on a fixed seeded set of chain-step
+  problems, each from ``bench/solve_step.py`` in a fresh subprocess: its
+  cold first pass and warm median, also per solve;
 - ``host``: the git SHA of the checkout, the Python and numpy versions and
   the number of CPUs this process may run on.
 
@@ -52,6 +56,7 @@ from cantordyn.cli import SUITES  # noqa: E402
 REPEATS = 5  # fresh processes per timed command
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 SCAN_STEP_RESOLUTIONS = (4, 5)  # R = 715, the liyorke-grid grid, and R = 2,002
+SOLVE_STEP_BACKENDS = ("auto", "flow", "both", "enumeration")
 
 
 def perfbench(seconds: int) -> dict:
@@ -98,10 +103,12 @@ def analyze_walls(work: Path) -> dict:
     return {suite: fresh_walls(cli + ["analyze", "--suite", suite] + args) for suite in SUITES}
 
 
-def scan_steps() -> list[dict]:
+def fresh_steps(script: str, args) -> list[dict]:
+    """One fresh ``bench/<script> ARG`` process per argument, with its exit
+    code and its JSON line."""
     out = []
-    for resolution in SCAN_STEP_RESOLUTIONS:
-        done = subprocess.run([sys.executable, "bench/scan_step.py", str(resolution)],
+    for arg in args:
+        done = subprocess.run([sys.executable, f"bench/{script}", str(arg)],
                               cwd=ROOT, capture_output=True, text=True)
         lines = done.stdout.strip().splitlines()
         out.append({"exit_code": done.returncode,
@@ -128,9 +135,11 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=ROOT, help="directory to write into")
     opts = parser.parse_args()
     with tempfile.TemporaryDirectory() as work:
-        snapshot = {"host": host(), "perfbench": perfbench(opts.seconds),
-                    "bytecode": compile_sources(), "fixed_cost_s": fixed_costs(),
-                    "analyze_wall_s": analyze_walls(Path(work)), "scan_step": scan_steps()}
+        snapshot = {"host": host(), "bytecode": compile_sources(),
+                    "perfbench": perfbench(opts.seconds), "fixed_cost_s": fixed_costs(),
+                    "analyze_wall_s": analyze_walls(Path(work)),
+                    "scan_step": fresh_steps("scan_step.py", SCAN_STEP_RESOLUTIONS),
+                    "solve_step": fresh_steps("solve_step.py", SOLVE_STEP_BACKENDS)}
     text = json.dumps(snapshot, indent=2) + "\n"
     (opts.out / f"BENCH_{opts.number}.json").write_text(text)
     print(text, end="")

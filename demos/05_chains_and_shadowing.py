@@ -20,6 +20,7 @@ from cantordyn import (
     make_dumbbell_tower,
     simplex_grid,
     transitivity_check,
+    verify_chain,
     weak_shadowing_refutation,
 )
 
@@ -31,6 +32,8 @@ print("\n== a chain that lands exactly on the target ==")
 swap = PrefixTableMap((("0", "1"), ("1", "0")))
 chain = chain_connect_homeo(swap, dirac(""), dirac("1"), Fraction(3, 4), 2)
 print("steps:", chain.step_distances, "-> endpoint", chain.points[-1].atoms)
+# an independent re-check: every step checked again from the points alone
+print("re-verified:", verify_chain(swap, chain.points, chain.delta) == chain)
 
 print("\n== chain continuity: contraction vs dumbbell ==")
 contraction = PrefixTableMap((("0", "00"), ("1", "000")))
@@ -57,3 +60,4 @@ print("every orbit stays at least", worst, "away from one of the two anchors")
 print("\n== a chain for a non-invertible map ends on the image orbit ==")
 chain = chain_connect_map(contraction, dirac("1"), dirac("0"), Fraction(1, 2), 4)
 print("endpoint:", chain.points[-1].atoms)
+print("re-verified:", verify_chain(contraction, chain.points, chain.delta) == chain)

@@ -5,12 +5,12 @@ payload carries exact rationals only.  Chains are verified step by step
 with the exact Prohorov solver, never assumed from the construction that
 produced them.  The chains of one (map, mu, nu, delta, backend) are
 prefixes of one another, so ``chain_connect_map`` keeps one record of that
-chain per process, registered in ``tables``: a call builds and verifies
-only the steps past the verified prefix.  The record keeps verified steps
-only, so a failing step is verified again, and raises again, on every call
-that reaches it.  It also keeps nu's orbit, pushed from nu alone, apart
-from the interpolants: each chain's endpoint is checked against that orbit
-instead of pushing nu up to the chain's length again.
+chain per process, registered in ``tables``: a call verifies only the
+steps past the verified prefix, one solve each, recorded before the next.
+The record keeps verified steps only, so a failing step is verified again,
+and raises again, on every call that reaches it.  It also keeps nu's orbit,
+pushed from nu alone, apart from the interpolants: each chain's endpoint is
+checked against that orbit instead of pushing nu up to its length again.
 """
 
 from __future__ import annotations
@@ -57,22 +57,22 @@ class Chain:
 
 
 def verify_chain(f: PrefixTableMap, points, delta: Fraction, backend: str = "auto") -> Chain:
-    """Independent step verification with the exact solver; raises on failure.
-
-    A chain of fewer than two points has no step to verify, so it raises
-    ParameterError instead of passing vacuously."""
+    """Independent step verification with the exact solver, from the points
+    alone; raises on failure.  A chain of fewer than two points has no step
+    to verify, so it raises ParameterError instead of passing vacuously."""
     delta = _exact("delta", delta)
     pts = tuple(points)
     if len(pts) < 2:
         raise ParameterError(f"a chain needs at least two points, got {len(pts)}")
-    p, q = delta.numerator, delta.denominator
-    dists = []
-    for a, b in zip(pts, pts[1:]):
-        d = prohorov_distance(pushforward(f, a), b, backend)
-        if not d.numerator * q < p * d.denominator:  # d < delta, in integers
-            raise CertificationError(f"chain step distance {d} is not below {delta}")
-        dists.append(d)
-    return Chain(pts, delta, tuple(dists))
+    return Chain(pts, delta, tuple(_step(f, a, b, delta, backend) for a, b in zip(pts, pts[1:])))
+
+
+def _step(f: PrefixTableMap, a, b, delta: Fraction, backend: str) -> Fraction:
+    """d(f~(a), b) by one exact solve; CertificationError unless below delta."""
+    d = prohorov_distance(pushforward(f, a), b, backend)
+    if not d.numerator * delta.denominator < delta.numerator * d.denominator:  # in integers
+        raise CertificationError(f"chain step distance {d} is not below {delta}")
+    return d
 
 
 def default_gamma(delta: Fraction) -> Fraction:
@@ -159,12 +159,12 @@ def chain_connect_map(
     weight reaches 1 at step k0 = ``chain_step_count(delta)``, jumps to the
     pure nu orbit, then follows it exactly.  The chain of length k is the
     first k steps of every longer one, so the call reads it off the
-    per-process record of (f, mu, nu, delta, backend) and verifies, through
-    ``verify_chain``, only the steps past the record's verified prefix.  A
-    failing step is never recorded: every chain that contains it verifies
-    it again and raises its error, so each result and each error is what a
-    call on empty tables gives.  The endpoint is checked against nu's
-    orbit in the record, which is pushed from nu alone.
+    per-process record of (f, mu, nu, delta, backend) and verifies, one
+    solve each, only the steps past the record's verified prefix, each
+    recorded before the next.  A failing step is never recorded: every chain
+    that holds it verifies it again and raises its error, so each result and
+    each error is what a call on empty tables gives.  The endpoint is
+    checked against nu's orbit in the record, pushed from nu alone.
     """
     delta = _exact("delta", delta)  # before the lookup: 0.5 == Fraction(1, 2)
     rec = _chain_record(f, mu, nu, delta, backend)
@@ -174,7 +174,7 @@ def chain_connect_map(
         rec.points.append(pushforward(f, rec.points[-1]))
         rec.orbit.append(pushforward(f, rec.orbit[-1]))
     for i in range(len(rec.distances), k):
-        rec.distances.extend(verify_chain(f, rec.points[i:i + 2], delta, backend).step_distances)
+        rec.distances.append(_step(f, rec.points[i], rec.points[i + 1], delta, backend))
     chain = Chain(tuple(rec.points[:k + 1]), delta, tuple(rec.distances[:k]))
     if chain.points[-1] != rec.orbit[k]:
         raise CertificationError("chain endpoint is not the exact image of nu")

@@ -24,9 +24,9 @@ and the answer is the least clamped value over intervals.  The Cantor metric
 is an ultrametric, so at every threshold "closer than delta" splits the atoms
 into cylinder classes and g is the closed form sum over classes B of
 (mu(B) - nu(B))^+; that closed form is the one production solver.  Brute
-subset enumeration and a min-cut / max-flow computation of a partial
-coupling are kept as independent oracles.  All three are exact over the
-integers after clearing denominators, and they must always agree.
+subset enumeration and a max-flow partial coupling are kept as independent
+oracles, all three exact in integers; "both" checks that flow's g equals
+the closed form's at every threshold its walk evaluates.
 
 Every solver works on one sorted form of a pair (``_sorted_form``): the
 distinct words of both supports merged in ascending order, each measure's
@@ -328,10 +328,10 @@ def _runs(gaps, s: int) -> list[int]:
     return runs
 
 
-def _g_closed_form(mu_int, nu_int, gaps, s: int) -> tuple[int, tuple[int, ...]]:
+def _g_closed_form(mu_int, nu_int, runs) -> tuple[int, tuple[int, ...]]:
     """max over subsets X of mu's support of mu(X) - nu(neighborhood(X)),
-    as a numerator over the common denominator, at threshold s, with the
-    witness as positions, in closed form for an ultrametric.
+    as a numerator over the common denominator, at the threshold of
+    ``runs``, with the witness as positions, in closed form for an ultrametric.
 
     "d <= 1/s" is an equivalence relation whose classes B are runs of the
     sorted words, and the neighbourhood of a mu-atom is the nu-atoms of its
@@ -339,7 +339,6 @@ def _g_closed_form(mu_int, nu_int, gaps, s: int) -> tuple[int, tuple[int, ...]]:
     mu(B) - nu(B), attained by the mu-atoms of the positive classes (the
     least maximizing subset).
     """
-    runs = _runs(gaps, s)
     excess = [0] * (runs[-1] + 1)
     for r, a, b in zip(runs, mu_int, nu_int):
         excess[r] += a - b
@@ -347,17 +346,16 @@ def _g_closed_form(mu_int, nu_int, gaps, s: int) -> tuple[int, tuple[int, ...]]:
     return sum(e for e in excess if e > 0), witness
 
 
-def _oracle(g_of, mu_int, nu_int, gaps):
-    """``g_at(s)`` of an oracle ``g_of`` on a sorted form: the rows are the
-    positions of mu's atoms, the columns those of nu's, and a row's mask at
-    threshold s holds the columns in its run.  The witness rows are mapped
-    back to positions."""
+def _oracle(g_of, mu_int, nu_int):
+    """``g_at(runs)`` of an oracle ``g_of`` on a sorted form: the rows are
+    the positions of mu's atoms, the columns those of nu's, and a row's mask
+    at a threshold holds the columns in its run.  The witness rows are
+    mapped back to positions."""
     rows = [p for p, m in enumerate(mu_int) if m]
     cols = [q for q, m in enumerate(nu_int) if m]
     mu_rows, nu_cols = [mu_int[p] for p in rows], [nu_int[q] for q in cols]
 
-    def g_at(s):
-        runs = _runs(gaps, s)
+    def g_at(runs):
         in_run = [0] * (runs[-1] + 1)
         for j, q in enumerate(cols):
             in_run[runs[q]] |= 1 << j
@@ -470,12 +468,12 @@ def _interval_value(g: int, denom: int, s: int, s_next: int | None) -> Fraction 
     return Fraction(g, denom) if s == 0 or g * s >= denom else Fraction(1, s)
 
 
-def _clamped_min(thresholds: list[int], denom: int, g_at) -> tuple[Fraction, object]:
-    """Least clamped value over the threshold intervals.
+def _clamped_min(gaps, denom: int, g_at) -> tuple[Fraction, object]:
+    """Least clamped value over the threshold intervals of ``gaps``.
 
-    ``thresholds`` are separations, as ``_thresholds`` lists them; on the
-    interval from 1/s to the next threshold the neighborhood is the one at
-    1/s, and ``g_at(s)`` returns (g, payload) for it with g a numerator over
+    On the interval from 1/s to the next threshold (``_thresholds``) the
+    neighborhood is the one at 1/s, its classes are ``_runs(gaps, s)``, and
+    ``g_at(runs)`` returns (g, payload) for them with g a numerator over
     ``denom``.  ``_interval_value`` decides each interval in integers and
     makes the one Fraction returned.  The first interval that holds a
     feasible delta attains the least value, because its value is at most the
@@ -488,8 +486,9 @@ def _clamped_min(thresholds: list[int], denom: int, g_at) -> tuple[Fraction, obj
     picks which of several tied intervals reports its payload (the witness
     set of ``prohorov``).
     """
+    thresholds = _thresholds(gaps)
     for s, s_next in zip(thresholds, thresholds[1:] + [None]):
-        g, payload = g_at(s)
+        g, payload = g_at(_runs(gaps, s))
         value = _interval_value(g, denom, s, s_next)
         if value is not None:
             return value, payload
@@ -499,16 +498,19 @@ def _clamped_min(thresholds: list[int], denom: int, g_at) -> tuple[Fraction, obj
 _ORACLES = {"enumeration": _g_enumeration, "flow": _g_flow}
 
 
-def _one_sided_value(
-    mu_int, nu_int, denom: int, gaps, backend: str
-) -> tuple[Fraction, tuple[int, ...]]:
-    """The distance and the witness positions from per-position scaled
-    masses over ``denom`` and the ``gaps`` of the sorted words."""
-    if backend == "auto":
-        g_at = partial(_g_closed_form, mu_int, nu_int, gaps)
-    else:
-        g_at = _oracle(_ORACLES[backend], mu_int, nu_int, gaps)
-    return _clamped_min(_thresholds(gaps), denom, g_at)
+def _both(mu_int, nu_int, denom: int):
+    """``g_at(runs)`` of "both": the closed form's g and witness, once flow's
+    g on the same runs equals it; else CertificationError with both g."""
+    flow = _oracle(_ORACLES["flow"], mu_int, nu_int)
+
+    def g_at(runs):
+        g, witness = _g_closed_form(mu_int, nu_int, runs)
+        if g != (other := flow(runs)[0]):
+            raise CertificationError(
+                f"backends disagree: {Fraction(g, denom)} vs {Fraction(other, denom)}")
+        return g, witness
+
+    return g_at
 
 
 def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> ProhorovResult:
@@ -516,9 +518,9 @@ def prohorov(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "auto") -> Pro
 
     ``backend`` is "auto" (the ultrametric closed form, at every support
     size), one of the oracles "enumeration" (at most ``ENUMERATION_LIMIT``
-    atoms per measure) and "flow", or "both" (closed form and flow,
-    insisting on exact agreement).  The result names the solver that ran:
-    "closed_form" for "auto".
+    atoms per measure) and "flow", or "both" (the closed form, whose g must
+    equal flow's at every threshold the walk evaluates, else it raises
+    CertificationError).  The result names the solver: "closed_form" for "auto".
     """
     words, mu_w, nu_w, gaps = _sorted_form(mu, nu)
     value, witness, name = _solved_problem(mu_w, mu.denom, nu_w, nu.denom, gaps, backend)
@@ -534,13 +536,13 @@ def _solved_problem(mu_w, mu_d: int, nu_w, nu_d: int, gaps, backend: str):
     if backend not in BACKENDS:
         raise BackendSelectionError(f"unknown backend {backend!r}")
     mu_int, nu_int, denom = _scaled_masses(mu_w, mu_d, nu_w, nu_d)
-    if backend == "both":
-        v1, w1 = _one_sided_value(mu_int, nu_int, denom, gaps, "auto")
-        v2, _ = _one_sided_value(mu_int, nu_int, denom, gaps, "flow")
-        if v1 != v2:
-            raise CertificationError(f"backends disagree: {v1} vs {v2}")
-        return v1, w1, "both"
-    value, witness = _one_sided_value(mu_int, nu_int, denom, gaps, backend)
+    if backend == "auto":
+        g_at = partial(_g_closed_form, mu_int, nu_int)
+    elif backend == "both":
+        g_at = _both(mu_int, nu_int, denom)
+    else:
+        g_at = _oracle(_ORACLES[backend], mu_int, nu_int)
+    value, witness = _clamped_min(gaps, denom, g_at)
     return value, witness, "closed_form" if backend == "auto" else backend
 
 
@@ -566,11 +568,9 @@ def prohorov_two_sided(mu: AtomicMeasure, nu: AtomicMeasure, backend: str = "flo
         raise BackendSelectionError(f"unknown two-sided backend {backend!r}")
     _, mu_w, nu_w, gaps = _sorted_form(mu, nu)
     mu_int, nu_int, denom = _scaled_masses(mu_w, mu.denom, nu_w, nu.denom)
-    forward = _oracle(g_of, mu_int, nu_int, gaps)
-    backward = _oracle(g_of, nu_int, mu_int, gaps)
-    return _clamped_min(
-        _thresholds(gaps), denom, lambda s: (max(forward(s)[0], backward(s)[0]), None)
-    )[0]
+    forward = _oracle(g_of, mu_int, nu_int)
+    backward = _oracle(g_of, nu_int, mu_int)
+    return _clamped_min(gaps, denom, lambda r: (max(forward(r)[0], backward(r)[0]), None))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,23 @@ def _balloon_pair(seed):
     return random_cell_measure(partition, rng, 4), random_cell_measure(partition, rng, 4)
 
 
+@pytest.mark.parametrize("seed", [41, 43, 47])
+def test_chains_re_verify_with_the_same_distances_under_auto_and_both(seed):
+    # the chain loop's recorded distances are what verify_chain solves again
+    # from the points alone, and the closed form and "both" agree on them
+    f = _BALLOON.table
+    mu, nu = _balloon_pair(seed)
+    for delta in (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)):
+        k0 = chain_step_count(delta)
+        tables.reset()
+        for k in range(k0, k0 + 4):
+            auto, both = (chain_connect_map(f, mu, nu, delta, k, backend)
+                          for backend in ("auto", "both"))
+            assert auto == both and auto.length == k
+            for chain, backend in product((auto, both), ("auto", "both")):
+                assert verify_chain(f, chain.points, delta, backend) == chain
+
+
 @pytest.mark.parametrize("extra", [0, 2])
 def test_a_record_point_off_the_orbit_of_nu_fails_the_endpoint_check(extra):
     # the steps up to k are verified already, so only the endpoint check

@@ -666,6 +666,56 @@ def test_value_only_solve_raises_as_prohorov(monkeypatch):
     assert prohorov_distance(half, dirac("0")) == prohorov(half, dirac("0")).value == Fraction(1, 2)
 
 
+def test_a_both_solve_runs_flow_once_per_threshold_the_closed_form_walks(monkeypatch):
+    # one walk: flow is asked at each threshold the closed form evaluates,
+    # on the same runs, and at no other; each threshold's runs are computed once
+    flow_calls, closed_calls, runs_calls = [], [], []
+    flow, closed, runs = (measures_module._ORACLES["flow"], measures_module._g_closed_form,
+                          measures_module._runs)
+    monkeypatch.setitem(measures_module._ORACLES, "flow",
+                        lambda *args: flow_calls.append(args) or flow(*args))
+    monkeypatch.setattr(measures_module, "_g_closed_form",
+                        lambda *args: closed_calls.append(args) or closed(*args))
+    monkeypatch.setattr(measures_module, "_runs",
+                        lambda *args: runs_calls.append(args) or runs(*args))
+    rng = random.Random(39)
+    pairs = [(dirac("00"), dirac("01")), (dirac("0"), dirac("1"))] + [
+        (random_atomic_measure(rng, 4, 4), random_atomic_measure(rng, 4, 4)) for _ in range(30)]
+    walked = []
+    for mu, nu in pairs:
+        tables.reset()
+        for calls in (flow_calls, closed_calls, runs_calls):
+            calls.clear()
+        prohorov(mu, nu, "both")
+        assert len(flow_calls) == len(closed_calls) == len(runs_calls) >= 1
+        walked.append(len(closed_calls))
+    assert walked[:2] == [2, 1] and max(walked) >= 3
+
+
+@pytest.mark.parametrize("wrong_call, message", [(1, "1 vs 2"), (2, "0 vs 1")])
+def test_a_flow_oracle_wrong_at_one_threshold_fails_the_both_solve_there(
+        monkeypatch, wrong_call, message):
+    # d(delta_00, delta_01) = 1/2 walks two thresholds, g = 1 then 0; a flow
+    # g one too high at the first leaves both walks at 1/2, which a check of
+    # the final values alone would pass
+    mu, nu = dirac("00"), dirac("01")
+    flow_calls = []
+    flow = measures_module._ORACLES["flow"]
+
+    def wrong_once(*args):
+        flow_calls.append(args)
+        g, witness = flow(*args)
+        return g + (len(flow_calls) == wrong_call), witness
+
+    monkeypatch.setitem(measures_module._ORACLES, "flow", wrong_once)
+    tables.reset()
+    with pytest.raises(CertificationError, match=f"^backends disagree: {message}$"):
+        prohorov_distance(mu, nu, "both")
+    assert len(flow_calls) == wrong_call
+    monkeypatch.undo()
+    assert prohorov_distance(mu, nu, "both") == Fraction(1, 2)
+
+
 def test_library_distances_build_no_prohorov_result(monkeypatch):
     # profiles, target distances and entropy counts read values only: with
     # the result class unusable they give what they gave with it
